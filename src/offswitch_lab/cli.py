@@ -14,24 +14,15 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import jsonio, search
+from .core import MISUPDATE_MODES, ExpectedUtilityRule, IdentityRisk, PowerRisk, RiskWeightedRule
 from .distributions import Uniform
 from .errors import RuleCannotBeAverse
 from .offswitch import OffSwitchScenario, best_option, reduce_to_two_state
-from .search import (
-    MISUPDATE_COMPLEMENT,
-    MISUPDATE_CUSTOM,
-    MISUPDATE_STAY,
-    CredalSearch,
-    EuSearch,
-    FaultySearch,
-    ReuSearch,
-    SearchConfig,
-)
-from .core import IdentityRisk, PowerRisk
-from .voi import value_of_learning_faulty, value_of_learning_rule
+from .search import CredalSearch, FaultySearch, SearchConfig
 
 BUILTIN_SCENARIOS = {
     "alice-basic": OffSwitchScenario(Uniform(-40.0, 60.0), 0.0, "alice-basic"),
@@ -97,17 +88,12 @@ def _scenario_payload(loaded: jsonio.LoadedScenario) -> dict:
         "label": scenario.label,
         "prior": jsonio.encode_distribution(scenario.prior),
         "epsilon": scenario.epsilon,
-        "report": jsonio.encode_offswitch_report(report),
+        "report": asdict(report),
     }
     game = reduce_to_two_state(scenario.prior, scenario.epsilon)
-    if loaded.rule is not None:
-        rule_report = value_of_learning_rule(game.problem, game.problem.prior, game.channel, loaded.rule)
-        payload["rule_analysis"] = jsonio.encode_voi_report(rule_report)
-    if loaded.updater is not None:
-        faulty_report = value_of_learning_faulty(
-            game.problem, game.problem.prior, game.channel, loaded.updater
-        )
-        payload["updater_analysis"] = jsonio.encode_voi_report(faulty_report)
+    for key, rule in (("rule_analysis", loaded.rule), ("updater_analysis", loaded.updater)):
+        if rule is not None:
+            payload[key] = asdict(search.evaluate_rule(game.problem, game.channel, rule))
     return payload
 
 
@@ -180,11 +166,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.trials < 1:
-        return _usage_error(f"trial count must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        return _usage_error(f"seed must be non-negative, got {args.seed}")
-    config = SearchConfig(seed=args.seed, trials=args.trials)
+    try:
+        config = SearchConfig(seed=args.seed, trials=args.trials)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     runner = search.verify_good if args.property == "good" else search.verify_theorem1
     report = runner(config)
     print(f"{args.property}: trials={report.trials} violations={len(report.violations)} seed={args.seed}")
@@ -198,12 +183,12 @@ def parse_rule(text: str) -> search.SearchRule:
     parts = text.split(":")
     head = parts[0]
     if head == "eu" and len(parts) == 1:
-        return EuSearch()
+        return ExpectedUtilityRule()
     if head == "reu":
         if parts[1:] == ["identity"]:
-            return ReuSearch(IdentityRisk())
+            return RiskWeightedRule(IdentityRisk())
         if len(parts) == 3 and parts[1] == "power":
-            return ReuSearch(PowerRisk(float(parts[2])))
+            return RiskWeightedRule(PowerRisk(float(parts[2])))
         raise ValueError(f"cannot parse risk-weighted rule {text!r}; use reu:identity or reu:power:K")
     if head == "gamma":
         if len(parts) == 1:
@@ -212,11 +197,8 @@ def parse_rule(text: str) -> search.SearchRule:
             return CredalSearch(int(parts[1]))
         raise ValueError(f"cannot parse credal rule {text!r}; use gamma or gamma:M")
     if head == "faulty" and len(parts) == 3:
-        kinds = {
-            "stay": MISUPDATE_STAY,
-            "complement": MISUPDATE_COMPLEMENT,
-            "custom": MISUPDATE_CUSTOM,
-        }
+        # short names: the first word of each mode name
+        kinds = {mode.split("-")[0]: mode for mode in MISUPDATE_MODES}
         if parts[1] not in kinds:
             raise ValueError(f"unknown misupdate kind {parts[1]!r}; use stay, complement or custom")
         return FaultySearch(float(parts[2]), kinds[parts[1]])
@@ -226,10 +208,6 @@ def parse_rule(text: str) -> search.SearchRule:
 
 
 def cmd_search(args) -> int:
-    if args.trials < 1:
-        return _usage_error(f"trial count must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        return _usage_error(f"seed must be non-negative, got {args.seed}")
     try:
         rule = parse_rule(args.rule)
         config = SearchConfig(

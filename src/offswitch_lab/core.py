@@ -29,6 +29,14 @@ def as_probability_vector(vec, what: str = "probability vector") -> tuple[float,
     return out
 
 
+def check_length(vec, n: int, what: str) -> tuple:
+    """The vector as a tuple; DimensionMismatch unless it has ``n`` entries."""
+    vec = tuple(vec)
+    if len(vec) != n:
+        raise DimensionMismatch(f"{what} has {len(vec)} entries for {n} states")
+    return vec
+
+
 @dataclass(frozen=True)
 class Act:
     """A named act: one utility per state, in state order."""
@@ -57,17 +65,12 @@ class DecisionProblem:
         states = tuple(str(s) for s in self.states)
         if not states:
             raise ValueError("decision problem needs at least one state")
-        prior = as_probability_vector(self.prior, "prior")
-        if len(prior) != len(states):
-            raise DimensionMismatch(f"prior has {len(prior)} entries for {len(states)} states")
+        prior = check_length(as_probability_vector(self.prior, "prior"), len(states), "prior")
         acts = tuple(self.acts)
         if not acts:
             raise ValueError("decision problem needs at least one act")
         for act in acts:
-            if len(act.utilities) != len(states):
-                raise DimensionMismatch(
-                    f"act {act.name!r} has {len(act.utilities)} utilities for {len(states)} states"
-                )
+            check_length(act.utilities, len(states), f"act {act.name!r} utilities")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "acts", acts)
@@ -244,6 +247,14 @@ class CustomPosterior:
 
 MisupdateKind = StayAtPrior | ComplementConditionalization | CustomPosterior
 
+# The one place the misupdate mode names are spelled; scenario files, witness
+# JSON and the search configuration all use these names.
+MISUPDATE_MODES = {
+    "stay-at-prior": StayAtPrior,
+    "complement-conditionalization": ComplementConditionalization,
+    "custom-posterior": CustomPosterior,
+}
+
 
 @dataclass(frozen=True)
 class Faulty:
@@ -272,6 +283,10 @@ class RiskWeightedRule:
 
     risk: RiskFunction
 
+    def __post_init__(self) -> None:
+        if self.risk is None:
+            raise MissingRuleData("risk-weighted rule needs a risk function")
+
 
 @dataclass(frozen=True)
 class GammaMaximinRule:
@@ -279,29 +294,24 @@ class GammaMaximinRule:
 
     credal: CredalSet
 
+    def __post_init__(self) -> None:
+        if self.credal is None:
+            raise MissingRuleData("gamma-maximin rule needs a credal set")
+
 
 DecisionRule = ExpectedUtilityRule | RiskWeightedRule | GammaMaximinRule
 
 
-def _check_belief(problem: DecisionProblem, belief) -> tuple[float, ...]:
-    belief = tuple(belief)
-    if len(belief) != len(problem.states):
-        raise DimensionMismatch(
-            f"belief has {len(belief)} entries for {len(problem.states)} states"
-        )
-    return belief
-
-
 def expected_utility(problem: DecisionProblem, act_index: int, belief) -> float:
     """Belief-weighted utility of one act."""
-    belief = _check_belief(problem, belief)
+    belief = check_length(belief, len(problem.states), "belief")
     utilities = problem.acts[act_index].utilities
     return sum(b * u for b, u in zip(belief, utilities))
 
 
 def best_act_eu(problem: DecisionProblem, belief) -> tuple[int, float]:
     """Act with maximal expected utility; ties go to the lowest index."""
-    belief = _check_belief(problem, belief)
+    belief = check_length(belief, len(problem.states), "belief")
     best_index = 0
     best_value = -math.inf
     for i, act in enumerate(problem.acts):
@@ -311,23 +321,31 @@ def best_act_eu(problem: DecisionProblem, belief) -> tuple[int, float]:
     return best_index, best_value
 
 
+def bayes_step(belief, channel: SignalChannel, j: int) -> tuple[float, tuple[float, ...] | None]:
+    """P(signal j) under the belief and the Bayesian posterior on it.
+
+    The posterior is None when the marginal is not positive. The belief must
+    already have one entry per channel row.
+    """
+    marg = sum(b * row[j] for b, row in zip(belief, channel.likelihood))
+    if marg <= 0.0:
+        return marg, None
+    return marg, tuple(b * row[j] / marg for b, row in zip(belief, channel.likelihood))
+
+
 def signal_marginal(belief, channel: SignalChannel, signal: str) -> float:
     """P(signal) under the belief: sum over states of belief * likelihood."""
-    if len(belief) != len(channel.likelihood):
-        raise DimensionMismatch(
-            f"belief has {len(belief)} entries for {len(channel.likelihood)} channel rows"
-        )
-    j = channel.signal_index(signal)
-    return sum(b * row[j] for b, row in zip(belief, channel.likelihood))
+    belief = check_length(belief, len(channel.likelihood), "belief")
+    return bayes_step(belief, channel, channel.signal_index(signal))[0]
 
 
 def posterior(belief, channel: SignalChannel, signal: str) -> tuple[float, ...]:
     """Bayesian update of the belief on the observed signal."""
-    marg = signal_marginal(belief, channel, signal)
-    if marg <= 0.0:
+    belief = check_length(belief, len(channel.likelihood), "belief")
+    _, post = bayes_step(belief, channel, channel.signal_index(signal))
+    if post is None:
         raise ZeroMarginal(f"signal {signal!r} has zero marginal probability")
-    j = channel.signal_index(signal)
-    return tuple(b * row[j] / marg for b, row in zip(belief, channel.likelihood))
+    return post
 
 
 def risk_weighted_value(prospect, risk: RiskFunction) -> float:
@@ -357,7 +375,7 @@ def risk_weighted_eu(problem: DecisionProblem, act_index: int, belief, risk: Ris
     """Rank-dependent value of one act under the belief."""
     if risk is None:
         raise MissingRuleData("risk-weighted evaluation needs a risk function")
-    belief = _check_belief(problem, belief)
+    belief = check_length(belief, len(problem.states), "belief")
     return risk_weighted_value(zip(problem.acts[act_index].utilities, belief), risk)
 
 
@@ -370,10 +388,7 @@ def gamma_maximin(problem: DecisionProblem, credal: CredalSet) -> tuple[int, flo
     if credal is None:
         raise MissingRuleData("gamma-maximin needs a credal set")
     for member in credal.members:
-        if len(member) != len(problem.states):
-            raise DimensionMismatch(
-                f"credal member has {len(member)} entries for {len(problem.states)} states"
-            )
+        check_length(member, len(problem.states), "credal member")
     best_index = 0
     best_value = -math.inf
     for i, act in enumerate(problem.acts):
@@ -387,11 +402,7 @@ def gamma_maximin(problem: DecisionProblem, credal: CredalSet) -> tuple[int, flo
 
 def misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) -> tuple[float, ...]:
     """Belief produced by a failed conditionalization on the observed signal."""
-    belief = tuple(belief)
-    if len(belief) != len(channel.likelihood):
-        raise DimensionMismatch(
-            f"belief has {len(belief)} entries for {len(channel.likelihood)} channel rows"
-        )
+    belief = check_length(belief, len(channel.likelihood), "belief")
     if isinstance(kind, StayAtPrior):
         return belief
     if isinstance(kind, ComplementConditionalization):
@@ -401,9 +412,4 @@ def misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) 
         if marg <= 0.0:
             raise ZeroMarginal(f"complement of signal {signal!r} has zero marginal probability")
         return tuple(x / marg for x in comp)
-    vec = kind.posterior_for(signal)
-    if len(vec) != len(belief):
-        raise DimensionMismatch(
-            f"custom posterior for {signal!r} has {len(vec)} entries for {len(belief)} states"
-        )
-    return vec
+    return check_length(kind.posterior_for(signal), len(belief), f"custom posterior for {signal!r}")

@@ -2,7 +2,8 @@
 
 Encoders produce plain dicts/lists ready for ``json.dumps``; decoders are
 strict and reject unknown fields so scenario files fail loudly instead of
-silently ignoring a typo. Decoder errors are ValueError with a message that
+silently ignoring a typo. Numbers must be JSON numbers: a bool or a string
+is rejected, not coerced. Decoder errors are ValueError with a message that
 names the offending field.
 """
 
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    MISUPDATE_MODES,
     Act,
-    ComplementConditionalization,
     Conditionalization,
     CredalSet,
     CustomPosterior,
@@ -26,16 +27,39 @@ from .core import (
     RiskFunction,
     RiskWeightedRule,
     SignalChannel,
-    StayAtPrior,
     TableRisk,
     Updater,
 )
 from .distributions import Discrete, Uniform, UtilityDistribution
-from .offswitch import OffSwitchReport, OffSwitchScenario
-from .voi import VoiReport
+from .offswitch import OffSwitchScenario
+
+RULE_KINDS = ("eu", "reu", "gamma-maximin")
+UPDATER_KINDS = ("conditionalization", "faulty")
+_NUMBER_TYPES = frozenset((int, float))
 
 
-def _check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], what: str) -> None:
+def number(value, field: str, types=_NUMBER_TYPES):
+    """``value`` itself when it is a JSON number of one of ``types``.
+
+    ``bool`` is a subclass of ``int`` but not a number here, and numeric
+    strings are not converted: both raise ValueError naming the field.
+    """
+    if type(value) not in types:
+        raise ValueError(f"{field} must be a JSON number, got {value!r}")
+    return value
+
+
+def _numbers(values, field: str) -> tuple:
+    values = tuple(values)
+    # one pass over the types in C; witness decoding is on the replay hot path
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        for value in values:
+            number(value, field)
+    return values
+
+
+def check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], what: str) -> None:
+    """ValueError unless ``obj`` is an object with all required fields and no unknown ones."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - set(required) - set(optional)
@@ -46,6 +70,12 @@ def _check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
         raise ValueError(f"{what} is missing fields: {sorted(missing)}")
 
 
+def _kind(obj, what: str):
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError(f"{what} must be an object with a 'kind' field")
+    return obj["kind"]
+
+
 def encode_distribution(d: UtilityDistribution) -> dict:
     if isinstance(d, Uniform):
         return {"kind": "uniform", "lo": d.lo, "hi": d.hi}
@@ -53,20 +83,18 @@ def encode_distribution(d: UtilityDistribution) -> dict:
 
 
 def decode_distribution(obj) -> UtilityDistribution:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("prior must be an object with a 'kind' field")
-    kind = obj["kind"]
+    kind = _kind(obj, "prior")
     if kind == "uniform":
-        _check_fields(obj, ("kind", "lo", "hi"), (), "uniform prior")
-        return Uniform(obj["lo"], obj["hi"])
+        check_fields(obj, ("kind", "lo", "hi"), (), "uniform prior")
+        return Uniform(number(obj["lo"], "uniform prior lo"), number(obj["hi"], "uniform prior hi"))
     if kind == "discrete":
-        _check_fields(obj, ("kind", "atoms"), (), "discrete prior")
+        check_fields(obj, ("kind", "atoms"), (), "discrete prior")
         atoms = obj["atoms"]
         if not isinstance(atoms, list) or not all(
             isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms
         ):
             raise ValueError("discrete prior atoms must be a list of [value, weight] pairs")
-        return Discrete(tuple((v, w) for v, w in atoms))
+        return Discrete(tuple(_numbers(atom, "discrete prior atom") for atom in atoms))
     raise ValueError(f"prior kind must be 'uniform' or 'discrete', got {kind!r}")
 
 
@@ -79,12 +107,13 @@ def encode_problem(problem: DecisionProblem) -> dict:
 
 
 def decode_problem(obj) -> DecisionProblem:
-    _check_fields(obj, ("states", "prior", "acts"), (), "decision problem")
+    check_fields(obj, ("states", "prior", "acts"), (), "decision problem")
     acts = []
     for entry in obj["acts"]:
-        _check_fields(entry, ("name", "utilities"), (), "act")
-        acts.append(Act(entry["name"], tuple(entry["utilities"])))
-    return DecisionProblem(tuple(obj["states"]), tuple(obj["prior"]), tuple(acts))
+        check_fields(entry, ("name", "utilities"), (), "act")
+        acts.append(Act(entry["name"], _numbers(entry["utilities"], "act utilities")))
+    prior = _numbers(obj["prior"], "decision problem prior")
+    return DecisionProblem(tuple(obj["states"]), prior, tuple(acts))
 
 
 def encode_channel(channel: SignalChannel) -> dict:
@@ -95,8 +124,9 @@ def encode_channel(channel: SignalChannel) -> dict:
 
 
 def decode_channel(obj) -> SignalChannel:
-    _check_fields(obj, ("signals", "likelihood"), (), "signal channel")
-    return SignalChannel(tuple(obj["signals"]), tuple(tuple(row) for row in obj["likelihood"]))
+    check_fields(obj, ("signals", "likelihood"), (), "signal channel")
+    rows = tuple(_numbers(row, "channel likelihood") for row in obj["likelihood"])
+    return SignalChannel(tuple(obj["signals"]), rows)
 
 
 def encode_risk(risk: RiskFunction) -> dict:
@@ -108,18 +138,16 @@ def encode_risk(risk: RiskFunction) -> dict:
 
 
 def decode_risk(obj) -> RiskFunction:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("risk function must be an object with a 'kind' field")
-    kind = obj["kind"]
+    kind = _kind(obj, "risk function")
     if kind == "identity":
-        _check_fields(obj, ("kind",), (), "identity risk")
+        check_fields(obj, ("kind",), (), "identity risk")
         return IdentityRisk()
     if kind == "power":
-        _check_fields(obj, ("kind", "k"), (), "power risk")
-        return PowerRisk(obj["k"])
+        check_fields(obj, ("kind", "k"), (), "power risk")
+        return PowerRisk(number(obj["k"], "power risk k"))
     if kind == "table":
-        _check_fields(obj, ("kind", "knots"), (), "table risk")
-        return TableRisk(tuple((p, r) for p, r in obj["knots"]))
+        check_fields(obj, ("kind", "knots"), (), "table risk")
+        return TableRisk(tuple(_numbers(knot, "table risk knot") for knot in obj["knots"]))
     raise ValueError(f"risk kind must be 'identity', 'power' or 'table', got {kind!r}")
 
 
@@ -128,113 +156,56 @@ def encode_credal(credal: CredalSet) -> dict:
 
 
 def decode_credal(obj) -> CredalSet:
-    _check_fields(obj, ("members",), (), "credal set")
-    return CredalSet(tuple(tuple(m) for m in obj["members"]))
+    check_fields(obj, ("members",), (), "credal set")
+    return CredalSet(tuple(_numbers(m, "credal member") for m in obj["members"]))
 
 
-_MISUPDATE_NAMES = {
-    StayAtPrior: "stay-at-prior",
-    ComplementConditionalization: "complement-conditionalization",
-    CustomPosterior: "custom-posterior",
-}
-
-
-def encode_updater(updater: Updater) -> dict:
-    if isinstance(updater, Conditionalization):
-        return {"kind": "conditionalization"}
-    out = {"kind": "faulty", "q": updater.q, "mode": _MISUPDATE_NAMES[type(updater.kind)]}
-    if isinstance(updater.kind, CustomPosterior):
-        out["table"] = {signal: list(vec) for signal, vec in updater.kind.table}
-    return out
-
-
-def decode_updater(obj) -> Updater:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("updater must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "conditionalization":
-        _check_fields(obj, ("kind",), (), "updater")
-        return Conditionalization()
-    if kind != "faulty":
-        raise ValueError(f"updater kind must be 'conditionalization' or 'faulty', got {kind!r}")
-    _check_fields(obj, ("kind", "q", "mode"), ("table",), "faulty updater")
-    mode = obj["mode"]
-    if mode == "stay-at-prior":
-        return Faulty(obj["q"], StayAtPrior())
-    if mode == "complement-conditionalization":
-        return Faulty(obj["q"], ComplementConditionalization())
-    if mode == "custom-posterior":
-        if "table" not in obj:
-            raise ValueError("custom-posterior updater needs a 'table' field")
-        table = {signal: tuple(vec) for signal, vec in obj["table"].items()}
-        return Faulty(obj["q"], CustomPosterior(table))
-    raise ValueError(
-        "updater mode must be 'stay-at-prior', 'complement-conditionalization' "
-        f"or 'custom-posterior', got {mode!r}"
-    )
-
-
-def encode_rule(rule: DecisionRule) -> dict:
-    if isinstance(rule, ExpectedUtilityRule):
-        return {"kind": "eu"}
+def encode_rule(rule: DecisionRule | Updater) -> dict:
     if isinstance(rule, RiskWeightedRule):
         return {"kind": "reu", "risk": encode_risk(rule.risk)}
-    return {"kind": "gamma-maximin", "credal": encode_credal(rule.credal)}
+    if isinstance(rule, GammaMaximinRule):
+        return {"kind": "gamma-maximin", "credal": encode_credal(rule.credal)}
+    if isinstance(rule, Faulty):
+        mode = next(name for name, cls in MISUPDATE_MODES.items() if isinstance(rule.kind, cls))
+        out = {"kind": "faulty", "q": rule.q, "mode": mode}
+        if isinstance(rule.kind, CustomPosterior):
+            out["table"] = {signal: list(vec) for signal, vec in rule.kind.table}
+        return out
+    if isinstance(rule, Conditionalization):
+        return {"kind": "conditionalization"}
+    return {"kind": "eu"}
 
 
-def decode_rule(obj) -> DecisionRule:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("decision rule must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "eu":
-        _check_fields(obj, ("kind",), (), "eu rule")
-        return ExpectedUtilityRule()
+def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: str = "rule"):
+    """Decode any of the five rule and updater kinds that ``kinds`` allows."""
+    kind = _kind(obj, what)
+    if kind not in kinds:
+        raise ValueError(f"{what} kind must be one of {', '.join(map(repr, kinds))}, got {kind!r}")
     if kind == "reu":
-        _check_fields(obj, ("kind", "risk"), (), "reu rule")
+        check_fields(obj, ("kind", "risk"), (), "reu rule")
         return RiskWeightedRule(decode_risk(obj["risk"]))
     if kind == "gamma-maximin":
-        _check_fields(obj, ("kind", "credal"), (), "gamma-maximin rule")
+        check_fields(obj, ("kind", "credal"), (), "gamma-maximin rule")
         return GammaMaximinRule(decode_credal(obj["credal"]))
-    raise ValueError(f"rule kind must be 'eu', 'reu' or 'gamma-maximin', got {kind!r}")
-
-
-def encode_rule_or_updater(rule: DecisionRule | Updater) -> dict:
-    if isinstance(rule, (Conditionalization, Faulty)):
-        return encode_updater(rule)
-    return encode_rule(rule)
-
-
-def decode_rule_or_updater(obj) -> DecisionRule | Updater:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("rule must be an object with a 'kind' field")
-    if obj["kind"] in ("conditionalization", "faulty"):
-        return decode_updater(obj)
-    return decode_rule(obj)
-
-
-def encode_voi_report(report: VoiReport) -> dict:
-    return {
-        "value_now": report.value_now,
-        "value_learning": report.value_learning,
-        "voi": report.voi,
-        "rule": report.rule,
-        "per_signal": [
-            {"signal": r.signal, "marginal": r.marginal, "act_index": r.act_index, "value": r.value}
-            for r in report.per_signal
-        ],
+    if kind != "faulty":
+        check_fields(obj, ("kind",), (), f"{kind} {what}")
+        return ExpectedUtilityRule() if kind == "eu" else Conditionalization()
+    check_fields(obj, ("kind", "q", "mode"), ("table",), "faulty updater")
+    q = number(obj["q"], "faulty updater q")
+    mode = obj["mode"]
+    if mode not in MISUPDATE_MODES:
+        raise ValueError(
+            f"updater mode must be one of {', '.join(map(repr, MISUPDATE_MODES))}, got {mode!r}"
+        )
+    if MISUPDATE_MODES[mode] is not CustomPosterior:
+        return Faulty(q, MISUPDATE_MODES[mode]())
+    if "table" not in obj:
+        raise ValueError("custom-posterior updater needs a 'table' field")
+    table = {
+        signal: _numbers(vec, f"custom posterior for {signal!r}")
+        for signal, vec in obj["table"].items()
     }
-
-
-def encode_offswitch_report(report: OffSwitchReport) -> dict:
-    return {
-        "eu_act": report.eu_act,
-        "eu_nothing": report.eu_nothing,
-        "eu_defer": report.eu_defer,
-        "eu_learn": report.eu_learn,
-        "delta": report.delta,
-        "best": report.best,
-        "threshold_epsilon": report.threshold_epsilon,
-    }
+    return Faulty(q, CustomPosterior(table))
 
 
 @dataclass(frozen=True)
@@ -246,21 +217,13 @@ class LoadedScenario:
     updater: Updater | None
 
 
-def encode_scenario(scenario: OffSwitchScenario) -> dict:
-    return {
-        "label": scenario.label,
-        "prior": encode_distribution(scenario.prior),
-        "epsilon": scenario.epsilon,
-    }
-
-
 def decode_scenario(obj) -> LoadedScenario:
-    _check_fields(obj, ("label", "prior", "epsilon"), ("rule", "updater"), "scenario")
+    check_fields(obj, ("label", "prior", "epsilon"), ("rule", "updater"), "scenario")
     scenario = OffSwitchScenario(
         prior=decode_distribution(obj["prior"]),
-        epsilon=obj["epsilon"],
+        epsilon=number(obj["epsilon"], "scenario epsilon"),
         label=str(obj["label"]),
     )
-    rule = decode_rule(obj["rule"]) if "rule" in obj else None
-    updater = decode_updater(obj["updater"]) if "updater" in obj else None
+    rule = decode_rule(obj["rule"], RULE_KINDS, "rule") if "rule" in obj else None
+    updater = decode_rule(obj["updater"], UPDATER_KINDS, "updater") if "updater" in obj else None
     return LoadedScenario(scenario, rule, updater)

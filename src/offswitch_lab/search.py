@@ -20,18 +20,17 @@ import numpy as np
 
 from . import jsonio
 from .core import (
+    MISUPDATE_MODES,
     Act,
-    ComplementConditionalization,
     CredalSet,
     CustomPosterior,
     DecisionProblem,
     DecisionRule,
+    ExpectedUtilityRule,
     Faulty,
     GammaMaximinRule,
-    RiskFunction,
     RiskWeightedRule,
     SignalChannel,
-    StayAtPrior,
     Updater,
     is_identity_risk,
 )
@@ -42,21 +41,11 @@ from .voi import value_of_learning_eu, value_of_learning_faulty, value_of_learni
 
 REVERIFY_TOL = 1e-10
 
-MISUPDATE_STAY = "stay-at-prior"
-MISUPDATE_COMPLEMENT = "complement-conditionalization"
-MISUPDATE_CUSTOM = "custom-posterior"
+MISUPDATE_STAY, MISUPDATE_COMPLEMENT, MISUPDATE_CUSTOM = MISUPDATE_MODES  # its keys, in order
 
-
-@dataclass(frozen=True)
-class EuSearch:
-    """Plain expected utility; valid for theorem checks, never averse."""
-
-
-@dataclass(frozen=True)
-class ReuSearch:
-    """Risk-weighted expected utility with a fixed risk function."""
-
-    risk: RiskFunction
+# Rules without per-trial data are searched as they are.
+EuSearch = ExpectedUtilityRule
+ReuSearch = RiskWeightedRule
 
 
 @dataclass(frozen=True)
@@ -82,11 +71,11 @@ class FaultySearch:
         object.__setattr__(self, "q", float(self.q))
         if not (0.0 <= self.q <= 1.0):
             raise ValueError(f"misupdate probability must lie in [0, 1], got {self.q!r}")
-        if self.kind not in (MISUPDATE_STAY, MISUPDATE_COMPLEMENT, MISUPDATE_CUSTOM):
+        if self.kind not in MISUPDATE_MODES:
             raise ValueError(f"unknown misupdate kind {self.kind!r}")
 
 
-SearchRule = EuSearch | ReuSearch | CredalSearch | FaultySearch
+SearchRule = ExpectedUtilityRule | RiskWeightedRule | CredalSearch | FaultySearch
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ class SearchConfig:
     act_count: int = 3
     signal_count: int = 2
     utility_range: tuple[float, float] = (-10.0, 10.0)
-    rule: SearchRule = EuSearch()
+    rule: SearchRule = ExpectedUtilityRule()
     aversion_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -190,7 +179,7 @@ def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
 
 def verify_good(config: SearchConfig) -> CheckReport:
     """Run the learn-then-choose inequality on random instances; expect no violations."""
-    if not isinstance(config.rule, EuSearch):
+    if not isinstance(config.rule, ExpectedUtilityRule):
         raise ValueError("the learning inequality is only guaranteed under plain expected utility")
     violations = []
     for i in range(config.trials):
@@ -215,12 +204,12 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
 
 
 def _reject_if_never_averse(rule: SearchRule) -> None:
-    if isinstance(rule, EuSearch):
+    if isinstance(rule, ExpectedUtilityRule):
         raise RuleCannotBeAverse(
             "expected utility with conditionalization never rejects free information "
             "(Good's theorem); an empty search would be misleading"
         )
-    if isinstance(rule, ReuSearch) and is_identity_risk(rule.risk):
+    if isinstance(rule, RiskWeightedRule) and is_identity_risk(rule.risk):
         raise RuleCannotBeAverse(
             "an identity risk function reduces risk-weighted utility to expected utility, "
             "which never rejects free information"
@@ -244,22 +233,19 @@ def _concrete_rule(
     channel: SignalChannel,
 ) -> DecisionRule | Updater:
     """Materialize per-trial rule data; draws happen after the instance draws."""
-    if isinstance(search_rule, ReuSearch):
-        return RiskWeightedRule(search_rule.risk)
     if isinstance(search_rule, CredalSearch):
         members = rng.dirichlet(np.ones(config.state_count), size=search_rule.members)
         return GammaMaximinRule(CredalSet(tuple(tuple(m) for m in members)))
     if isinstance(search_rule, FaultySearch):
-        if search_rule.kind == MISUPDATE_COMPLEMENT:
-            return Faulty(search_rule.q, ComplementConditionalization())
-        if search_rule.kind == MISUPDATE_STAY:
-            return Faulty(search_rule.q, StayAtPrior())
-        table = {
-            signal: tuple(rng.dirichlet(np.ones(config.state_count)))
-            for signal in channel.signals
-        }
-        return Faulty(search_rule.q, CustomPosterior(table))
-    raise ValueError(f"no concrete rule for {search_rule!r}")
+        mode = MISUPDATE_MODES[search_rule.kind]
+        if mode is CustomPosterior:
+            table = {
+                signal: tuple(rng.dirichlet(np.ones(config.state_count)))
+                for signal in channel.signals
+            }
+            return Faulty(search_rule.q, CustomPosterior(table))
+        return Faulty(search_rule.q, mode())
+    return search_rule
 
 
 def evaluate_rule(
@@ -267,7 +253,8 @@ def evaluate_rule(
     channel: SignalChannel,
     rule: DecisionRule | Updater,
 ):
-    """Dispatch to the matching voi computation for a concrete rule or updater."""
+    """The voi report of any rule or updater at the problem's prior; search,
+    witness replay and the scenario command all evaluate through here."""
     if isinstance(rule, Faulty):
         return value_of_learning_faulty(problem, problem.prior, channel, rule)
     if isinstance(rule, (RiskWeightedRule, GammaMaximinRule)):
@@ -281,22 +268,18 @@ def witness_to_jsonable(witness: Witness) -> dict:
         "voi": witness.voi,
         "problem": jsonio.encode_problem(witness.problem),
         "channel": jsonio.encode_channel(witness.channel),
-        "rule": jsonio.encode_rule_or_updater(witness.rule),
+        "rule": jsonio.encode_rule(witness.rule),
     }
 
 
 def witness_from_jsonable(obj) -> Witness:
-    if not isinstance(obj, dict):
-        raise ValueError("witness must be a JSON object")
-    unknown = set(obj) - {"trial_index", "voi", "problem", "channel", "rule"}
-    if unknown:
-        raise ValueError(f"witness has unknown fields: {sorted(unknown)}")
+    jsonio.check_fields(obj, ("trial_index", "voi", "problem", "channel", "rule"), (), "witness")
     return Witness(
         problem=jsonio.decode_problem(obj["problem"]),
         channel=jsonio.decode_channel(obj["channel"]),
-        rule=jsonio.decode_rule_or_updater(obj["rule"]),
-        voi=float(obj["voi"]),
-        trial_index=int(obj["trial_index"]),
+        rule=jsonio.decode_rule(obj["rule"]),
+        voi=jsonio.number(obj["voi"], "witness voi"),
+        trial_index=jsonio.number(obj["trial_index"], "witness trial_index", {int}),
     )
 
 

@@ -31,20 +31,21 @@ from .core import (
     CredalSet,
     DecisionProblem,
     DecisionRule,
-    ExpectedUtilityRule,
     Faulty,
     GammaMaximinRule,
     RiskWeightedRule,
     SignalChannel,
     Updater,
+    bayes_step,
     best_act_eu,
+    check_length,
     expected_utility,
     gamma_maximin,
     misupdate,
     risk_weighted_eu,
     risk_weighted_value,
 )
-from .errors import DimensionMismatch, MissingRuleData
+from .errors import MissingRuleData
 
 
 @dataclass(frozen=True)
@@ -73,32 +74,9 @@ class VoiReport:
     per_signal: tuple[SignalOutcome, ...]
 
 
-def _check_channel(problem: DecisionProblem, channel: SignalChannel) -> None:
-    if len(channel.likelihood) != len(problem.states):
-        raise DimensionMismatch(
-            f"channel has {len(channel.likelihood)} rows for {len(problem.states)} states"
-        )
-
-
-def value_now(problem: DecisionProblem, belief, rule: DecisionRule) -> float:
-    """The rule's best-act value at the current belief, without learning.
-
-    For the credal rule the belief argument is ignored: the credal set
-    carried by the rule replaces the point belief.
-    """
-    if isinstance(rule, ExpectedUtilityRule):
-        return best_act_eu(problem, belief)[1]
-    if isinstance(rule, RiskWeightedRule):
-        if rule.risk is None:
-            raise MissingRuleData("risk-weighted rule carries no risk function")
-        return max(
-            risk_weighted_eu(problem, i, belief, rule.risk) for i in range(len(problem.acts))
-        )
-    if isinstance(rule, GammaMaximinRule):
-        if rule.credal is None:
-            raise MissingRuleData("gamma-maximin rule carries no credal set")
-        return gamma_maximin(problem, rule.credal)[1]
-    raise MissingRuleData(f"unknown decision rule {rule!r}")
+def _checked_belief(problem: DecisionProblem, belief, channel: SignalChannel) -> tuple[float, ...]:
+    check_length(channel.likelihood, len(problem.states), "channel likelihood")
+    return check_length(belief, len(problem.states), "belief")
 
 
 def value_of_learning_eu(problem: DecisionProblem, belief, channel: SignalChannel) -> VoiReport:
@@ -107,20 +85,14 @@ def value_of_learning_eu(problem: DecisionProblem, belief, channel: SignalChanne
     Averages, over signals, the best posterior expected utility. The
     resulting voi is non-negative up to float noise for every valid input.
     """
-    _check_channel(problem, channel)
-    belief = tuple(belief)
-    if len(belief) != len(problem.states):
-        raise DimensionMismatch(
-            f"belief has {len(belief)} entries for {len(problem.states)} states"
-        )
+    belief = _checked_belief(problem, belief, channel)
     _, now = best_act_eu(problem, belief)
     rows = []
     total = 0.0
     for j, signal in enumerate(channel.signals):
-        marg = sum(b * row[j] for b, row in zip(belief, channel.likelihood))
-        if marg <= 0.0:
+        marg, post = bayes_step(belief, channel, j)
+        if post is None:
             continue
-        post = tuple(b * row[j] / marg for b, row in zip(belief, channel.likelihood))
         idx, val = best_act_eu(problem, post)
         rows.append(SignalOutcome(signal, marg, idx, val))
         total += marg * val
@@ -132,10 +104,9 @@ def _learning_reu(problem, belief, channel, risk) -> VoiReport:
     rows = []
     joint: list[tuple[float, float]] = []
     for j, signal in enumerate(channel.signals):
-        marg = sum(b * row[j] for b, row in zip(belief, channel.likelihood))
-        if marg <= 0.0:
+        marg, post = bayes_step(belief, channel, j)
+        if post is None:
             continue
-        post = tuple(b * row[j] / marg for b, row in zip(belief, channel.likelihood))
         best_index, best_value = 0, -float("inf")
         for i in range(n_acts):
             value = risk_weighted_eu(problem, i, post, risk)
@@ -153,24 +124,16 @@ def _learning_reu(problem, belief, channel, risk) -> VoiReport:
 
 
 def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
-    n_states = len(problem.states)
-    if any(len(m) != n_states for m in credal.members):
-        raise DimensionMismatch("credal members do not match the problem's state space")
+    now = gamma_maximin(problem, credal)[1]
 
     # Plan: per signal, the maximin act at the member-wise conditioned credal set.
     plan: dict[int, int] = {}
     for j in range(len(channel.signals)):
-        post_members = []
-        for member in credal.members:
-            marg = sum(b * row[j] for b, row in zip(member, channel.likelihood))
-            if marg <= 0.0:
-                continue
-            post_members.append(
-                tuple(b * row[j] / marg for b, row in zip(member, channel.likelihood))
-            )
+        posts = (bayes_step(member, channel, j)[1] for member in credal.members)
+        post_members = tuple(post for post in posts if post is not None)
         if not post_members:
             continue
-        plan[j] = gamma_maximin(problem, CredalSet(tuple(post_members)))[0]
+        plan[j] = gamma_maximin(problem, CredalSet(post_members))[0]
 
     # Each member scores the whole plan with its own marginals and posteriors;
     # the learning value is the worst of those scores.
@@ -180,17 +143,15 @@ def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
         member_total = 0.0
         member_rows = []
         for j, act_index in sorted(plan.items()):
-            marg = sum(b * row[j] for b, row in zip(member, channel.likelihood))
-            if marg <= 0.0:
+            marg, post = bayes_step(member, channel, j)
+            if post is None:
                 continue
-            post = tuple(b * row[j] / marg for b, row in zip(member, channel.likelihood))
             val = expected_utility(problem, act_index, post)
             member_rows.append(SignalOutcome(channel.signals[j], marg, act_index, val))
             member_total += marg * val
         if member_total < worst_value:
             worst_value = member_total
             worst_rows = tuple(member_rows)
-    now = gamma_maximin(problem, credal)[1]
     return VoiReport(now, worst_value, worst_value - now, "gamma-maximin", worst_rows)
 
 
@@ -204,23 +165,12 @@ def value_of_learning_rule(
     credal set reduces the same way. Non-trivial rule data can make the
     reported voi strictly negative, which is the point of computing it.
     """
-    _check_channel(problem, channel)
-    belief = tuple(belief)
-    if len(belief) != len(problem.states):
-        raise DimensionMismatch(
-            f"belief has {len(belief)} entries for {len(problem.states)} states"
-        )
-    if isinstance(rule, ExpectedUtilityRule):
-        return value_of_learning_eu(problem, belief, channel)
+    belief = _checked_belief(problem, belief, channel)
     if isinstance(rule, RiskWeightedRule):
-        if rule.risk is None:
-            raise MissingRuleData("risk-weighted rule carries no risk function")
         return _learning_reu(problem, belief, channel, rule.risk)
     if isinstance(rule, GammaMaximinRule):
-        if rule.credal is None:
-            raise MissingRuleData("gamma-maximin rule carries no credal set")
         return _learning_gamma(problem, channel, rule.credal)
-    raise MissingRuleData(f"unknown decision rule {rule!r}")
+    return value_of_learning_eu(problem, belief, channel)
 
 
 def value_of_learning_faulty(
@@ -237,21 +187,15 @@ def value_of_learning_faulty(
     """
     if not isinstance(updater, Faulty):
         raise MissingRuleData("faulty learning value needs a Faulty updater")
-    _check_channel(problem, channel)
-    belief = tuple(belief)
-    if len(belief) != len(problem.states):
-        raise DimensionMismatch(
-            f"belief has {len(belief)} entries for {len(problem.states)} states"
-        )
+    belief = _checked_belief(problem, belief, channel)
     q = updater.q
     _, now = best_act_eu(problem, belief)
     rows = []
     total = 0.0
     for j, signal in enumerate(channel.signals):
-        marg = sum(b * row[j] for b, row in zip(belief, channel.likelihood))
-        if marg <= 0.0:
+        marg, post = bayes_step(belief, channel, j)
+        if post is None:
             continue
-        post = tuple(b * row[j] / marg for b, row in zip(belief, channel.likelihood))
         good_index, good_value = best_act_eu(problem, post)
         if q > 0.0:
             wrong_belief = misupdate(belief, channel, signal, updater.kind)

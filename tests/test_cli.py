@@ -261,3 +261,102 @@ def test_report_is_deterministic(capsys):
     _, first, _ = run(capsys, "report")
     _, second, _ = run(capsys, "report")
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_out_of_range_seed_exits_2(command, seed, capsys):
+    argv = [command, "good"] if command == "check" else [command, "--rule", "gamma"]
+    code, _, err = run(capsys, *argv, "--trials", "10", "--seed", seed)
+    assert code == 2
+    assert "seed" in err
+
+
+def test_scenario_file_with_conditionalization_updater(tmp_path, capsys):
+    path = tmp_path / "bayes.json"
+    path.write_text(
+        json.dumps(
+            {
+                "label": "bayes",
+                "prior": {"kind": "uniform", "lo": -10, "hi": 90},
+                "epsilon": 0.02,
+                "updater": {"kind": "conditionalization"},
+            }
+        )
+    )
+    code, out, _ = run(capsys, "scenario", str(path), "--json")
+    assert code == 0
+    analysis = json.loads(out)["updater_analysis"]
+    assert analysis["rule"] == "eu"
+    assert analysis["value_learning"] == pytest.approx(40.0, abs=1e-9)
+    assert analysis["voi"] == pytest.approx(0.0, abs=1e-9)
+
+
+RULEFUL_SCENARIO = {
+    "label": "typed",
+    "prior": {"kind": "discrete", "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+    "epsilon": 0.1,
+    "rule": {"kind": "reu", "risk": {"kind": "table", "knots": [[0, 0], [0.5, 0.3], [1, 1]]}},
+    "updater": {"kind": "faulty", "q": 0.5, "mode": "custom-posterior",
+                "table": {"approve": [0.2, 0.8], "reject": [0.9, 0.1]}},
+}
+
+
+@pytest.mark.parametrize(
+    "path,bad",
+    [
+        (("epsilon",), True),
+        (("epsilon",), "0.1"),
+        (("prior",), {"kind": "uniform", "lo": "-5", "hi": 90}),
+        (("prior",), {"kind": "uniform", "lo": -5, "hi": False}),
+        (("prior", "atoms", 0, 1), "0.5"),
+        (("rule",), {"kind": "reu", "risk": {"kind": "power", "k": "2"}}),
+        (("rule", "risk", "knots", 1, 0), True),
+        (("rule",), {"kind": "gamma-maximin", "credal": {"members": [[0.5, "0.5"]]}}),
+        (("updater", "q"), "0.5"),
+        (("updater", "table", "approve", 0), True),
+    ],
+    ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_scenario_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
+    obj = json.loads(json.dumps(RULEFUL_SCENARIO))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    scenario = tmp_path / "typed.json"
+    scenario.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "scenario", str(scenario))
+    assert code == 2
+    assert "must be a JSON number" in err
+
+
+@pytest.mark.parametrize(
+    "path,bad",
+    [
+        (("voi",), "-0.5"),
+        (("trial_index",), True),
+        (("trial_index",), 3.0),
+        (("problem", "prior", 0), "0.5"),
+        (("problem", "acts", 0, "utilities", 1), False),
+        (("channel", "likelihood", 0, 0), "0.5"),
+        (("rule", "q"), True),
+        (("rule", "table", "signal0", 0), "0.5"),
+    ],
+    ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
+    out_path = tmp_path / "w.json"
+    code, _, _ = run(
+        capsys, "search", "--rule", "faulty:custom:0.5", "--trials", "20", "--seed", "3", "--out", str(out_path),
+    )
+    assert code == 0
+    entries = json.loads(out_path.read_text())
+    target = entries[0]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    out_path.write_text(json.dumps(entries))
+    code, _, err = run(capsys, "verify-witness", str(out_path))
+    assert code == 2
+    assert "must be a JSON number" in err

@@ -21,7 +21,6 @@ from offswitch_lab import (
     ZeroMarginal,
     mean,
     reduce_to_two_state,
-    value_now,
     value_of_learning_eu,
     value_of_learning_faulty,
     value_of_learning_rule,
@@ -44,32 +43,37 @@ def random_problem_and_channel(rng, states=3, acts=3, signals=2, span=10.0):
     return problem, channel
 
 
+# a one-signal channel teaches nothing, so its report carries the choose-now value alone
+UNINFORMATIVE = SignalChannel(("only",), ((1.0,), (1.0,)))
+
+
 def test_value_now_on_basic_embedding_equals_prior_mean():
     prior = Uniform(-40, 60)
     game = reduce_to_two_state(prior, 0.0)
-    got = value_now(game.problem, game.problem.prior, ExpectedUtilityRule())
-    assert got == pytest.approx(mean(prior), abs=1e-12)
-    assert got == pytest.approx(10.0, abs=1e-12)
+    report = value_of_learning_rule(game.problem, game.problem.prior, game.channel, ExpectedUtilityRule())
+    assert report.value_now == pytest.approx(mean(prior), abs=1e-12)
+    assert report.value_now == pytest.approx(10.0, abs=1e-12)
 
 
 def test_value_now_single_act_returns_its_value():
     problem = DecisionProblem(("a", "b"), (0.5, 0.5), (Act("only", (2.0, 6.0)),))
-    assert value_now(problem, problem.prior, ExpectedUtilityRule()) == pytest.approx(4.0)
+    report = value_of_learning_rule(problem, problem.prior, UNINFORMATIVE, ExpectedUtilityRule())
+    assert report.value_now == pytest.approx(4.0)
 
 
 def test_value_now_point_mass_reads_best_column():
     problem = DecisionProblem(
         ("a", "b"), (1.0, 0.0), (Act("x", (3.0, -9.0)), Act("y", (1.0, 99.0)))
     )
-    assert value_now(problem, (1.0, 0.0), ExpectedUtilityRule()) == 3.0
+    report = value_of_learning_rule(problem, (1.0, 0.0), UNINFORMATIVE, ExpectedUtilityRule())
+    assert report.value_now == 3.0
 
 
 def test_value_now_missing_rule_data():
-    problem = DecisionProblem(("a", "b"), (0.5, 0.5), (Act("x", (1.0, 2.0)),))
     with pytest.raises(MissingRuleData):
-        value_now(problem, problem.prior, RiskWeightedRule(None))
+        RiskWeightedRule(None)
     with pytest.raises(MissingRuleData):
-        value_now(problem, problem.prior, GammaMaximinRule(None))
+        GammaMaximinRule(None)
 
 
 def test_learning_eu_confident_embedding_books_after_both_signals():

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import jsonio, search
@@ -46,6 +46,9 @@ REFERENCE_ROWS = (
 
 REPORT_TOL = 1e-9
 
+# what decoding a malformed input file raises; float() of a huge JSON integer overflows
+INPUT_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -60,9 +63,9 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _load_scenario(name_or_path: str, epsilon_override: float | None) -> jsonio.LoadedScenario:
+def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwitchScenario:
     if name_or_path in BUILTIN_SCENARIOS:
-        loaded = jsonio.LoadedScenario(BUILTIN_SCENARIOS[name_or_path], None, None)
+        scenario = BUILTIN_SCENARIOS[name_or_path]
     else:
         path = Path(name_or_path)
         if not path.is_file():
@@ -74,15 +77,13 @@ def _load_scenario(name_or_path: str, epsilon_override: float | None) -> jsonio.
             obj = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"scenario file {name_or_path!r} is not valid JSON: {exc}") from exc
-        loaded = jsonio.decode_scenario(obj)
+        scenario = jsonio.decode_scenario(obj)
     if epsilon_override is not None:
-        scenario = OffSwitchScenario(loaded.scenario.prior, epsilon_override, loaded.scenario.label)
-        loaded = jsonio.LoadedScenario(scenario, loaded.rule, loaded.updater)
-    return loaded
+        scenario = replace(scenario, epsilon=epsilon_override)
+    return scenario
 
 
-def _scenario_payload(loaded: jsonio.LoadedScenario) -> dict:
-    scenario = loaded.scenario
+def _scenario_payload(scenario: OffSwitchScenario) -> dict:
     report = best_option(scenario.prior, scenario.epsilon)
     payload = {
         "label": scenario.label,
@@ -91,7 +92,7 @@ def _scenario_payload(loaded: jsonio.LoadedScenario) -> dict:
         "report": asdict(report),
     }
     game = reduce_to_two_state(scenario.prior, scenario.epsilon)
-    for key, rule in (("rule_analysis", loaded.rule), ("updater_analysis", loaded.updater)):
+    for key, rule in (("rule_analysis", scenario.rule), ("updater_analysis", scenario.updater)):
         if rule is not None:
             payload[key] = asdict(search.evaluate_rule(game.problem, game.channel, rule))
     return payload
@@ -99,9 +100,9 @@ def _scenario_payload(loaded: jsonio.LoadedScenario) -> dict:
 
 def cmd_scenario(args) -> int:
     try:
-        loaded = _load_scenario(args.scenario, args.epsilon)
-        payload = _scenario_payload(loaded)
-    except (ValueError, TypeError, KeyError) as exc:
+        scenario = _load_scenario(args.scenario, args.epsilon)
+        payload = _scenario_payload(scenario)
+    except INPUT_ERRORS as exc:
         return _usage_error(str(exc))
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -109,7 +110,7 @@ def cmd_scenario(args) -> int:
     report = payload["report"]
     rows = [
         ("scenario", payload["label"]),
-        ("prior", _describe_prior(loaded.scenario)),
+        ("prior", _describe_prior(scenario)),
         ("epsilon", _fmt(payload["epsilon"])),
         ("eu_act", _fmt(report["eu_act"])),
         ("eu_nothing", _fmt(report["eu_nothing"])),
@@ -142,14 +143,14 @@ def _describe_prior(scenario: OffSwitchScenario) -> str:
 
 def cmd_sweep(args) -> int:
     try:
-        loaded = _load_scenario(args.scenario, None)
-    except (ValueError, TypeError, KeyError) as exc:
+        scenario = _load_scenario(args.scenario, None)
+    except INPUT_ERRORS as exc:
         return _usage_error(str(exc))
     if not (0.0 <= args.lo < args.hi <= 1.0):
         return _usage_error(f"epsilon grid needs 0 <= lo < hi <= 1, got [{args.lo}, {args.hi}]")
     if args.steps < 2:
         return _usage_error(f"epsilon grid needs at least 2 steps, got {args.steps}")
-    prior = loaded.scenario.prior
+    prior = scenario.prior
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["epsilon", "eu_act", "eu_defer", "eu_learn", "best"])
@@ -244,7 +245,7 @@ def cmd_verify_witness(args) -> int:
         obj = json.loads(path.read_text(encoding="utf-8"))
         entries = obj if isinstance(obj, list) else [obj]
         witnesses = [search.witness_from_jsonable(entry) for entry in entries]
-    except (ValueError, TypeError, KeyError) as exc:
+    except INPUT_ERRORS as exc:
         return _usage_error(f"cannot parse witness file: {exc}")
     failures = 0
     for witness in witnesses:
@@ -321,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     searcher.add_argument("--rule", required=True, help="eu | reu:identity | reu:power:K | gamma[:M] | faulty:KIND:Q")
     searcher.add_argument("--trials", type=int, default=100000)
     searcher.add_argument("--seed", type=int, default=0)
-    searcher.add_argument("--states", type=int, default=3)
-    searcher.add_argument("--acts", type=int, default=3)
-    searcher.add_argument("--signals", type=int, default=2)
-    searcher.add_argument("--tolerance", type=float, default=1e-6, help="Minimum |voi| for a witness.")
+    searcher.add_argument("--states", type=int, default=SearchConfig.state_count)
+    searcher.add_argument("--acts", type=int, default=SearchConfig.act_count)
+    searcher.add_argument("--signals", type=int, default=SearchConfig.signal_count)
+    searcher.add_argument("--tolerance", type=float, default=SearchConfig.aversion_tolerance, help="Minimum |voi| for a witness.")
     searcher.add_argument("--out", default=None, help="Write witness JSON to this file instead of stdout.")
     searcher.set_defaults(handler=cmd_search)
 

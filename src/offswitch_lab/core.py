@@ -29,12 +29,20 @@ def as_probability_vector(vec, what: str = "probability vector") -> tuple[float,
     return out
 
 
-def check_length(vec, n: int, what: str) -> tuple:
-    """The vector as a tuple; DimensionMismatch unless it has ``n`` entries."""
+def check_length(vec, n: int, what: str, per: str = "states") -> tuple:
+    """The vector as a tuple; DimensionMismatch unless it has ``n`` entries, one per ``per``."""
     vec = tuple(vec)
     if len(vec) != n:
-        raise DimensionMismatch(f"{what} has {len(vec)} entries for {n} states")
+        raise DimensionMismatch(f"{what} has {len(vec)} entries for {n} {per}")
     return vec
+
+
+def unit_interval(x, what: str) -> float:
+    """``x`` as a float; ValueError unless it lies in [0, 1]."""
+    x = float(x)
+    if not (0.0 <= x <= 1.0):
+        raise ValueError(f"{what} must lie in [0, 1], got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -96,17 +104,8 @@ class SignalChannel:
             raise ValueError("channel needs at least one state row")
         checked = []
         for i, row in enumerate(rows):
-            row = tuple(float(x) for x in row)
-            if len(row) != len(signals):
-                raise DimensionMismatch(
-                    f"likelihood row {i} has {len(row)} entries for {len(signals)} signals"
-                )
-            if any(x < 0.0 or not math.isfinite(x) for x in row):
-                raise ValueError(f"likelihood row {i} has negative or non-finite entries")
-            total = sum(row)
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValueError(f"likelihood row {i} sums to {total!r}, expected 1")
-            checked.append(row)
+            what = f"likelihood row {i}"
+            checked.append(as_probability_vector(check_length(row, len(signals), what, "signals"), what))
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "likelihood", tuple(checked))
 
@@ -264,9 +263,7 @@ class Faulty:
     kind: MisupdateKind
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", float(self.q))
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"misupdate probability must lie in [0, 1], got {self.q!r}")
+        object.__setattr__(self, "q", unit_interval(self.q, "misupdate probability"))
 
 
 Updater = Conditionalization | Faulty

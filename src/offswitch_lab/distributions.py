@@ -62,6 +62,9 @@ class Uniform:
             raise ValueError("uniform bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"uniform prior needs lo < hi, got [{self.lo}, {self.hi}]")
+        # the mean and the zero split need lo + hi, sampling and tails need hi - lo
+        if not (math.isfinite(self.lo + self.hi) and math.isfinite(self.hi - self.lo)):
+            raise ValueError(f"uniform bounds [{self.lo}, {self.hi}] overflow: their sum or width is not finite")
 
 
 UtilityDistribution = Discrete | Uniform
@@ -88,6 +91,13 @@ def prob_ge(d: UtilityDistribution, t: float) -> float:
     return min(1.0, sum(w for v, w in d.atoms if v >= t))
 
 
+def prob_gt(d: UtilityDistribution, t: float) -> float:
+    """P(U > t); atoms at exactly t are excluded, and a uniform prior has none."""
+    if isinstance(d, Uniform):
+        return prob_ge(d, t)
+    return sum(w for v, w in d.atoms if v > t)
+
+
 def cond_mean_ge(d: UtilityDistribution, t: float) -> float:
     """E[U | U >= t]. Raises ConditioningOnNull when P(U >= t) = 0."""
     p = prob_ge(d, t)
@@ -104,6 +114,27 @@ def expected_positive_part(d: UtilityDistribution) -> float:
     if p <= 0.0:
         return 0.0
     return p * cond_mean_ge(d, 0.0)
+
+
+def zero_split(d: UtilityDistribution) -> tuple[float, float, float, float]:
+    """(P(U >= 0), P(U < 0), E[U | U >= 0], E[U | U < 0]); empty cells get mean 0.
+
+    P(U < 0) is computed from the cell's own mass rather than as
+    1 - P(U >= 0), which would manufacture phantom mass out of float
+    rounding for one-sided priors.
+    """
+    p_good = prob_ge(d, 0.0)
+    m_good = cond_mean_ge(d, 0.0) if p_good > 0.0 else 0.0
+    if isinstance(d, Uniform):
+        if d.lo >= 0.0:
+            return p_good, 0.0, m_good, 0.0
+        if d.hi <= 0.0:
+            return p_good, 1.0, m_good, 0.5 * (d.lo + d.hi)
+        return p_good, -d.lo / (d.hi - d.lo), m_good, 0.5 * d.lo
+    p_bad = sum(w for v, w in d.atoms if v < 0.0)
+    if p_bad <= 0.0:
+        return p_good, 0.0, m_good, 0.0
+    return p_good, p_bad, m_good, sum(v * w for v, w in d.atoms if v < 0.0) / p_bad
 
 
 def sample(d: UtilityDistribution, rng: np.random.Generator) -> float:

@@ -9,8 +9,6 @@ names the offending field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     MISUPDATE_MODES,
     Act,
@@ -208,22 +206,12 @@ def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: 
     return Faulty(q, CustomPosterior(table))
 
 
-@dataclass(frozen=True)
-class LoadedScenario:
-    """A scenario file's content: the game plus optional rule/updater blocks."""
-
-    scenario: OffSwitchScenario
-    rule: DecisionRule | None
-    updater: Updater | None
-
-
-def decode_scenario(obj) -> LoadedScenario:
+def decode_scenario(obj) -> OffSwitchScenario:
     check_fields(obj, ("label", "prior", "epsilon"), ("rule", "updater"), "scenario")
-    scenario = OffSwitchScenario(
+    return OffSwitchScenario(
         prior=decode_distribution(obj["prior"]),
         epsilon=number(obj["epsilon"], "scenario epsilon"),
         label=str(obj["label"]),
+        rule=decode_rule(obj["rule"], RULE_KINDS, "rule") if "rule" in obj else None,
+        updater=decode_rule(obj["updater"], UPDATER_KINDS, "updater") if "updater" in obj else None,
     )
-    rule = decode_rule(obj["rule"], RULE_KINDS, "rule") if "rule" in obj else None
-    updater = decode_rule(obj["updater"], UPDATER_KINDS, "updater") if "updater" in obj else None
-    return LoadedScenario(scenario, rule, updater)

@@ -16,15 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Act, DecisionProblem, SignalChannel
-from .distributions import (
-    Discrete,
-    UtilityDistribution,
-    cond_mean_ge,
-    expected_positive_part,
-    mean,
-    prob_ge,
-)
+from .core import Act, DecisionProblem, DecisionRule, SignalChannel, Updater, unit_interval
+from .distributions import UtilityDistribution, expected_positive_part, mean, prob_gt, zero_split
 from .voi import value_of_learning_eu
 
 PREFER = "prefer"
@@ -35,16 +28,17 @@ REJECT = "reject"
 
 @dataclass(frozen=True)
 class OffSwitchScenario:
-    """A prior over the human's utility plus a signal-garbling probability."""
+    """A prior over the human's utility, a signal-garbling probability, and an
+    optional rule and updater to evaluate on the game's two-state embedding."""
 
     prior: UtilityDistribution
     epsilon: float
     label: str
+    rule: DecisionRule | None = None
+    updater: Updater | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", unit_interval(self.epsilon, "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -78,39 +72,6 @@ class TwoStateGame:
     degenerate: frozenset[str]
 
 
-def _prob_gt(prior: UtilityDistribution, t: float) -> float:
-    if isinstance(prior, Discrete):
-        return sum(w for v, w in prior.atoms if v > t)
-    return prob_ge(prior, t)
-
-
-def _negative_cell(prior: UtilityDistribution) -> tuple[float, float]:
-    """(P(U < 0), E[U | U < 0]); (0, 0) for an empty cell.
-
-    Computed from the cell's own mass rather than as 1 - P(U >= 0), which
-    would manufacture phantom mass out of float rounding for one-sided
-    priors.
-    """
-    if isinstance(prior, Discrete):
-        p_bad = sum(w for v, w in prior.atoms if v < 0.0)
-        if p_bad <= 0.0:
-            return 0.0, 0.0
-        return p_bad, sum(v * w for v, w in prior.atoms if v < 0.0) / p_bad
-    if prior.lo >= 0.0:
-        return 0.0, 0.0
-    if prior.hi <= 0.0:
-        return 1.0, 0.5 * (prior.lo + prior.hi)
-    return -prior.lo / (prior.hi - prior.lo), 0.5 * prior.lo
-
-
-def _cell_means(prior: UtilityDistribution) -> tuple[float, float, float, float]:
-    """(P(U>=0), P(U<0), E[U | U>=0], E[U | U<0]); empty cells get mean 0."""
-    p_good = prob_ge(prior, 0.0)
-    m_good = cond_mean_ge(prior, 0.0) if p_good > 0.0 else 0.0
-    p_bad, m_bad = _negative_cell(prior)
-    return p_good, p_bad, m_good, m_bad
-
-
 def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> TwoStateGame:
     """Collapse the game to latent states prefer (U >= 0) and disprefer (U < 0).
 
@@ -120,10 +81,8 @@ def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> TwoStateG
     entry is a flagged zero placeholder rather than an error, so sweeps over
     arbitrary priors never abort.
     """
-    epsilon = float(epsilon)
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    p_good, p_bad, m_good, m_bad = _cell_means(prior)
+    epsilon = unit_interval(epsilon, "epsilon")
+    p_good, p_bad, m_good, m_bad = zero_split(prior)
     degenerate = frozenset(
         name for name, p in ((PREFER, p_good), (DISPREFER, p_bad)) if p <= 0.0
     )
@@ -162,7 +121,7 @@ def theorem1_check(prior: UtilityDistribution) -> Theorem1Check:
     return Theorem1Check(
         delta=d,
         nonneg=d >= -1e-12,
-        strict_expected=_prob_gt(prior, 0.0) > 0.0 and _negative_cell(prior)[0] > 0.0,
+        strict_expected=prob_gt(prior, 0.0) > 0.0 and zero_split(prior)[1] > 0.0,
         strict_observed=d > 1e-12,
     )
 
@@ -174,10 +133,8 @@ def noisy_defer_value(prior: UtilityDistribution, epsilon: float) -> float:
     a preferring human heard correctly, and a dispreferring human heard
     wrongly.
     """
-    epsilon = float(epsilon)
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    p_good, p_bad, m_good, m_bad = _cell_means(prior)
+    epsilon = unit_interval(epsilon, "epsilon")
+    p_good, p_bad, m_good, m_bad = zero_split(prior)
     return p_good * (1.0 - epsilon) * m_good + p_bad * epsilon * m_bad
 
 
@@ -200,7 +157,7 @@ def defer_threshold(prior: UtilityDistribution) -> float | None:
     deference never loses); clamping there would fabricate a crossover the
     game does not have.
     """
-    p_good, p_bad, m_good, m_bad = _cell_means(prior)
+    p_good, p_bad, m_good, m_bad = zero_split(prior)
     denom = p_good * m_good - p_bad * m_bad
     if denom <= 0.0:
         return None

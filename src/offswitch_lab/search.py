@@ -13,7 +13,6 @@ module, and must reproduce its voi within 1e-10.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .core import (
     SignalChannel,
     Updater,
     is_identity_risk,
+    unit_interval,
 )
 from .distributions import Discrete
 from .errors import RuleCannotBeAverse
@@ -40,6 +40,7 @@ from .offswitch import theorem1_check
 from .voi import value_of_learning_eu, value_of_learning_faulty, value_of_learning_rule
 
 REVERIFY_TOL = 1e-10
+UTILITY_RANGE = (-10.0, 10.0)  # act utilities and prior atoms are drawn uniformly from it
 
 MISUPDATE_STAY, MISUPDATE_COMPLEMENT, MISUPDATE_CUSTOM = MISUPDATE_MODES  # its keys, in order
 
@@ -68,9 +69,7 @@ class FaultySearch:
     kind: str = MISUPDATE_COMPLEMENT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", float(self.q))
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"misupdate probability must lie in [0, 1], got {self.q!r}")
+        object.__setattr__(self, "q", unit_interval(self.q, "misupdate probability"))
         if self.kind not in MISUPDATE_MODES:
             raise ValueError(f"unknown misupdate kind {self.kind!r}")
 
@@ -87,7 +86,6 @@ class SearchConfig:
     state_count: int = 3
     act_count: int = 3
     signal_count: int = 2
-    utility_range: tuple[float, float] = (-10.0, 10.0)
     rule: SearchRule = ExpectedUtilityRule()
     aversion_tolerance: float = 1e-6
 
@@ -98,9 +96,6 @@ class SearchConfig:
             raise ValueError("trial count must be at least 1")
         if min(self.state_count, self.act_count, self.signal_count) < 1:
             raise ValueError("state, act and signal counts must be at least 1")
-        lo, hi = self.utility_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"utility range needs lo < hi, got {self.utility_range!r}")
         if not self.aversion_tolerance > 0.0:
             raise ValueError("aversion tolerance must be positive")
 
@@ -138,9 +133,8 @@ def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def _draw_instance(config: SearchConfig, rng: np.random.Generator) -> tuple[DecisionProblem, SignalChannel]:
-    lo, hi = config.utility_range
     prior = rng.dirichlet(np.ones(config.state_count))
-    utilities = rng.uniform(lo, hi, size=(config.act_count, config.state_count))
+    utilities = rng.uniform(*UTILITY_RANGE, size=(config.act_count, config.state_count))
     rows = rng.dirichlet(np.ones(config.signal_count), size=config.state_count)
     problem = DecisionProblem(
         states=tuple(f"state{i}" for i in range(config.state_count)),
@@ -158,7 +152,7 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
     """Sample one (problem, channel) pair, fully determined by (seed, trial_index).
 
     Priors and channel rows come from the flat Dirichlet (symmetric simplex)
-    distribution; utilities are uniform in the configured range.
+    distribution; utilities are uniform in ``UTILITY_RANGE``.
     """
     return _draw_instance(config, _trial_rng(config.seed, trial_index))
 
@@ -166,12 +160,12 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
 def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
     """Sample a discrete utility prior with 1 to 4 atoms.
 
-    Values are uniform in the configured utility range and weights come from
+    Values are uniform in ``UTILITY_RANGE`` and weights come from
     the flat Dirichlet, so one-sided supports occur regularly in the stream.
     """
     rng = _trial_rng(config.seed, trial_index)
     count = int(rng.integers(1, 5))
-    values = rng.uniform(*config.utility_range, size=count)
+    values = rng.uniform(*UTILITY_RANGE, size=count)
     weights = rng.dirichlet(np.ones(count))
     atoms = tuple((float(v), float(w)) for v, w in zip(values, weights) if w > 0.0)
     return Discrete(atoms)
@@ -278,7 +272,7 @@ def witness_from_jsonable(obj) -> Witness:
         problem=jsonio.decode_problem(obj["problem"]),
         channel=jsonio.decode_channel(obj["channel"]),
         rule=jsonio.decode_rule(obj["rule"]),
-        voi=jsonio.number(obj["voi"], "witness voi"),
+        voi=float(jsonio.number(obj["voi"], "witness voi")),
         trial_index=jsonio.number(obj["trial_index"], "witness trial_index", {int}),
     )
 

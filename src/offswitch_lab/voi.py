@@ -79,13 +79,10 @@ def _checked_belief(problem: DecisionProblem, belief, channel: SignalChannel) ->
     return check_length(belief, len(problem.states), "belief")
 
 
-def value_of_learning_eu(problem: DecisionProblem, belief, channel: SignalChannel) -> VoiReport:
-    """Learn-then-choose value for an expected-utility conditionalizer.
-
-    Averages, over signals, the best posterior expected utility. The
-    resulting voi is non-negative up to float noise for every valid input.
-    """
+def _learn_by_eu_choice(problem, belief, channel, updater: Faulty | None) -> VoiReport:
+    """The one learn-then-choose loop of ``value_of_learning_eu`` and ``value_of_learning_faulty``."""
     belief = _checked_belief(problem, belief, channel)
+    q = 0.0 if updater is None else updater.q
     _, now = best_act_eu(problem, belief)
     rows = []
     total = 0.0
@@ -94,9 +91,22 @@ def value_of_learning_eu(problem: DecisionProblem, belief, channel: SignalChanne
         if post is None:
             continue
         idx, val = best_act_eu(problem, post)
+        if q > 0.0:
+            wrong_belief = misupdate(belief, channel, signal, updater.kind)
+            wrong_index, _ = best_act_eu(problem, wrong_belief)
+            val = (1.0 - q) * val + q * expected_utility(problem, wrong_index, post)
         rows.append(SignalOutcome(signal, marg, idx, val))
         total += marg * val
-    return VoiReport(now, total, total - now, "eu", tuple(rows))
+    return VoiReport(now, total, total - now, "eu" if updater is None else "faulty", tuple(rows))
+
+
+def value_of_learning_eu(problem: DecisionProblem, belief, channel: SignalChannel) -> VoiReport:
+    """Learn-then-choose value for an expected-utility conditionalizer.
+
+    Averages, over signals, the best posterior expected utility. The
+    resulting voi is non-negative up to float noise for every valid input.
+    """
+    return _learn_by_eu_choice(problem, belief, channel, None)
 
 
 def _learning_reu(problem, belief, channel, risk) -> VoiReport:
@@ -187,22 +197,4 @@ def value_of_learning_faulty(
     """
     if not isinstance(updater, Faulty):
         raise MissingRuleData("faulty learning value needs a Faulty updater")
-    belief = _checked_belief(problem, belief, channel)
-    q = updater.q
-    _, now = best_act_eu(problem, belief)
-    rows = []
-    total = 0.0
-    for j, signal in enumerate(channel.signals):
-        marg, post = bayes_step(belief, channel, j)
-        if post is None:
-            continue
-        good_index, good_value = best_act_eu(problem, post)
-        if q > 0.0:
-            wrong_belief = misupdate(belief, channel, signal, updater.kind)
-            wrong_index, _ = best_act_eu(problem, wrong_belief)
-            blended = (1.0 - q) * good_value + q * expected_utility(problem, wrong_index, post)
-        else:
-            blended = good_value
-        rows.append(SignalOutcome(signal, marg, good_index, blended))
-        total += marg * blended
-    return VoiReport(now, total, total - now, "faulty", tuple(rows))
+    return _learn_by_eu_choice(problem, belief, channel, updater)

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from offswitch_lab import cli
+from offswitch_lab import SearchConfig, cli
 
 
 def run(capsys, *argv):
@@ -360,3 +361,39 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
     code, _, err = run(capsys, "verify-witness", str(out_path))
     assert code == 2
     assert "must be a JSON number" in err
+
+
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+HUGE_WITNESS = """[{"trial_index": 0, "voi": %s, "rule": {"kind": "eu"},
+  "problem": {"states": ["s0"], "prior": [1.0], "acts": [{"name": "a", "utilities": [%s]}]},
+  "channel": {"signals": ["x"], "likelihood": [[1.0]]}}]"""
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        (("scenario",), '{"label": "big", "epsilon": 0, "prior": {"kind": "uniform", "lo": 0, "hi": %s}}' % HUGE,
+         "too large"),
+        (("sweep", "--lo", "0", "--hi", "1", "--steps", "2"),
+         '{"label": "big", "epsilon": 0, "prior": {"kind": "discrete", "atoms": [[%s, 1]]}}' % HUGE, "too large"),
+        (("verify-witness",), HUGE_WITNESS % ("-0.5", HUGE), "too large"),
+        (("verify-witness",), HUGE_WITNESS % ("-" + HUGE, "1.0"), "too large"),
+        (("scenario",), '{"label": "wide", "epsilon": 0, "prior": {"kind": "uniform", "lo": -1e308, "hi": 1e308}}',
+         "sum or width is not finite"),
+    ],
+    ids=["scenario-uniform-hi", "sweep-atom", "witness-utility", "witness-voi", "scenario-uniform-width"],
+)
+def test_numbers_that_overflow_a_float_exit_2(command, text, message, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert message in err
+
+
+def test_search_flag_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["search", "--rule", "gamma"])
+    defaults = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
+    flags = {"state_count": args.states, "act_count": args.acts, "signal_count": args.signals,
+             "aversion_tolerance": args.tolerance}
+    assert flags == {name: defaults[name] for name in flags}

@@ -342,7 +342,7 @@ def test_problem_and_channel_validation():
         DecisionProblem(("a", "b"), (0.5, 0.5), (Act("x", (1.0,)),))
     with pytest.raises(ValueError):
         SignalChannel(("s",), ((0.5,),))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="likelihood row 0 has 1 entries for 2 signals"):
         SignalChannel(("s", "t"), ((1.0,),))
     with pytest.raises(ValueError):
         CredalSet(())

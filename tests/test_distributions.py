@@ -16,6 +16,7 @@ from offswitch_lab import (
     sample,
     sample_array,
 )
+from offswitch_lab.distributions import prob_gt, zero_split
 
 
 def test_mean_examples():
@@ -137,6 +138,28 @@ def test_uniform_rejects_invalid_bounds():
         Uniform(5, 2)
     with pytest.raises(ValueError):
         Uniform(0, float("inf"))
+    for lo, hi in ((-1e308, 1e308), (1e308, 1.5e308), (-1.5e308, -1e308)):
+        with pytest.raises(ValueError, match="sum or width is not finite"):
+            Uniform(lo, hi)
+
+
+def test_zero_split_of_one_sided_priors():
+    assert zero_split(Uniform(1, 3)) == (1.0, 0.0, 2.0, 0.0)
+    assert zero_split(Uniform(-3, -1)) == (0.0, 1.0, 0.0, -2.0)
+    assert zero_split(Uniform(-40, 60)) == (0.6, 0.4, 30.0, -20.0)
+    # an atom at zero is in the prefer cell but has no mass above zero
+    at_zero = Discrete(((0.0, 0.5), (-1.0, 0.5)))
+    assert zero_split(at_zero) == (0.5, 0.5, 0.0, -1.0)
+    assert prob_gt(at_zero, 0.0) == 0.0
+    assert prob_gt(Uniform(-40, 60), 0.0) == prob_ge(Uniform(-40, 60), 0.0)
+
+
+def test_zero_split_takes_the_negative_mass_from_its_own_atoms():
+    # nine weights of 1/9 sum to 1 only up to rounding: 1 - P(U >= 0) is 4.4e-16
+    d = Discrete(tuple((float(v), 1.0 / 9.0) for v in range(1, 10)))
+    assert 1.0 - prob_ge(d, 0.0) > 0.0
+    _, p_bad, _, m_bad = zero_split(d)
+    assert (p_bad, m_bad) == (0.0, 0.0)
 
 
 def test_sample_point_mass_any_seed():

@@ -76,3 +76,39 @@ def test_scenario_file_json_with_rule_blocks(name, tmp_path, capsys):
     ))
     assert cli.main(["scenario", str(path), "--json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+# one-sided priors: an empty prefer or disprefer cell, or mass exactly at zero
+ONE_SIDED = {
+    "uniform-positive": (
+        {"kind": "uniform", "lo": 1.0, "hi": 3.0},
+        "988c89974b08b0e7adfb1da5c4c82d913cfabdfbca22b69391cd744c20f40a8e",
+        "12c2e7b42f90075dfb38e837e1844081752440dc7523b66cc86c54987a1ad37d",
+    ),
+    "uniform-negative": (
+        {"kind": "uniform", "lo": -3.0, "hi": -1.0},
+        "080167c705633a0a7def0ec1abc4d56c6b443566817df15c6a2a21399bca228a",
+        "b51c83e33759435049779aa57871837480b66368f0cd476294460b321cc7b6f6",
+    ),
+    "discrete-zero-and-negative": (
+        {"kind": "discrete", "atoms": [[0.0, 0.5], [-1.0, 0.5]]},
+        "af459edc61c082d5a7e09cdfe5c593df93cb66254341c2061b9b50617bc4d35d",
+        "5b9b29cb374276906fb137ddf327b997ac47e4ecf316aed75fd3b9875e901c47",
+    ),
+    "discrete-positive": (
+        {"kind": "discrete", "atoms": [[0.5, 0.25], [2.0, 0.75]]},
+        "a551bdac652aaed5b3614fa12692bfc68ae7b1b0e3f1a400c4de104dc513c257",
+        "7f855f273893df3243e3755f1c838044128edf403b64c09135f7ef8a87cccd19",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED))
+def test_one_sided_prior_scenario_and_sweep(name, tmp_path, capsys):
+    prior, scenario_digest, sweep_digest = ONE_SIDED[name]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"label": "one-sided", "prior": prior, "epsilon": 0.1}))
+    assert cli.main(["scenario", str(path), "--json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == scenario_digest
+    assert cli.main(["sweep", str(path), "--lo", "0", "--hi", "1", "--steps", "11"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == sweep_digest

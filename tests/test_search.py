@@ -204,8 +204,6 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(seed=1, trials=10, state_count=0)
     with pytest.raises(ValueError):
-        SearchConfig(seed=1, trials=10, utility_range=(5.0, 5.0))
-    with pytest.raises(ValueError):
         SearchConfig(seed=1, trials=10, aversion_tolerance=0.0)
     with pytest.raises(ValueError):
         FaultySearch(1.5, "complement-conditionalization")

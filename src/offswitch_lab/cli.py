@@ -91,10 +91,11 @@ def _scenario_payload(scenario: OffSwitchScenario) -> dict:
         "epsilon": scenario.epsilon,
         "report": asdict(report),
     }
-    game = reduce_to_two_state(scenario.prior, scenario.epsilon)
-    for key, rule in (("rule_analysis", scenario.rule), ("updater_analysis", scenario.updater)):
-        if rule is not None:
-            payload[key] = asdict(search.evaluate_rule(game.problem, game.channel, rule))
+    if scenario.rule is not None or scenario.updater is not None:
+        game = reduce_to_two_state(scenario.prior, scenario.epsilon)
+        for key, rule in (("rule_analysis", scenario.rule), ("updater_analysis", scenario.updater)):
+            if rule is not None:
+                payload[key] = asdict(search.evaluate_rule(game.problem, game.channel, rule))
     return payload
 
 
@@ -250,7 +251,7 @@ def cmd_verify_witness(args) -> int:
     failures = 0
     for witness in witnesses:
         replayed = search.replay_witness(witness)
-        if abs(replayed - witness.voi) > search.REVERIFY_TOL:
+        if not search.reproduces(replayed, witness.voi):
             failures += 1
             print(
                 f"trial {witness.trial_index}: stored voi {witness.voi!r} "

@@ -109,11 +109,6 @@ class SignalChannel:
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "likelihood", tuple(checked))
 
-    @property
-    def is_partition(self) -> bool:
-        """True when every state emits a single signal with certainty."""
-        return all(max(row) == 1.0 for row in self.likelihood)
-
     def signal_index(self, signal: str) -> int:
         try:
             return self.signals.index(signal)
@@ -178,7 +173,7 @@ class TableRisk:
         for (p0, r0), (p1, r1) in zip(knots, knots[1:]):
             if not p1 > p0:
                 raise ValueError("table risk knot probabilities must be strictly increasing")
-            if r1 < r0:
+            if not r1 >= r0:  # written so that a NaN value fails too
                 raise ValueError("table risk values must be non-decreasing")
         object.__setattr__(self, "knots", knots)
 

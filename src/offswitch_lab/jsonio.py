@@ -2,12 +2,15 @@
 
 Encoders produce plain dicts/lists ready for ``json.dumps``; decoders are
 strict and reject unknown fields so scenario files fail loudly instead of
-silently ignoring a typo. Numbers must be JSON numbers: a bool or a string
-is rejected, not coerced. Decoder errors are ValueError with a message that
+silently ignoring a typo. Numbers must be JSON numbers: a bool, a string or
+a ``NaN``/``Infinity`` literal is rejected, not coerced. Names and labels
+must be JSON strings. Decoder errors are ValueError with a message that
 names the offending field.
 """
 
 from __future__ import annotations
+
+import math
 
 from .core import (
     MISUPDATE_MODES,
@@ -34,26 +37,45 @@ from .offswitch import OffSwitchScenario
 RULE_KINDS = ("eu", "reu", "gamma-maximin")
 UPDATER_KINDS = ("conditionalization", "faulty")
 _NUMBER_TYPES = frozenset((int, float))
+_STRING_TYPES = frozenset((str,))
 
 
 def number(value, field: str, types=_NUMBER_TYPES):
-    """``value`` itself when it is a JSON number of one of ``types``.
+    """``value`` itself when it is a finite JSON number of one of ``types``.
 
-    ``bool`` is a subclass of ``int`` but not a number here, and numeric
-    strings are not converted: both raise ValueError naming the field.
+    ``bool`` is a subclass of ``int`` but not a number here, numeric strings
+    are not converted, and the ``NaN`` and ``Infinity`` literals that
+    ``json.loads`` accepts are not JSON numbers: each raises ValueError
+    naming the field. The comparison, unlike ``math.isfinite``, cannot
+    overflow on a huge integer.
     """
-    if type(value) not in types:
+    if type(value) not in types or not -math.inf < value < math.inf:
         raise ValueError(f"{field} must be a JSON number, got {value!r}")
     return value
 
 
 def _numbers(values, field: str) -> tuple:
     values = tuple(values)
-    # one pass over the types in C; witness decoding is on the replay hot path
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
+    # one pass over the types and one over finiteness in C; witness decoding
+    # is on the replay hot path (a huge integer here raises OverflowError, an
+    # input error just as float() of it would be)
+    if not (_NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))):
         for value in values:
             number(value, field)
     return values
+
+
+def _string(value, field: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{field} must be a JSON string, got {value!r}")
+    return value
+
+
+def _strings(values, field: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; a bare string is not split into letters."""
+    if type(values) is not list or not _STRING_TYPES.issuperset(map(type, values)):
+        raise ValueError(f"{field} must be a JSON list of strings, got {values!r}")
+    return tuple(values)
 
 
 def check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], what: str) -> None:
@@ -109,9 +131,9 @@ def decode_problem(obj) -> DecisionProblem:
     acts = []
     for entry in obj["acts"]:
         check_fields(entry, ("name", "utilities"), (), "act")
-        acts.append(Act(entry["name"], _numbers(entry["utilities"], "act utilities")))
+        acts.append(Act(_string(entry["name"], "act name"), _numbers(entry["utilities"], "act utilities")))
     prior = _numbers(obj["prior"], "decision problem prior")
-    return DecisionProblem(tuple(obj["states"]), prior, tuple(acts))
+    return DecisionProblem(_strings(obj["states"], "decision problem states"), prior, tuple(acts))
 
 
 def encode_channel(channel: SignalChannel) -> dict:
@@ -124,7 +146,7 @@ def encode_channel(channel: SignalChannel) -> dict:
 def decode_channel(obj) -> SignalChannel:
     check_fields(obj, ("signals", "likelihood"), (), "signal channel")
     rows = tuple(_numbers(row, "channel likelihood") for row in obj["likelihood"])
-    return SignalChannel(tuple(obj["signals"]), rows)
+    return SignalChannel(_strings(obj["signals"], "signal channel signals"), rows)
 
 
 def encode_risk(risk: RiskFunction) -> dict:
@@ -199,6 +221,8 @@ def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: 
         return Faulty(q, MISUPDATE_MODES[mode]())
     if "table" not in obj:
         raise ValueError("custom-posterior updater needs a 'table' field")
+    if not isinstance(obj["table"], dict):
+        raise ValueError(f"custom-posterior table must be a JSON object, got {type(obj['table']).__name__}")
     table = {
         signal: _numbers(vec, f"custom posterior for {signal!r}")
         for signal, vec in obj["table"].items()
@@ -211,7 +235,7 @@ def decode_scenario(obj) -> OffSwitchScenario:
     return OffSwitchScenario(
         prior=decode_distribution(obj["prior"]),
         epsilon=number(obj["epsilon"], "scenario epsilon"),
-        label=str(obj["label"]),
+        label=_string(obj["label"], "scenario label"),
         rule=decode_rule(obj["rule"], RULE_KINDS, "rule") if "rule" in obj else None,
         updater=decode_rule(obj["updater"], UPDATER_KINDS, "updater") if "updater" in obj else None,
     )

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Act, DecisionProblem, DecisionRule, SignalChannel, Updater, unit_interval
-from .distributions import UtilityDistribution, expected_positive_part, mean, prob_gt, zero_split
-from .voi import value_of_learning_eu
+from .distributions import UtilityDistribution, mean, prob_gt, zero_split
 
 PREFER = "prefer"
 DISPREFER = "disprefer"
@@ -78,19 +77,17 @@ def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> TwoStateG
     The act's payoff in each state is the conditional mean utility there;
     the channel flips the matching approve/reject signal with probability
     epsilon. One-sided priors produce a zero-probability state whose payoff
-    entry is a flagged zero placeholder rather than an error, so sweeps over
-    arbitrary priors never abort.
+    entry is a flagged zero placeholder rather than an error, so a rule or
+    updater analysis of any prior never aborts.
     """
     epsilon = unit_interval(epsilon, "epsilon")
     p_good, p_bad, m_good, m_bad = zero_split(prior)
-    degenerate = frozenset(
-        name for name, p in ((PREFER, p_good), (DISPREFER, p_bad)) if p <= 0.0
-    )
     problem = DecisionProblem(
         states=(PREFER, DISPREFER),
         prior=(p_good, p_bad),
         acts=(Act("act", (m_good, m_bad)), Act("nothing", (0.0, 0.0))),
     )
+    degenerate = frozenset(s for s, p in zip(problem.states, problem.prior) if p <= 0.0)
     channel = SignalChannel(
         signals=(APPROVE, REJECT),
         likelihood=((1.0 - epsilon, epsilon), (epsilon, 1.0 - epsilon)),
@@ -98,9 +95,14 @@ def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> TwoStateG
     return TwoStateGame(problem, channel, degenerate)
 
 
+def _advantage(split, eu_act: float) -> float:
+    # E[max(U, 0)] is the prefer cell's mass times its mean; an empty cell gives 0 * 0
+    return split[0] * split[2] - max(eu_act, 0.0)
+
+
 def delta(prior: UtilityDistribution) -> float:
     """Deference advantage: E[max(U, 0)] minus the best immediate option."""
-    return expected_positive_part(prior) - max(mean(prior), 0.0)
+    return _advantage(zero_split(prior), mean(prior))
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,12 @@ def theorem1_check(prior: UtilityDistribution) -> Theorem1Check:
     ``strict_expected`` records whether the prior puts mass on both U > 0
     and U < 0; whenever it does, ``strict_observed`` must hold as well.
     """
-    d = delta(prior)
+    split = zero_split(prior)
+    d = _advantage(split, mean(prior))
     return Theorem1Check(
         delta=d,
         nonneg=d >= -1e-12,
-        strict_expected=prob_gt(prior, 0.0) > 0.0 and zero_split(prior)[1] > 0.0,
+        strict_expected=prob_gt(prior, 0.0) > 0.0 and split[1] > 0.0,
         strict_observed=d > 1e-12,
     )
 
@@ -133,19 +136,15 @@ def noisy_defer_value(prior: UtilityDistribution, epsilon: float) -> float:
     a preferring human heard correctly, and a dispreferring human heard
     wrongly.
     """
-    epsilon = unit_interval(epsilon, "epsilon")
-    p_good, p_bad, m_good, m_bad = zero_split(prior)
-    return p_good * (1.0 - epsilon) * m_good + p_bad * epsilon * m_bad
+    return best_option(prior, epsilon).eu_defer
 
 
 def noisy_learn_value(prior: UtilityDistribution, epsilon: float) -> float:
     """Expected utility of observing the signal and then choosing freely.
 
-    Evaluated on the two-state embedding with the act/nothing menu. Never
-    below the defer value, and never below the best immediate option.
+    Never below the defer value, and never below the best immediate option.
     """
-    game = reduce_to_two_state(prior, epsilon)
-    return value_of_learning_eu(game.problem, game.problem.prior, game.channel).value_learning
+    return best_option(prior, epsilon).eu_learn
 
 
 def defer_threshold(prior: UtilityDistribution) -> float | None:
@@ -157,32 +156,33 @@ def defer_threshold(prior: UtilityDistribution) -> float | None:
     deference never loses); clamping there would fabricate a crossover the
     game does not have.
     """
-    p_good, p_bad, m_good, m_bad = zero_split(prior)
-    denom = p_good * m_good - p_bad * m_bad
-    if denom <= 0.0:
-        return None
-    # the advantage is non-negative up to rounding; never report a negative crossover
-    return max(0.0, delta(prior)) / denom
+    return best_option(prior, 0.0).threshold_epsilon
 
 
 def best_option(prior: UtilityDistribution, epsilon: float) -> OffSwitchReport:
     """Full report for one game: option values, advantage, best choice, crossover."""
+    epsilon = unit_interval(epsilon, "epsilon")
+    split = p_good, p_bad, m_good, m_bad = zero_split(prior)
     eu_act = mean(prior)
-    eu_defer = noisy_defer_value(prior, epsilon)
-    eu_learn = noisy_learn_value(prior, epsilon)
-    top = max(eu_defer, eu_act, 0.0)
-    if eu_defer == top:
-        best = "defer"
-    elif eu_act == top:
-        best = "act"
-    else:
-        best = "nothing"
+    eu_defer = p_good * (1.0 - epsilon) * m_good + p_bad * epsilon * m_bad
+    # the float operations of voi.value_of_learning_eu on the two-state embedding, bit
+    # for bit: per signal, the posterior mean of acting against nothing's 0.0 (ties act)
+    eu_learn = 0.0
+    for l_good, l_bad in ((1.0 - epsilon, epsilon), (epsilon, 1.0 - epsilon)):
+        marg = p_good * l_good + p_bad * l_bad
+        if marg > 0.0:
+            eu_learn += marg * max(p_good * l_good / marg * m_good + p_bad * l_bad / marg * m_bad, 0.0)
+    advantage = _advantage(split, eu_act)
+    denom = p_good * m_good - p_bad * m_bad
+    # the advantage is non-negative up to rounding; never report a negative crossover
+    threshold = None if denom <= 0.0 else max(0.0, advantage) / denom
+    options = {"defer": eu_defer, "act": eu_act, "nothing": 0.0}
     return OffSwitchReport(
         eu_act=eu_act,
         eu_nothing=0.0,
         eu_defer=eu_defer,
         eu_learn=eu_learn,
-        delta=delta(prior),
-        best=best,
-        threshold_epsilon=defer_threshold(prior),
+        delta=advantage,
+        best=max(options, key=options.get),  # the first of equal values wins
+        threshold_epsilon=threshold,
     )

@@ -31,6 +31,7 @@ from .core import (
     RiskWeightedRule,
     SignalChannel,
     Updater,
+    check_length,
     is_identity_risk,
     unit_interval,
 )
@@ -268,10 +269,21 @@ def witness_to_jsonable(witness: Witness) -> dict:
 
 def witness_from_jsonable(obj) -> Witness:
     jsonio.check_fields(obj, ("trial_index", "voi", "problem", "channel", "rule"), (), "witness")
+    problem = jsonio.decode_problem(obj["problem"])
+    channel = jsonio.decode_channel(obj["channel"])
+    rule = jsonio.decode_rule(obj["rule"])
+    if isinstance(rule, Faulty) and isinstance(rule.kind, CustomPosterior):
+        # checked here, so a bad table is an input error rather than a failure partway through replay
+        for signal in channel.signals:
+            what = f"custom posterior for {signal!r}"
+            check_length(rule.kind.posterior_for(signal), len(problem.states), what)
+        unknown = sorted({signal for signal, _ in rule.kind.table} - set(channel.signals))
+        if unknown:
+            raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
     return Witness(
-        problem=jsonio.decode_problem(obj["problem"]),
-        channel=jsonio.decode_channel(obj["channel"]),
-        rule=jsonio.decode_rule(obj["rule"]),
+        problem=problem,
+        channel=channel,
+        rule=rule,
         voi=float(jsonio.number(obj["voi"], "witness voi")),
         trial_index=jsonio.number(obj["trial_index"], "witness trial_index", {int}),
     )
@@ -282,9 +294,14 @@ def replay_witness(witness: Witness) -> float:
     return evaluate_rule(witness.problem, witness.channel, witness.rule).voi
 
 
+def reproduces(replayed: float, stored: float) -> bool:
+    """True when a replayed voi is within REVERIFY_TOL of the stored one; a NaN never is."""
+    return abs(replayed - stored) <= REVERIFY_TOL
+
+
 def _reverifies(witness: Witness) -> bool:
     round_tripped = witness_from_jsonable(json.loads(json.dumps(witness_to_jsonable(witness))))
-    return abs(replay_witness(round_tripped) - witness.voi) <= REVERIFY_TOL
+    return reproduces(replay_witness(round_tripped), witness.voi)
 
 
 def find_information_aversion(config: SearchConfig) -> list[Witness]:

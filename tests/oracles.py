@@ -17,8 +17,9 @@ from offswitch_lab.core import (
     SignalChannel,
     StayAtPrior,
 )
-from offswitch_lab.distributions import UtilityDistribution, mean
-from offswitch_lab.offswitch import noisy_defer_value
+from offswitch_lab.distributions import UtilityDistribution, expected_positive_part, mean
+from offswitch_lab.offswitch import OffSwitchReport, noisy_defer_value, reduce_to_two_state
+from offswitch_lab.voi import value_of_learning_eu
 
 
 def reu_decumulative(prospect, risk) -> float:
@@ -161,3 +162,26 @@ def bisect_defer_threshold(prior: UtilityDistribution, tol: float = 1e-12) -> fl
         else:
             hi = mid
     return hi
+
+
+def embedded_report(prior: UtilityDistribution, epsilon: float) -> OffSwitchReport:
+    """The game's report through its two-state embedding, one number at a time.
+
+    The learn value is ``value_of_learning_eu`` on the embedding, the defer
+    value plays act on approve and nothing on reject, and delta and the
+    crossover come from ``expected_positive_part`` and the embedding's cells.
+    The package computes every number from one zero split instead.
+    """
+    game = reduce_to_two_state(prior, epsilon)
+    p_good, p_bad = game.problem.prior
+    m_good, m_bad = game.problem.acts[0].utilities
+    (approve_good, _), (approve_bad, _) = game.channel.likelihood
+    eu_act = mean(prior)
+    eu_defer = p_good * approve_good * m_good + p_bad * approve_bad * m_bad
+    eu_learn = value_of_learning_eu(game.problem, game.problem.prior, game.channel).value_learning
+    advantage = expected_positive_part(prior) - max(eu_act, 0.0)
+    denom = p_good * m_good - p_bad * m_bad
+    threshold = None if denom <= 0.0 else max(0.0, advantage) / denom
+    top = max(eu_defer, eu_act, 0.0)
+    best = "defer" if eu_defer == top else "act" if eu_act == top else "nothing"
+    return OffSwitchReport(eu_act, 0.0, eu_defer, eu_learn, advantage, best, threshold)

@@ -89,6 +89,11 @@ def test_scenario_file_and_unknown_field_rejection(tmp_path, capsys):
     assert code == 2
     assert "bogus" in err
 
+    bad.write_text(json.dumps({"label": 7, "prior": {"kind": "uniform", "lo": 0, "hi": 1}, "epsilon": 0}))
+    code, _, err = run(capsys, "scenario", str(bad))
+    assert code == 2
+    assert "scenario label must be a JSON string" in err
+
     not_json = tmp_path / "broken.json"
     not_json.write_text("{not json")
     code, _, err = run(capsys, "scenario", str(not_json))
@@ -316,6 +321,10 @@ RULEFUL_SCENARIO = {
         (("rule",), {"kind": "gamma-maximin", "credal": {"members": [[0.5, "0.5"]]}}),
         (("updater", "q"), "0.5"),
         (("updater", "table", "approve", 0), True),
+        (("epsilon",), float("nan")),
+        (("prior",), {"kind": "uniform", "lo": float("-inf"), "hi": 90}),
+        (("rule",), {"kind": "reu", "risk": {"kind": "power", "k": float("inf")}}),
+        (("updater", "q"), float("nan")),
     ],
     ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -343,6 +352,10 @@ def test_scenario_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
         (("channel", "likelihood", 0, 0), "0.5"),
         (("rule", "q"), True),
         (("rule", "table", "signal0", 0), "0.5"),
+        (("voi",), float("nan")),
+        (("voi",), float("-inf")),
+        (("channel", "likelihood", 0, 0), float("nan")),
+        (("rule", "q"), float("inf")),
     ],
     ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -361,6 +374,51 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
     code, _, err = run(capsys, "verify-witness", str(out_path))
     assert code == 2
     assert "must be a JSON number" in err
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda w: w["rule"]["table"].pop("signal1"), "no entry for signal 'signal1'"),
+        (lambda w: w["rule"]["table"]["signal0"].append(0.0), "custom posterior for 'signal0' has 4 entries"),
+        (lambda w: w["rule"].update(table=list(w["rule"]["table"].values())), "table must be a JSON object"),
+        (lambda w: w["rule"]["table"].update(bogus=[1.0, 0.0, 0.0]), "signals not in the channel: ['bogus']"),
+        (lambda w: w["problem"].update(states="abc"), "decision problem states must be a JSON list of strings"),
+        (lambda w: w["problem"].update(states=["state0", 1, "state2"]), "decision problem states must be a JSON list of strings"),
+        (lambda w: w["channel"].update(signals="xy"), "signal channel signals must be a JSON list of strings"),
+        (lambda w: w["problem"]["acts"][0].update(name=7), "act name must be a JSON string"),
+    ],
+    ids=["table-missing-signal", "table-wrong-length", "table-list", "table-extra-signal",
+         "states-string", "states-int", "signals-string", "act-name-int"],
+)
+def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, capsys):
+    out_path = tmp_path / "w.json"
+    code, _, _ = run(
+        capsys, "search", "--rule", "faulty:custom:0.5", "--trials", "20", "--seed", "3", "--out", str(out_path),
+    )
+    assert code == 0
+    entries = json.loads(out_path.read_text())
+    edit(entries[0])
+    out_path.write_text(json.dumps(entries))
+    code, _, err = run(capsys, "verify-witness", str(out_path))
+    assert code == 2
+    assert message in err
+
+
+def test_verify_witness_fails_a_replay_to_nan(tmp_path, capsys):
+    # utilities of +-1.7e308 overflow the rank-dependent increments, so the voi replays to NaN
+    witness = {
+        "trial_index": 0, "voi": -1.0, "rule": {"kind": "reu", "risk": {"kind": "power", "k": 2}},
+        "problem": {"states": ["s0", "s1"], "prior": [0.5, 0.5], "acts": [
+            {"name": "a", "utilities": [1.7e308, -1.7e308]}, {"name": "b", "utilities": [-1.7e308, 1.7e308]}]},
+        "channel": {"signals": ["x", "y"], "likelihood": [[0.9, 0.1], [0.2, 0.8]]},
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps([witness]))
+    code, out, _ = run(capsys, "verify-witness", str(path))
+    assert code == 1
+    assert "re-evaluation gives nan" in out
+    assert "verified 0 of 1" in out
 
 
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float

@@ -112,7 +112,7 @@ def test_posterior_partition_channel_renormalizes_cell():
 
 def test_posterior_noiseless_flip_equals_partition_case():
     noiseless = SignalChannel(("approve", "reject"), ((1.0, 0.0), (0.0, 1.0)))
-    assert noiseless.is_partition
+    assert noiseless.likelihood == ((1.0, 0.0), (0.0, 1.0))
     assert posterior((0.9, 0.1), noiseless, "approve") == pytest.approx((1.0, 0.0))
 
 
@@ -247,6 +247,8 @@ def test_table_risk_interpolates_and_validates():
         TableRisk(((0.0, 0.0), (0.6, 0.9), (0.4, 0.2), (1.0, 1.0)))
     with pytest.raises(ValueError):
         TableRisk(((0.0, 0.0), (0.5, 0.8), (0.6, 0.2), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        TableRisk(((0.0, 0.0), (0.5, float("nan")), (1.0, 1.0)))
 
 
 def test_power_risk_requires_positive_exponent():
@@ -346,5 +348,5 @@ def test_problem_and_channel_validation():
         SignalChannel(("s", "t"), ((1.0,),))
     with pytest.raises(ValueError):
         CredalSet(())
-    assert not FLIP_02.is_partition
-    assert PARTITION.is_partition
+    assert FLIP_02.likelihood == ((0.98, 0.02), (0.02, 0.98))
+    assert PARTITION.likelihood == ((1.0, 0.0), (0.0, 1.0))

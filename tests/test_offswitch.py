@@ -12,10 +12,11 @@ from offswitch_lab import (
     mean,
     noisy_defer_value,
     noisy_learn_value,
+    offswitch,
     reduce_to_two_state,
     theorem1_check,
 )
-from oracles import bisect_defer_threshold, plan_value_eu
+from oracles import bisect_defer_threshold, embedded_report, plan_value_eu
 
 
 def random_prior(rng):
@@ -46,7 +47,7 @@ def test_reduce_basic_prior_noiseless_partition():
     assert game.problem.acts[0].utilities[0] == pytest.approx(30.0, abs=1e-12)
     assert game.problem.acts[0].utilities[1] == pytest.approx(oracle_bad, abs=1e-12)
     assert game.problem.acts[0].utilities[1] == pytest.approx(-20.0, abs=1e-12)
-    assert game.channel.is_partition
+    assert game.channel.likelihood == ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_reduce_all_positive_prior_flags_degenerate_cell():
@@ -212,3 +213,57 @@ def test_epsilon_validation():
         noisy_defer_value(Uniform(-1, 1), 1.5)
     with pytest.raises(ValueError):
         reduce_to_two_state(Uniform(-1, 1), -0.1)
+
+
+SWEEP_GOLDEN_GRID = tuple(0.0 + (0.05 - 0.0) * i / 50 for i in range(51))  # sweep --lo 0 --hi 0.05 --steps 51
+
+
+def reference_prior(rng, i):
+    """Uniform and discrete priors, two-sided or one-sided on either side, some touching 0."""
+    sign = (None, 1.0, -1.0)[i % 3]  # two-sided, U >= 0 only, U <= 0 only
+    if i % 2:
+        width = float(rng.uniform(0.5, 80))
+        if sign is None:
+            lo = float(rng.uniform(-60, 59))
+            return Uniform(lo, lo + width)
+        near = 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 20))
+        return Uniform(near, near + width) if sign > 0 else Uniform(-near - width, -near)
+    count = int(rng.integers(1, 6))
+    values = rng.uniform(-60, 60, size=count)
+    if sign is not None:
+        values = sign * np.abs(values)
+    values[rng.random(count) < 0.3] = 0.0
+    weights = rng.dirichlet(np.ones(count))
+    return Discrete(tuple((float(v), float(w)) for v, w in zip(values, weights) if w > 0))
+
+
+def test_report_numbers_equal_the_embedding_reference():
+    # exact equality, and equal reprs so that the sign of a zero counts as well:
+    # the sweep CSV and the scenario JSON print these floats with repr
+    def same(got, want):
+        assert got == want and repr(got) == repr(want)
+
+    rng = np.random.default_rng(915)
+    for i in range(10_000):
+        prior = reference_prior(rng, i)
+        end = float((i // 6) % 2)  # 0 and 1 in turn, across every kind of prior
+        for eps in (end, SWEEP_GOLDEN_GRID[i % 51], float(rng.random())):
+            reference = embedded_report(prior, eps)
+            same(best_option(prior, eps), reference)
+            same(noisy_defer_value(prior, eps), reference.eu_defer)
+            same(noisy_learn_value(prior, eps), reference.eu_learn)
+        same(delta(prior), reference.delta)
+        same(defer_threshold(prior), reference.threshold_epsilon)
+
+
+def test_one_zero_split_per_report_and_no_decision_problem(monkeypatch):
+    calls = []
+    real = offswitch.zero_split
+    monkeypatch.setattr(offswitch, "zero_split", lambda prior: calls.append(prior) or real(prior))
+    monkeypatch.setattr(offswitch, "DecisionProblem", None)  # building one would raise TypeError
+    for prior in (Uniform(-10, 90), Discrete(((0.0, 0.5), (-1.0, 0.5))), Uniform(1, 3)):
+        best_option(prior, 0.02)
+        assert len(calls) == 1
+        theorem1_check(prior)
+        assert len(calls) == 2
+        calls.clear()

@@ -25,6 +25,7 @@ from offswitch_lab import (
     witness_to_jsonable,
 )
 from offswitch_lab.core import Faulty
+from offswitch_lab.search import REVERIFY_TOL, reproduces
 from oracles import faulty_voi, gamma_voi, reu_voi
 
 
@@ -146,6 +147,12 @@ def test_gamma_search_finds_verified_witnesses():
         assert len(w.rule.credal.members) == 2
         assert replay_witness(w) == pytest.approx(w.voi, abs=1e-10)
         assert gamma_voi(w.problem, w.channel, w.rule.credal) < 0
+
+
+def test_reproduces_within_the_tolerance_and_never_for_nan():
+    assert reproduces(-1.0 + 0.5 * REVERIFY_TOL, -1.0)
+    assert not reproduces(-1.0 + 2.0 * REVERIFY_TOL, -1.0)
+    assert not reproduces(float("nan"), -1.0)
 
 
 def test_faulty_search_finds_verified_witnesses():

@@ -45,6 +45,7 @@ REFERENCE_ROWS = (
 )
 
 REPORT_TOL = 1e-9
+MAX_SWEEP_STEPS = 10_000  # the whole grid's CSV is built in memory before it is written
 
 # what decoding a malformed input file raises; float() of a huge JSON integer overflows
 INPUT_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
@@ -149,8 +150,8 @@ def cmd_sweep(args) -> int:
         return _usage_error(str(exc))
     if not (0.0 <= args.lo < args.hi <= 1.0):
         return _usage_error(f"epsilon grid needs 0 <= lo < hi <= 1, got [{args.lo}, {args.hi}]")
-    if args.steps < 2:
-        return _usage_error(f"epsilon grid needs at least 2 steps, got {args.steps}")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        return _usage_error(f"epsilon grid needs between 2 and {MAX_SWEEP_STEPS} steps, got {args.steps}")
     prior = scenario.prior
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("scenario", help="Built-in name or JSON file path.")
     sweep.add_argument("--lo", type=float, required=True, help="Grid start (inclusive).")
     sweep.add_argument("--hi", type=float, required=True, help="Grid end (inclusive).")
-    sweep.add_argument("--steps", type=int, required=True, help="Number of grid points (>= 2).")
+    sweep.add_argument("--steps", type=int, required=True, help=f"Number of grid points (2 to {MAX_SWEEP_STEPS}).")
     sweep.add_argument("--out", default=None, help="Write CSV to this file instead of stdout.")
     sweep.set_defaults(handler=cmd_sweep)
 

@@ -99,6 +99,10 @@ class SignalChannel:
         signals = tuple(str(s) for s in self.signals)
         if not signals:
             raise ValueError("channel needs at least one signal")
+        # signals are looked up by name (the complement's column, a custom posterior)
+        repeated = sorted({name for name in signals if signals.count(name) > 1})
+        if repeated:
+            raise ValueError(f"channel has repeated signal names: {repeated}")
         rows = tuple(self.likelihood)
         if not rows:
             raise ValueError("channel needs at least one state row")

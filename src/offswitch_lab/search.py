@@ -5,6 +5,27 @@ index, so results are fully determined by (seed, trial_index) and identical
 under any execution order or worker count. The per-trial stream is numpy's
 PCG64 seeded through ``SeedSequence(seed, spawn_key=(trial_index,))``.
 
+Trials are drawn ``BLOCK_TRIALS`` at a time into stacked arrays: priors
+(n, S), utilities (n, A, S), likelihoods (n, S, G) and the rule's per-trial
+rows (credal members, or custom posteriors in signal order). Each row comes
+from its own trial's stream, in the same draws and order as one trial on
+its own, so ``random_instance(config, i)`` is row i of its block.
+
+The search screens, then confirms. A numpy kernel per search rule values
+the whole block, and a trial is dropped only when the screen proves it is
+not a witness: its screened voi is at least ``-aversion_tolerance +
+SCREEN_MARGIN``, every act choice the voi depends on leads the runner-up by
+more than the margin, every marginal it divides by exceeds the margin, and
+its rows pass the checks that the dataclasses make. The margin is derived
+from ``UTILITY_RANGE``, because float error in a voi scales with the
+utilities; at this range the screen and the scalar path agree to about
+1e-14. A risk-weighted screen brackets each risk weight between its values
+at tail -/+ margin, so a steep risk function widens the bracket instead of
+breaking the proof. Every other trial is a possible witness: it is built
+from its rows into a ``DecisionProblem`` and ``SignalChannel`` and
+evaluated by the scalar ``evaluate_rule``, so every witness, every voi and
+every exception comes from the scalar path.
+
 Witnesses of information aversion are re-verified before emission: the
 candidate is serialized, decoded again and re-evaluated through the voi
 module, and must reproduce its voi within 1e-10.
@@ -20,6 +41,7 @@ import numpy as np
 from . import jsonio
 from .core import (
     MISUPDATE_MODES,
+    PROB_TOL,
     Act,
     CredalSet,
     CustomPosterior,
@@ -30,6 +52,7 @@ from .core import (
     GammaMaximinRule,
     RiskWeightedRule,
     SignalChannel,
+    TableRisk,
     Updater,
     check_length,
     is_identity_risk,
@@ -42,6 +65,13 @@ from .voi import value_of_learning_eu, value_of_learning_faulty, value_of_learni
 
 REVERIFY_TOL = 1e-10
 UTILITY_RANGE = (-10.0, 10.0)  # act utilities and prior atoms are drawn uniformly from it
+SCREEN_MARGIN = 1e-10 * (UTILITY_RANGE[1] - UTILITY_RANGE[0])  # the screen's slack; see above
+
+BLOCK_TRIALS = 256  # trials drawn and screened together
+# Upper bounds on the sizes a search or check accepts. With them no block
+# array holds more than BLOCK_TRIALS * 16**3 floats (8 MB).
+MAX_SIZE = 16  # states, acts, signals and credal members
+MAX_TRIALS = 10**6  # every witness is held in memory and written as one JSON document
 
 MISUPDATE_STAY, MISUPDATE_COMPLEMENT, MISUPDATE_CUSTOM = MISUPDATE_MODES  # its keys, in order
 
@@ -57,8 +87,8 @@ class CredalSearch:
     members: int = 2
 
     def __post_init__(self) -> None:
-        if self.members < 1:
-            raise ValueError("credal search needs at least one member")
+        if not 1 <= self.members <= MAX_SIZE:
+            raise ValueError(f"credal search needs between 1 and {MAX_SIZE} members, got {self.members}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +123,11 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.trials < 1:
-            raise ValueError("trial count must be at least 1")
-        if min(self.state_count, self.act_count, self.signal_count) < 1:
-            raise ValueError("state, act and signal counts must be at least 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trial count must be between 1 and {MAX_TRIALS}, got {self.trials}")
+        for what, count in (("state", self.state_count), ("act", self.act_count), ("signal", self.signal_count)):
+            if not 1 <= count <= MAX_SIZE:
+                raise ValueError(f"{what} count must be between 1 and {MAX_SIZE}, got {count}")
         if not self.aversion_tolerance > 0.0:
             raise ValueError("aversion tolerance must be positive")
 
@@ -129,22 +160,73 @@ class CheckReport:
         return not self.violations
 
 
+@dataclass(frozen=True)
+class _Block:
+    """Trials ``start`` to ``start + n - 1`` as stacked arrays, one row per trial."""
+
+    start: int
+    prior: np.ndarray  # (n, S)
+    utilities: np.ndarray  # (n, A, S)
+    likelihood: np.ndarray  # (n, S, G)
+    rule_rows: np.ndarray  # (n, R, S): credal members, or custom posteriors in signal order
+
+
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial_index,)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial_index,))))
 
 
-def _draw_instance(config: SearchConfig, rng: np.random.Generator) -> tuple[DecisionProblem, SignalChannel]:
-    prior = rng.dirichlet(np.ones(config.state_count))
-    utilities = rng.uniform(*UTILITY_RANGE, size=(config.act_count, config.state_count))
-    rows = rng.dirichlet(np.ones(config.signal_count), size=config.state_count)
+def _flat_dirichlet(draws: np.ndarray) -> np.ndarray:
+    """Flat-Dirichlet rows from standard exponentials, normalized as numpy's
+    ``Generator.dirichlet`` normalizes them for unit weights: by their running sum."""
+    total = draws[..., 0]
+    for k in range(1, draws.shape[-1]):
+        total = total + draws[..., k]
+    return draws * (1.0 / total)[..., None]
+
+
+def _draw_block(config: SearchConfig, start: int, stop: int, rule_rows: int) -> _Block:
+    """Draw trials ``start`` to ``stop - 1``: per trial a flat-Dirichlet prior,
+    uniform utilities, flat-Dirichlet channel rows and ``rule_rows``
+    flat-Dirichlet rows of rule data, in that order.
+
+    numpy draws ``dirichlet(np.ones(k))`` as k standard gammas of shape 1,
+    which are its standard exponentials, scaled by one over their running sum,
+    and ``uniform(lo, hi)`` as ``lo + (hi - lo) * random()``. So each trial
+    draws only those raw variates, and the block is scaled at once, bit for
+    bit as the two calls would give it.
+    """
+    n, s, a, g = stop - start, config.state_count, config.act_count, config.signal_count
+    prior, unit, rest = np.empty((n, s)), np.empty((n, a, s)), np.empty((n, s * g + rule_rows * s))
+    for r in range(n):
+        rng = _trial_rng(config.seed, start + r)
+        rng.standard_exponential(out=prior[r])
+        rng.random(out=unit[r])
+        rng.standard_exponential(out=rest[r])
+    lo, hi = UTILITY_RANGE
+    return _Block(
+        start,
+        _flat_dirichlet(prior),
+        lo + (hi - lo) * unit,
+        _flat_dirichlet(rest[:, : s * g].reshape(n, s, g)),
+        _flat_dirichlet(rest[:, s * g :].reshape(n, rule_rows, s)),
+    )
+
+
+def _blocks(config: SearchConfig, rule_rows: int):
+    for start in range(0, config.trials, BLOCK_TRIALS):
+        yield _draw_block(config, start, min(start + BLOCK_TRIALS, config.trials), rule_rows)
+
+
+def _draw_instance(config: SearchConfig, block: _Block, r: int) -> tuple[DecisionProblem, SignalChannel]:
+    """The (problem, channel) pair of trial ``block.start + r``, built from its rows."""
     problem = DecisionProblem(
         states=tuple(f"state{i}" for i in range(config.state_count)),
-        prior=tuple(prior),
-        acts=tuple(Act(f"act{k}", tuple(utilities[k])) for k in range(config.act_count)),
+        prior=tuple(block.prior[r]),
+        acts=tuple(Act(f"act{k}", tuple(utilities)) for k, utilities in enumerate(block.utilities[r])),
     )
     channel = SignalChannel(
         signals=tuple(f"signal{j}" for j in range(config.signal_count)),
-        likelihood=tuple(tuple(row) for row in rows),
+        likelihood=tuple(tuple(row) for row in block.likelihood[r]),
     )
     return problem, channel
 
@@ -155,7 +237,7 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
     Priors and channel rows come from the flat Dirichlet (symmetric simplex)
     distribution; utilities are uniform in ``UTILITY_RANGE``.
     """
-    return _draw_instance(config, _trial_rng(config.seed, trial_index))
+    return _draw_instance(config, _draw_block(config, trial_index, trial_index + 1, 0), 0)
 
 
 def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
@@ -177,11 +259,12 @@ def verify_good(config: SearchConfig) -> CheckReport:
     if not isinstance(config.rule, ExpectedUtilityRule):
         raise ValueError("the learning inequality is only guaranteed under plain expected utility")
     violations = []
-    for i in range(config.trials):
-        problem, channel = random_instance(config, i)
-        report = value_of_learning_eu(problem, problem.prior, channel)
-        if report.voi < -1e-12:
-            violations.append(CheckViolation(i, "negative value of learning", report.voi))
+    for block in _blocks(config, 0):
+        for r in range(len(block.prior)):
+            problem, channel = _draw_instance(config, block, r)
+            report = value_of_learning_eu(problem, problem.prior, channel)
+            if report.voi < -1e-12:
+                violations.append(CheckViolation(block.start + r, "negative value of learning", report.voi))
     return CheckReport(config.trials, tuple(violations))
 
 
@@ -198,47 +281,176 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
     return CheckReport(config.trials, tuple(violations))
 
 
-def _reject_if_never_averse(rule: SearchRule) -> None:
-    if isinstance(rule, ExpectedUtilityRule):
-        raise RuleCannotBeAverse(
-            "expected utility with conditionalization never rejects free information "
-            "(Good's theorem); an empty search would be misleading"
-        )
-    if isinstance(rule, RiskWeightedRule) and is_identity_risk(rule.risk):
-        raise RuleCannotBeAverse(
-            "an identity risk function reduces risk-weighted utility to expected utility, "
-            "which never rejects free information"
-        )
-    if isinstance(rule, CredalSearch) and rule.members < 2:
-        raise RuleCannotBeAverse(
-            "a singleton credal set reduces gamma-maximin to expected utility, "
-            "which never rejects free information"
-        )
-    if isinstance(rule, FaultySearch) and (rule.kind == MISUPDATE_STAY or rule.q == 0.0):
-        raise RuleCannotBeAverse(
-            "staying at the prior (or never misfiring) only blends the learning value "
-            "toward the choose-now value; it cannot make learning strictly bad"
-        )
+# ------------------------------------------------------------------ the screen
 
 
-def _concrete_rule(
-    search_rule: SearchRule,
-    rng: np.random.Generator,
-    config: SearchConfig,
-    channel: SignalChannel,
-) -> DecisionRule | Updater:
-    """Materialize per-trial rule data; draws happen after the instance draws."""
+def _bayes(beliefs: np.ndarray, likelihood: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Marginals (..., G) and posteriors (..., G, S) of beliefs (..., S) on every
+    signal of likelihood tables (..., S, G)."""
+    joint = beliefs[..., :, None] * likelihood
+    marginals = joint.sum(axis=-2)
+    return marginals, np.swapaxes(joint, -1, -2) / marginals[..., None]
+
+
+def _lead(values: np.ndarray, upper: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the largest value along the last axis and its lead over the
+    runner-up (inf when there is none); ``upper`` bounds the values from above
+    where they are brackets."""
+    best = values.argmax(axis=-1)[..., None]
+    rest = (values if upper is None else upper).copy()
+    np.put_along_axis(rest, best, -np.inf, axis=-1)
+    return best[..., 0], np.take_along_axis(values, best, axis=-1)[..., 0] - rest.max(axis=-1)
+
+
+def _risk_weights(rule: RiskWeightedRule, tails: np.ndarray) -> np.ndarray:
+    """The rule's risk function at every tail; a table is linear between knots."""
+    if isinstance(rule.risk, TableRisk):
+        return np.interp(tails, *zip(*rule.risk.knots))
+    return rule.risk.weight(tails)  # a power is elementwise on arrays
+
+
+def _rank_brackets(rule: RiskWeightedRule, utilities: np.ndarray, probabilities: np.ndarray):
+    """Lower and upper bounds of the rank-dependent value of prospects whose
+    utilities ascend along the last axis, and whether each has a tail (the mass
+    above an outcome) within the margin of zero.
+
+    The scalar path sums its tails in another order, so they differ from these
+    by rounding; as a risk function is non-decreasing, its values at tail -/+
+    margin bound the weight the scalar path gives each step."""
+    tails = np.cumsum(probabilities[..., :0:-1], axis=-1)[..., ::-1]
+    steps = np.diff(utilities, axis=-1)
+    low = utilities[..., 0] + (_risk_weights(rule, np.clip(tails - SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=-1)
+    high = utilities[..., 0] + (_risk_weights(rule, np.clip(tails + SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=-1)
+    return low, high, ~(tails > SCREEN_MARGIN).all(axis=-1)
+
+
+def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarray:
+    """Possible witnesses of a risk-weighted rule: per signal the act with the
+    best posterior value, then the plan's joint (state, signal) prospect valued
+    globally, as the voi module fixes."""
+    n, g, s = block.likelihood.shape[0], block.likelihood.shape[2], block.prior.shape[1]
+    order = block.utilities.argsort(axis=-1)
+    ranked = np.take_along_axis(block.utilities, order, axis=-1)
+    marginals, posteriors = _bayes(block.prior, block.likelihood)
+    ranked_posteriors = np.take_along_axis(posteriors[:, :, None], order[:, None], -1)  # (n, G, A, S)
+    low, high, thin = _rank_brackets(rule, ranked[:, None], ranked_posteriors)
+    choice, lead = _lead(low, high)
+    planned = np.take_along_axis(block.utilities, choice[..., None], axis=1).reshape(n, g * s)
+    joint = (block.prior[:, None, :] * np.swapaxes(block.likelihood, 1, 2)).reshape(n, g * s)
+    joint_order = planned.argsort(axis=-1)
+    learning, _, thin_joint = _rank_brackets(
+        rule, np.take_along_axis(planned, joint_order, -1), np.take_along_axis(joint, joint_order, -1)
+    )
+    _, now, thin_now = _rank_brackets(rule, ranked, np.take_along_axis(block.prior[:, None], order, -1))
+    return ~(
+        (learning - now.max(axis=-1) >= floor)
+        & (lead > SCREEN_MARGIN).all(axis=-1)
+        & (marginals > SCREEN_MARGIN).all(axis=-1)
+        & ~thin.any(axis=(1, 2))
+        & ~thin_joint
+        & ~thin_now.any(axis=-1)
+    )
+
+
+def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray:
+    """Possible witnesses of gamma-maximin: the plan is the maximin act per
+    signal at the member-wise posteriors, and the learning value is the worst
+    member's score of that plan."""
+    members = block.rule_rows  # (n, M, S)
+    by_act = np.swapaxes(block.utilities, 1, 2)  # (n, S, A)
+    now = (members @ by_act).min(axis=1).max(axis=-1)
+    marginals, posteriors = _bayes(members, block.likelihood[:, None])  # (n, M, G), (n, M, G, S)
+    values = posteriors @ by_act[:, None]  # (n, M, G, A)
+    plan, lead = _lead(values.min(axis=1))
+    scores = np.take_along_axis(values, plan[:, None, :, None], axis=-1)[..., 0]
+    learning = (marginals * scores).sum(axis=-1).min(axis=-1)
+    return ~(
+        (learning - now >= floor)
+        & (lead > SCREEN_MARGIN).all(axis=-1)
+        & (marginals > SCREEN_MARGIN).all(axis=(1, 2))
+    )
+
+
+def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarray:
+    """Possible witnesses of a faulty updater: the act best at the posterior
+    blended with the act best at the misupdated belief, both scored at the true
+    posterior. The posterior-best act enters only through its value, a max, so
+    only the misupdated choice needs a lead."""
+    by_act = np.swapaxes(block.utilities, 1, 2)
+    now = (block.prior[:, None] @ by_act)[:, 0].max(axis=-1)
+    marginals, posteriors = _bayes(block.prior, block.likelihood)
+    values = posteriors @ by_act  # (n, G, A)
+    if rule.kind == MISUPDATE_CUSTOM:
+        divisors, wrong = marginals, block.rule_rows
+    else:
+        complement, wrong = _bayes(block.prior, 1.0 - block.likelihood)
+        divisors = np.minimum(marginals, complement)
+    wrong_choice, lead = _lead(wrong @ by_act)
+    misfired = np.take_along_axis(values, wrong_choice[..., None], axis=-1)[..., 0]
+    learning = (marginals * ((1.0 - rule.q) * values.max(axis=-1) + rule.q * misfired)).sum(axis=-1)
+    return ~(
+        (learning - now >= floor)
+        & (lead > SCREEN_MARGIN).all(axis=-1)
+        & (divisors > SCREEN_MARGIN).all(axis=-1)
+    )
+
+
+def _unchecked_rows(block: _Block) -> np.ndarray:
+    """Trials whose rows might fail the checks the dataclasses make: finite
+    utilities, and probability vectors that are finite, non-negative and sum
+    to 1 within PROB_TOL. Sums are held to half of PROB_TOL here, as numpy adds
+    in another order than Python, which moves a sum of at most MAX_SIZE
+    entries by far less than the other half."""
+    ok = np.isfinite(block.utilities).all(axis=(1, 2))
+    for vectors in (block.prior[:, None], block.likelihood, block.rule_rows):
+        ok &= (np.isfinite(vectors) & (vectors >= 0.0)).all(axis=(1, 2))
+        ok &= (np.abs(vectors.sum(axis=-1) - 1.0) <= PROB_TOL / 2).all(axis=-1)
+    return ~ok
+
+
+def _screen_for(config: SearchConfig):
+    """The block screen of the configured rule and the rows of rule data each
+    trial draws; RuleCannotBeAverse for a rule that provably never rejects
+    free information, as an empty search would be misleading."""
+    rule = config.rule
+    if isinstance(rule, RiskWeightedRule):
+        if is_identity_risk(rule.risk):
+            raise RuleCannotBeAverse(
+                "an identity risk function reduces risk-weighted utility to expected utility, "
+                "which never rejects free information"
+            )
+        return _screen_reu, 0
+    if isinstance(rule, CredalSearch):
+        if rule.members < 2:
+            raise RuleCannotBeAverse(
+                "a singleton credal set reduces gamma-maximin to expected utility, "
+                "which never rejects free information"
+            )
+        return _screen_gamma, rule.members
+    if isinstance(rule, FaultySearch):
+        if rule.kind == MISUPDATE_STAY or rule.q == 0.0:
+            raise RuleCannotBeAverse(
+                "staying at the prior (or never misfiring) only blends the learning value "
+                "toward the choose-now value; it cannot make learning strictly bad"
+            )
+        return _screen_faulty, config.signal_count if rule.kind == MISUPDATE_CUSTOM else 0
+    raise RuleCannotBeAverse(
+        "expected utility with conditionalization never rejects free information "
+        "(Good's theorem); an empty search would be misleading"
+    )
+
+
+# ------------------------------------------------------ the scalar path
+
+
+def _concrete_rule(search_rule: SearchRule, rows: np.ndarray, channel: SignalChannel) -> DecisionRule | Updater:
+    """Materialize a trial's rule from its rows of rule data."""
     if isinstance(search_rule, CredalSearch):
-        members = rng.dirichlet(np.ones(config.state_count), size=search_rule.members)
-        return GammaMaximinRule(CredalSet(tuple(tuple(m) for m in members)))
+        return GammaMaximinRule(CredalSet(tuple(tuple(m) for m in rows)))
     if isinstance(search_rule, FaultySearch):
         mode = MISUPDATE_MODES[search_rule.kind]
         if mode is CustomPosterior:
-            table = {
-                signal: tuple(rng.dirichlet(np.ones(config.state_count)))
-                for signal in channel.signals
-            }
-            return Faulty(search_rule.q, CustomPosterior(table))
+            return Faulty(search_rule.q, CustomPosterior(dict(zip(channel.signals, map(tuple, rows)))))
         return Faulty(search_rule.q, mode())
     return search_rule
 
@@ -304,6 +516,14 @@ def _reverifies(witness: Witness) -> bool:
     return reproduces(replay_witness(round_tripped), witness.voi)
 
 
+def _possible_witnesses(config: SearchConfig, screen, block: _Block) -> np.ndarray:
+    """Row numbers in the block of the trials the screen cannot rule out."""
+    # a zero marginal gives NaN, and each screen's conditions keep a trial on NaN
+    with np.errstate(all="ignore"):
+        possible = screen(config.rule, block, -config.aversion_tolerance + SCREEN_MARGIN)
+    return np.flatnonzero(possible | _unchecked_rows(block))
+
+
 def find_information_aversion(config: SearchConfig) -> list[Witness]:
     """Collect every trial on which the configured rule strictly rejects information.
 
@@ -311,19 +531,20 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
     Rules that provably cannot be averse are rejected with
     ``RuleCannotBeAverse`` rather than silently returning nothing.
     """
-    _reject_if_never_averse(config.rule)
+    screen, rule_rows = _screen_for(config)
     witnesses = []
-    for i in range(config.trials):
-        rng = _trial_rng(config.seed, i)
-        problem, channel = _draw_instance(config, rng)
-        rule = _concrete_rule(config.rule, rng, config, channel)
-        report = evaluate_rule(problem, channel, rule)
-        if report.voi < -config.aversion_tolerance:
-            witness = Witness(problem, channel, rule, report.voi, i)
-            if not _reverifies(witness):
-                raise AssertionError(
-                    f"witness at trial {i} did not reproduce its voi on re-evaluation"
-                )
-            witnesses.append(witness)
+    for block in _blocks(config, rule_rows):
+        for r in _possible_witnesses(config, screen, block):
+            i = block.start + int(r)
+            problem, channel = _draw_instance(config, block, r)
+            rule = _concrete_rule(config.rule, block.rule_rows[r], channel)
+            report = evaluate_rule(problem, channel, rule)
+            if report.voi < -config.aversion_tolerance:
+                witness = Witness(problem, channel, rule, report.voi, i)
+                if not _reverifies(witness):
+                    raise AssertionError(
+                        f"witness at trial {i} did not reproduce its voi on re-evaluation"
+                    )
+                witnesses.append(witness)
     witnesses.sort(key=lambda w: (w.voi, w.trial_index))
     return witnesses

@@ -9,11 +9,18 @@ so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import numpy as np
+
+from offswitch_lab import search
 from offswitch_lab.core import (
+    MISUPDATE_MODES,
+    Act,
     ComplementConditionalization,
     CredalSet,
     CustomPosterior,
     DecisionProblem,
+    Faulty,
+    GammaMaximinRule,
     SignalChannel,
     StayAtPrior,
 )
@@ -185,3 +192,45 @@ def embedded_report(prior: UtilityDistribution, epsilon: float) -> OffSwitchRepo
     top = max(eu_defer, eu_act, 0.0)
     best = "defer" if eu_defer == top else "act" if eu_act == top else "nothing"
     return OffSwitchReport(eu_act, 0.0, eu_defer, eu_learn, advantage, best, threshold)
+
+
+def trial_draws(config, trial_index: int, rule_rows: int):
+    """One trial's prior, utilities, channel rows and rule rows, drawn one by
+    one with numpy's own ``dirichlet`` and ``uniform`` from the trial's stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(trial_index,)))
+    states = np.ones(config.state_count)
+    prior = rng.dirichlet(states)
+    utilities = rng.uniform(*search.UTILITY_RANGE, size=(config.act_count, config.state_count))
+    rows = rng.dirichlet(np.ones(config.signal_count), size=config.state_count)
+    return prior, utilities, rows, [rng.dirichlet(states) for _ in range(rule_rows)]
+
+
+def per_trial_search(config) -> list:
+    """The witness search one trial at a time, every trial through the scalar
+    ``evaluate_rule``, with no screen: the reference for the block screen."""
+    search_rule = config.rule
+    custom = isinstance(search_rule, search.FaultySearch) and MISUPDATE_MODES[search_rule.kind] is CustomPosterior
+    if isinstance(search_rule, search.CredalSearch):
+        rule_rows = search_rule.members
+    else:
+        rule_rows = config.signal_count if custom else 0
+    witnesses = []
+    for i in range(config.trials):
+        prior, utilities, rows, data = trial_draws(config, i, rule_rows)
+        problem = DecisionProblem(
+            tuple(f"state{w}" for w in range(config.state_count)),
+            tuple(prior),
+            tuple(Act(f"act{k}", tuple(u)) for k, u in enumerate(utilities)),
+        )
+        channel = SignalChannel(tuple(f"signal{j}" for j in range(config.signal_count)), tuple(map(tuple, rows)))
+        rule = search_rule
+        if isinstance(search_rule, search.CredalSearch):
+            rule = GammaMaximinRule(CredalSet(tuple(map(tuple, data))))
+        elif isinstance(search_rule, search.FaultySearch):
+            table = dict(zip(channel.signals, map(tuple, data)))
+            rule = Faulty(search_rule.q, CustomPosterior(table) if custom else MISUPDATE_MODES[search_rule.kind]())
+        report = search.evaluate_rule(problem, channel, rule)
+        if report.voi < -config.aversion_tolerance:
+            witnesses.append(search.Witness(problem, channel, rule, report.voi, i))
+    witnesses.sort(key=lambda w: (w.voi, w.trial_index))
+    return witnesses

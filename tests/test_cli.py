@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from offswitch_lab import SearchConfig, cli
+from offswitch_lab import SearchConfig, cli, search
 
 
 def run(capsys, *argv):
@@ -180,6 +180,46 @@ def test_check_good_and_theorem1(capsys):
 def test_check_zero_trials_exits_2(capsys):
     code, _, err = run(capsys, "check", "good", "--trials", "0")
     assert code == 2
+
+
+def test_sweep_steps_bound_at_the_limit_and_past_it(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    limit = str(cli.MAX_SWEEP_STEPS)
+    code, _, _ = run(capsys, "sweep", "alice-basic", "--lo", "0", "--hi", "1", "--steps", limit, "--out", str(out_path))
+    assert code == 0
+    assert len(out_path.read_text().splitlines()) == cli.MAX_SWEEP_STEPS + 1
+    code, _, err = run(capsys, "sweep", "alice-basic", "--lo", "0", "--hi", "1", "--steps", str(cli.MAX_SWEEP_STEPS + 1))
+    assert code == 2
+    assert f"between 2 and {limit} steps" in err
+
+
+@pytest.mark.parametrize("flag", ["--states", "--acts", "--signals"])
+def test_search_size_bounds_at_the_limit_and_past_it(flag, tmp_path, capsys):
+    limit = search.MAX_SIZE
+    argv = ("search", "--rule", "gamma:2", "--trials", "5", "--seed", "3", "--out", str(tmp_path / "w.json"))
+    code, _, _ = run(capsys, *argv, flag, str(limit))
+    assert code in (0, 3)
+    code, _, err = run(capsys, *argv, flag, str(limit + 1))
+    assert code == 2
+    assert f"between 1 and {limit}, got {limit + 1}" in err
+
+
+def test_search_members_bound_at_the_limit_and_past_it(tmp_path, capsys):
+    limit = search.MAX_SIZE
+    argv = ("search", "--trials", "5", "--seed", "3", "--out", str(tmp_path / "w.json"))
+    code, _, _ = run(capsys, *argv, "--rule", f"gamma:{limit}")
+    assert code in (0, 3)
+    code, _, err = run(capsys, *argv, "--rule", f"gamma:{limit + 1}")
+    assert code == 2
+    assert f"between 1 and {limit} members" in err
+
+
+@pytest.mark.parametrize("command", [("check", "good"), ("search", "--rule", "gamma:2")])
+def test_trial_bound_past_the_limit_exits_2(command, capsys):
+    # a run at the limit is too long for a test; SearchConfig accepts it (test_search)
+    code, _, err = run(capsys, *command, "--trials", str(search.MAX_TRIALS + 1))
+    assert code == 2
+    assert f"trial count must be between 1 and {search.MAX_TRIALS}" in err
 
 
 def test_search_eu_rejected_with_explanation(capsys):
@@ -419,6 +459,27 @@ def test_verify_witness_fails_a_replay_to_nan(tmp_path, capsys):
     assert code == 1
     assert "re-evaluation gives nan" in out
     assert "verified 0 of 1" in out
+
+
+def test_verify_witness_rejects_repeated_signal_names(tmp_path, capsys):
+    # a faulty complement updater: with signals ("x", "y") this witness replays to
+    # -0.075, while ("x", "x") read both complements from the first column (0.2125)
+    witness = {
+        "trial_index": 0, "voi": -0.075, "rule": {"kind": "faulty", "q": 0.5, "mode": "complement-conditionalization"},
+        "problem": {"states": ["s0", "s1"], "prior": [0.5, 0.5], "acts": [
+            {"name": "a", "utilities": [1.0, -1.0]}, {"name": "b", "utilities": [0.0, 0.0]},
+            {"name": "c", "utilities": [-0.3, 0.6]}]},
+        "channel": {"signals": ["x", "y"], "likelihood": [[0.9, 0.1], [0.2, 0.8]]},
+    }
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps([witness]))
+    code, out, _ = run(capsys, "verify-witness", str(path))
+    assert code == 0 and "verified 1 of 1" in out
+    witness["channel"]["signals"] = ["x", "x"]
+    path.write_text(json.dumps([witness]))
+    code, _, err = run(capsys, "verify-witness", str(path))
+    assert code == 2
+    assert "repeated signal names: ['x']" in err
 
 
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float

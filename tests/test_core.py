@@ -350,3 +350,12 @@ def test_problem_and_channel_validation():
         CredalSet(())
     assert FLIP_02.likelihood == ((0.98, 0.02), (0.02, 0.98))
     assert PARTITION.likelihood == ((1.0, 0.0), (0.0, 1.0))
+
+
+def test_channel_rejects_repeated_signal_names():
+    # the complement's column and a custom posterior are found by signal name
+    with pytest.raises(ValueError, match=r"repeated signal names: \['x'\]"):
+        SignalChannel(("x", "x"), ((0.9, 0.1), (0.2, 0.8)))
+    with pytest.raises(ValueError, match=r"repeated signal names: \['a', 'b'\]"):
+        SignalChannel(("b", "a", "b", "a"), ((0.25, 0.25, 0.25, 0.25),))
+    assert SignalChannel(("x", "y"), ((0.9, 0.1), (0.2, 0.8))).signals == ("x", "y")

@@ -19,6 +19,10 @@ SEARCH_DIGESTS = {
     "faulty:custom:0.5": (207, "3e748ca6aeb5b52c8972f6c96c28751a97f80fb4b18c9f8cf1e6b4fc15d180fd"),
 }
 
+# 2500 trials cross several blocks of the search's screen and end in a partial one
+BLOCKS_ARGV = ("--rule", "reu:power:2", "--states", "2", "--acts", "2", "--signals", "2", "--trials", "2500", "--seed", "3")
+BLOCKS_DIGEST = (129, "db0dd5e1cedc4418656629fd6b4616a59c69e78062357dde7156c22364fb6a8d")
+
 STDOUT_DIGESTS = [
     (("report",), "3ee01cad8724ce31f139e93c1ac8815fd4be402ac4e65a1fd8951df7606063de"),
     (("scenario", "alice-noisy", "--json"), "5f4448b099cf18b521d9b4259556f0cee82a1885a86ca7f2a8a48eaa0edec3c2"),
@@ -56,6 +60,16 @@ def test_search_out_bytes(rule, tmp_path, capsys):
     code = cli.main(["search", "--rule", rule, "--trials", "500", "--seed", "3", "--out", str(out_path)])
     capsys.readouterr()
     assert code == 0
+    data = out_path.read_bytes()
+    assert len(json.loads(data)) == count
+    assert sha256(data) == digest
+
+
+def test_search_out_bytes_across_blocks(tmp_path, capsys):
+    count, digest = BLOCKS_DIGEST
+    out_path = tmp_path / "witnesses.json"
+    assert cli.main(["search", *BLOCKS_ARGV, "--out", str(out_path)]) == 0
+    capsys.readouterr()
     data = out_path.read_bytes()
     assert len(json.loads(data)) == count
     assert sha256(data) == digest

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from offswitch_lab import (
@@ -24,9 +25,10 @@ from offswitch_lab import (
     witness_from_jsonable,
     witness_to_jsonable,
 )
+from offswitch_lab import search
 from offswitch_lab.core import Faulty
-from offswitch_lab.search import REVERIFY_TOL, reproduces
-from oracles import faulty_voi, gamma_voi, reu_voi
+from offswitch_lab.search import BLOCK_TRIALS, MAX_SIZE, MAX_TRIALS, REVERIFY_TOL, reproduces
+from oracles import faulty_voi, gamma_voi, per_trial_search, reu_voi, trial_draws
 
 
 def test_random_instance_is_reproducible_per_trial():
@@ -218,3 +220,168 @@ def test_search_config_validation():
         FaultySearch(0.5, "mystery")
     with pytest.raises(ValueError):
         CredalSearch(0)
+
+
+def test_search_config_size_bounds_at_the_limit_and_past_it():
+    at_limit = SearchConfig(
+        seed=2, trials=3, state_count=MAX_SIZE, act_count=MAX_SIZE, signal_count=MAX_SIZE,
+        rule=CredalSearch(MAX_SIZE),
+    )
+    assert isinstance(find_information_aversion(at_limit), list)
+    for field in ("state_count", "act_count", "signal_count"):
+        with pytest.raises(ValueError, match=f"count must be between 1 and {MAX_SIZE}, got {MAX_SIZE + 1}"):
+            SearchConfig(seed=2, trials=3, **{field: MAX_SIZE + 1})
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_SIZE} members, got {MAX_SIZE + 1}"):
+        CredalSearch(MAX_SIZE + 1)
+
+
+def test_search_config_trial_bound_at_the_limit_and_past_it():
+    assert SearchConfig(seed=2, trials=MAX_TRIALS).trials == MAX_TRIALS
+    with pytest.raises(ValueError, match=f"trial count must be between 1 and {MAX_TRIALS}, got {MAX_TRIALS + 1}"):
+        SearchConfig(seed=2, trials=MAX_TRIALS + 1)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (1, 1, 1), (MAX_SIZE, 2, 3)])
+def test_block_rows_are_numpys_own_draws(sizes):
+    # at 16 states numpy's pairwise sum (np.sum) would part from dirichlet's running sum
+    states, acts, signals = sizes
+    config = SearchConfig(seed=21, trials=40, state_count=states, act_count=acts, signal_count=signals)
+    block = search._draw_block(config, 5, 40, 4)
+    for r in range(35):
+        prior, utilities, rows, rule_rows = trial_draws(config, 5 + r, 4)
+        assert np.array_equal(block.prior[r], prior)
+        assert np.array_equal(block.utilities[r], utilities)
+        assert np.array_equal(block.likelihood[r], rows)
+        assert np.array_equal(block.rule_rows[r], rule_rows)
+        assert random_instance(config, 5 + r) == search._draw_instance(config, block, r)
+
+
+EQUIVALENCE_RULES = {
+    "reu:power:2": ReuSearch(PowerRisk(2)),
+    "reu:power:0.5": ReuSearch(PowerRisk(0.5)),
+    "reu:table": ReuSearch(TableRisk(((0.0, 0.0), (0.4, 0.1), (0.6, 0.9), (1.0, 1.0)))),
+    "gamma:3": CredalSearch(3),
+    "faulty:complement:0.5": FaultySearch(0.5, "complement-conditionalization"),
+    "faulty:custom:0.3": FaultySearch(0.3, "custom-posterior"),
+}
+# (states, acts, signals, trials): a partial last block, exactly one block, and
+# less than one block at the one-state, one-act and one-signal edges
+EQUIVALENCE_CASES = [
+    (3, 3, 2, 2 * BLOCK_TRIALS + 88),
+    (2, 2, 2, BLOCK_TRIALS),
+    (1, 3, 2, 100),
+    (3, 1, 2, 100),
+    (3, 3, 1, 100),
+    (1, 1, 1, 100),
+]
+
+
+def search_outcome(run, config):
+    """The witness list, or the type and message of the error raised."""
+    try:
+        return run(config)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES, ids=lambda c: "x".join(map(str, c)))
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
+def test_screened_search_equals_the_per_trial_search(name, case):
+    states, acts, signals, trials = case
+    config = SearchConfig(
+        seed=31, trials=trials, state_count=states, act_count=acts, signal_count=signals,
+        rule=EQUIVALENCE_RULES[name],
+    )
+    screened = search_outcome(find_information_aversion, config)
+    reference = search_outcome(per_trial_search, config)
+    assert screened == reference
+    if isinstance(reference, list):
+        assert [w.voi.hex() for w in screened] == [w.voi.hex() for w in reference]
+
+
+def test_the_equivalence_cases_find_witnesses_and_errors():
+    # the comparisons above are not all between empty lists
+    states, acts, signals, trials = EQUIVALENCE_CASES[0]
+    for name in sorted(EQUIVALENCE_RULES.keys() - {"reu:power:0.5"}):
+        config = SearchConfig(
+            seed=31, trials=trials, state_count=states, act_count=acts, signal_count=signals,
+            rule=EQUIVALENCE_RULES[name],
+        )
+        assert per_trial_search(config), name
+    with pytest.raises(ValueError, match="complement of signal 'signal0' has zero marginal"):
+        find_information_aversion(
+            SearchConfig(seed=31, trials=100, signal_count=1, rule=EQUIVALENCE_RULES["faulty:complement:0.5"])
+        )
+
+
+def screened_rows(config, edit=None):
+    """Rows the screen keeps in a block of 64 trials, and after ``edit(block, r)``
+    of a row r that it dropped, that row and the rows it keeps then."""
+    screen, rule_rows = search._screen_for(config)
+    block = search._draw_block(config, 0, 64, rule_rows)
+    before = set(search._possible_witnesses(config, screen, block).tolist())
+    if edit is None:
+        return before
+    r = min(set(range(64)) - before)
+    edit(block, r)
+    return before, r, set(search._possible_witnesses(config, screen, block).tolist())
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
+def test_screen_keeps_a_trial_with_two_identical_acts(name):
+    config = SearchConfig(seed=41, trials=64, act_count=2, rule=EQUIVALENCE_RULES[name])
+
+    def edit(block, r):
+        block.utilities[r, 1] = block.utilities[r, 0]
+
+    before, r, after = screened_rows(config, edit)
+    assert after == before | {r}
+
+
+@pytest.mark.parametrize("mass", [0.0, 1e-15])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
+def test_screen_keeps_a_trial_whose_likelihood_column_is_zero(name, mass):
+    # a column of 1e-15 keeps its posteriors finite; only the margin keeps the trial
+    config = SearchConfig(seed=42, trials=64, rule=EQUIVALENCE_RULES[name])
+
+    def edit(block, r):
+        block.likelihood[r, :, 0] = mass
+        block.likelihood[r, :, 1] = 1.0 - mass
+
+    before, r, after = screened_rows(config, edit)
+    assert after == before | {r}
+
+
+@pytest.mark.parametrize("name", ["reu:power:0.5", "reu:power:2", "reu:table"])
+def test_screen_keeps_a_risk_weighted_trial_with_a_thin_tail(name):
+    # the best outcome of act 0 has mass 1e-17, where the scalar path's tail,
+    # found by subtraction from the total, can round below zero
+    config = SearchConfig(seed=45, trials=64, rule=EQUIVALENCE_RULES[name])
+
+    def edit(block, r):
+        block.prior[r] = (0.5, 0.5, 1e-17)
+        block.utilities[r, 0] = (-1.0, 0.0, 9.0)
+
+    before, r, after = screened_rows(config, edit)
+    assert after == before | {r}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
+def test_screen_keeps_a_trial_whose_rows_fail_the_dataclass_checks(name):
+    # the scalar path then raises the error a trial-by-trial search raises
+    config = SearchConfig(seed=44, trials=64, rule=EQUIVALENCE_RULES[name])
+
+    def edit(block, r):
+        block.prior[r] *= 1.0 + 1e-9
+
+    before, r, after = screened_rows(config, edit)
+    assert after == before | {r}
+
+
+def test_screen_keeps_a_trial_whose_complement_marginal_is_zero():
+    # with one signal its complement never occurs: the signal's marginal is 1,
+    # the complement's is 0, and the scalar path raises ZeroMarginal
+    complement = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES["faulty:complement:0.5"])
+    custom = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES["faulty:custom:0.3"])
+    assert screened_rows(complement) == set(range(64))
+    assert len(screened_rows(custom)) < 64

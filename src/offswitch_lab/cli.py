@@ -175,7 +175,10 @@ def cmd_check(args) -> int:
         return _usage_error(str(exc))
     runner = search.verify_good if args.property == "good" else search.verify_theorem1
     report = runner(config)
-    print(f"{args.property}: trials={report.trials} violations={len(report.violations)} seed={args.seed}")
+    print(
+        f"{args.property}: trials={report.trials} violations={len(report.violations)} seed={args.seed}"
+        f" stream={search.STREAM_VERSION}"
+    )
     for violation in report.violations:
         print(f"  trial {violation.trial_index}: {violation.detail} ({violation.value!r})")
     return 0 if report.ok else 1
@@ -229,6 +232,7 @@ def cmd_search(args) -> int:
     summary = (
         f"witnesses={len(witnesses)} trials={args.trials} seed={args.seed} rule={args.rule}"
         + (f" most_negative_voi={witnesses[0].voi!r}" if witnesses else "")
+        + f" stream={search.STREAM_VERSION}"
     )
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, MissingRuleData, ZeroMarginal
 
 PROB_TOL = 1e-12
+CHECK_TOL = 1e-12  # how far below 0 the property checks let a voi or deference advantage round
 
 
 def as_probability_vector(vec, what: str = "probability vector") -> tuple[float, ...]:
@@ -362,7 +363,7 @@ def risk_weighted_value(prospect, risk: RiskFunction) -> float:
     value = pairs[0][0]
     tail = sum(p for _, p in pairs)
     for (u_prev, p_prev), (u, _) in zip(pairs, pairs[1:]):
-        tail -= p_prev
+        tail = max(tail - p_prev, 0.0)  # the subtraction can round below 0 on a thin top tail
         value += risk.weight(tail) * (u - u_prev)
     return value
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Act, DecisionProblem, DecisionRule, SignalChannel, Updater, unit_interval
+from .core import CHECK_TOL, Act, DecisionProblem, DecisionRule, SignalChannel, Updater, unit_interval
 from .distributions import UtilityDistribution, mean, prob_gt, zero_split
 
 PREFER = "prefer"
@@ -123,9 +123,9 @@ def theorem1_check(prior: UtilityDistribution) -> Theorem1Check:
     d = _advantage(split, mean(prior))
     return Theorem1Check(
         delta=d,
-        nonneg=d >= -1e-12,
+        nonneg=d >= -CHECK_TOL,
         strict_expected=prob_gt(prior, 0.0) > 0.0 and split[1] > 0.0,
-        strict_observed=d > 1e-12,
+        strict_observed=d > CHECK_TOL,
     )
 
 

@@ -1,15 +1,24 @@
 """Seeded randomized generation, theorem property runs, and counterexample search.
 
-Every trial derives its own generator from the master seed and the trial
-index, so results are fully determined by (seed, trial_index) and identical
-under any execution order or worker count. The per-trial stream is numpy's
-PCG64 seeded through ``SeedSequence(seed, spawn_key=(trial_index,))``.
+Stream version 2 (``STREAM_VERSION``). Trials come in blocks of
+``BLOCK_TRIALS``: block b holds trials b * BLOCK_TRIALS to (b + 1) *
+BLOCK_TRIALS - 1 and draws from one generator, numpy's PCG64 seeded through
+``SeedSequence(seed, spawn_key=(b,))``. Each array is drawn for the whole
+block in one call. A search or ``check good`` block draws, in this order,
+flat-Dirichlet priors (B, S), utilities uniform in ``UTILITY_RANGE``
+(B, A, S), flat-Dirichlet channel rows (B, S, G), and last the rule's
+flat-Dirichlet rows (B, R, S): credal members, or custom posteriors in
+signal order. A ``check theorem1`` block draws atom counts of 1 to
+``MAX_ATOMS`` (B,), atom values uniform in ``UTILITY_RANGE`` (B, MAX_ATOMS)
+and standard exponentials (B, MAX_ATOMS), which are scaled to flat-Dirichlet
+weights over each row's first count entries and are zero past them.
 
-Trials are drawn ``BLOCK_TRIALS`` at a time into stacked arrays: priors
-(n, S), utilities (n, A, S), likelihoods (n, S, G) and the rule's per-trial
-rows (credal members, or custom posteriors in signal order). Each row comes
-from its own trial's stream, in the same draws and order as one trial on
-its own, so ``random_instance(config, i)`` is row i of its block.
+A full block is always drawn, then cut to the trials a run asks for, so
+trial i depends only on (seed, i): it is row i % BLOCK_TRIALS of block
+i // BLOCK_TRIALS, whatever the trial count, the order of evaluation or the
+rule (whose rows come last). ``random_instance`` and
+``random_discrete_prior`` return that row. Changing ``BLOCK_TRIALS``, or the
+order or shapes of the draws, changes the stream.
 
 The search screens, then confirms. A numpy kernel per search rule values
 the whole block, and a trial is dropped only when the screen proves it is
@@ -26,6 +35,19 @@ from its rows into a ``DecisionProblem`` and ``SignalChannel`` and
 evaluated by the scalar ``evaluate_rule``, so every witness, every voi and
 every exception comes from the scalar path.
 
+The checks screen and confirm the same way. ``check good`` values each
+block by the expected-utility kernel that the faulty screen uses, and
+``check theorem1`` by a zero-split kernel over atoms padded with zero
+weights. A trial is dropped only when its kernel proves the property with
+half of ``CHECK_TOL`` to spare (a voi or deference advantage of at least
+-CHECK_TOL / 2, and above 1.5 * CHECK_TOL for a prior with mass on both
+sides of 0), with every marginal above the margin and rows that pass the
+dataclass checks. Every other trial, NaN values included, is decided by the
+scalar ``value_of_learning_eu`` or ``theorem1_check``, so every violation
+comes from the scalar path. Row 0 of every block goes through the scalar
+path as well, and its value must agree with the kernel's within
+CHECK_TOL / 2, or the check raises ``AssertionError``.
+
 Witnesses of information aversion are re-verified before emission: the
 candidate is serialized, decoded again and re-evaluated through the voi
 module, and must reproduce its voi within 1e-10.
@@ -40,6 +62,7 @@ import numpy as np
 
 from . import jsonio
 from .core import (
+    CHECK_TOL,
     MISUPDATE_MODES,
     PROB_TOL,
     Act,
@@ -58,7 +81,7 @@ from .core import (
     is_identity_risk,
     unit_interval,
 )
-from .distributions import Discrete
+from .distributions import WEIGHT_TOL, Discrete
 from .errors import RuleCannotBeAverse
 from .offswitch import theorem1_check
 from .voi import value_of_learning_eu, value_of_learning_faulty, value_of_learning_rule
@@ -67,7 +90,9 @@ REVERIFY_TOL = 1e-10
 UTILITY_RANGE = (-10.0, 10.0)  # act utilities and prior atoms are drawn uniformly from it
 SCREEN_MARGIN = 1e-10 * (UTILITY_RANGE[1] - UTILITY_RANGE[0])  # the screen's slack; see above
 
-BLOCK_TRIALS = 256  # trials drawn and screened together
+STREAM_VERSION = 2  # the block stream described above
+BLOCK_TRIALS = 256  # trials drawn from one generator and screened together
+MAX_ATOMS = 4  # a theorem-1 check prior has 1 to MAX_ATOMS atoms
 # Upper bounds on the sizes a search or check accepts. With them no block
 # array holds more than BLOCK_TRIALS * 16**3 floats (8 MB).
 MAX_SIZE = 16  # states, acts, signals and credal members
@@ -171,50 +196,31 @@ class _Block:
     rule_rows: np.ndarray  # (n, R, S): credal members, or custom posteriors in signal order
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial_index,))))
+def _trial_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def _flat_dirichlet(draws: np.ndarray) -> np.ndarray:
-    """Flat-Dirichlet rows from standard exponentials, normalized as numpy's
-    ``Generator.dirichlet`` normalizes them for unit weights: by their running sum."""
-    total = draws[..., 0]
-    for k in range(1, draws.shape[-1]):
-        total = total + draws[..., k]
-    return draws * (1.0 / total)[..., None]
+def _block_rows(config: SearchConfig) -> list[tuple[int, int]]:
+    """(block index, trials the run takes from it) for every block of a run."""
+    return [(b, min(BLOCK_TRIALS, config.trials - b * BLOCK_TRIALS)) for b in range(-(-config.trials // BLOCK_TRIALS))]
 
 
-def _draw_block(config: SearchConfig, start: int, stop: int, rule_rows: int) -> _Block:
-    """Draw trials ``start`` to ``stop - 1``: per trial a flat-Dirichlet prior,
-    uniform utilities, flat-Dirichlet channel rows and ``rule_rows``
-    flat-Dirichlet rows of rule data, in that order.
-
-    numpy draws ``dirichlet(np.ones(k))`` as k standard gammas of shape 1,
-    which are its standard exponentials, scaled by one over their running sum,
-    and ``uniform(lo, hi)`` as ``lo + (hi - lo) * random()``. So each trial
-    draws only those raw variates, and the block is scaled at once, bit for
-    bit as the two calls would give it.
-    """
-    n, s, a, g = stop - start, config.state_count, config.act_count, config.signal_count
-    prior, unit, rest = np.empty((n, s)), np.empty((n, a, s)), np.empty((n, s * g + rule_rows * s))
-    for r in range(n):
-        rng = _trial_rng(config.seed, start + r)
-        rng.standard_exponential(out=prior[r])
-        rng.random(out=unit[r])
-        rng.standard_exponential(out=rest[r])
-    lo, hi = UTILITY_RANGE
-    return _Block(
-        start,
-        _flat_dirichlet(prior),
-        lo + (hi - lo) * unit,
-        _flat_dirichlet(rest[:, : s * g].reshape(n, s, g)),
-        _flat_dirichlet(rest[:, s * g :].reshape(n, rule_rows, s)),
-    )
+def _draw_block(config: SearchConfig, block: int, rule_rows: int, rows: int = BLOCK_TRIALS) -> _Block:
+    """The first ``rows`` trials of a block: flat-Dirichlet priors, uniform
+    utilities, flat-Dirichlet channel rows and ``rule_rows`` flat-Dirichlet
+    rows of rule data per trial, each array drawn for the whole block."""
+    rng = _trial_rng(config.seed, block)
+    n, s = BLOCK_TRIALS, config.state_count
+    prior = rng.dirichlet(np.ones(s), size=n)
+    utilities = rng.uniform(*UTILITY_RANGE, size=(n, config.act_count, s))
+    likelihood = rng.dirichlet(np.ones(config.signal_count), size=(n, s))
+    rule_data = rng.dirichlet(np.ones(s), size=(n, rule_rows))
+    return _Block(block * n, prior[:rows], utilities[:rows], likelihood[:rows], rule_data[:rows])
 
 
 def _blocks(config: SearchConfig, rule_rows: int):
-    for start in range(0, config.trials, BLOCK_TRIALS):
-        yield _draw_block(config, start, min(start + BLOCK_TRIALS, config.trials), rule_rows)
+    for block, rows in _block_rows(config):
+        yield _draw_block(config, block, rule_rows, rows)
 
 
 def _draw_instance(config: SearchConfig, block: _Block, r: int) -> tuple[DecisionProblem, SignalChannel]:
@@ -235,23 +241,60 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
     """Sample one (problem, channel) pair, fully determined by (seed, trial_index).
 
     Priors and channel rows come from the flat Dirichlet (symmetric simplex)
-    distribution; utilities are uniform in ``UTILITY_RANGE``.
+    distribution; utilities are uniform in ``UTILITY_RANGE``. Each call draws
+    the trial's whole block of ``BLOCK_TRIALS`` trials and keeps one row, so a
+    caller that wants many trials should walk the blocks (``_blocks`` and
+    ``_draw_instance``) instead.
     """
-    return _draw_instance(config, _draw_block(config, trial_index, trial_index + 1, 0), 0)
+    block = _draw_block(config, trial_index // BLOCK_TRIALS, 0)
+    return _draw_instance(config, block, trial_index % BLOCK_TRIALS)
+
+
+def _draw_priors(config: SearchConfig, block: int, rows: int = BLOCK_TRIALS) -> tuple[np.ndarray, np.ndarray]:
+    """Atom values and weights (rows, MAX_ATOMS) of the first ``rows`` discrete
+    priors of a block: per prior 1 to MAX_ATOMS atoms with uniform values and
+    flat-Dirichlet weights, and zero weights past its count."""
+    rng = _trial_rng(config.seed, block)
+    n = BLOCK_TRIALS
+    counts = rng.integers(1, MAX_ATOMS + 1, size=n)
+    values = rng.uniform(*UTILITY_RANGE, size=(n, MAX_ATOMS))
+    draws = np.where(np.arange(MAX_ATOMS) < counts[:, None], rng.standard_exponential((n, MAX_ATOMS)), 0.0)
+    # scaled by one over their running sum, as numpy's dirichlet scales its draws
+    weights = draws * (1.0 / np.cumsum(draws, axis=-1)[:, -1:])
+    return values[:rows], weights[:rows]
+
+
+def _discrete_prior(values: np.ndarray, weights: np.ndarray) -> Discrete:
+    """The prior of one row of a block of priors."""
+    return Discrete(tuple((float(v), float(w)) for v, w in zip(values, weights) if w > 0.0))
 
 
 def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
-    """Sample a discrete utility prior with 1 to 4 atoms.
+    """Sample a discrete utility prior with 1 to ``MAX_ATOMS`` atoms.
 
     Values are uniform in ``UTILITY_RANGE`` and weights come from
     the flat Dirichlet, so one-sided supports occur regularly in the stream.
+    Each call draws the trial's whole block of ``BLOCK_TRIALS`` priors and
+    keeps one row, so a caller that wants many priors should draw the blocks
+    (``_draw_priors``) instead.
     """
-    rng = _trial_rng(config.seed, trial_index)
-    count = int(rng.integers(1, 5))
-    values = rng.uniform(*UTILITY_RANGE, size=count)
-    weights = rng.dirichlet(np.ones(count))
-    atoms = tuple((float(v), float(w)) for v, w in zip(values, weights) if w > 0.0)
-    return Discrete(atoms)
+    values, weights = _draw_priors(config, trial_index // BLOCK_TRIALS)
+    r = trial_index % BLOCK_TRIALS
+    return _discrete_prior(values[r], weights[r])
+
+
+def _cross_checked(proven: np.ndarray) -> np.ndarray:
+    """Row numbers the scalar path decides: every row its kernel did not prove
+    the property on, and row 0, which cross-checks the kernel on every block."""
+    proven[0] = False
+    return np.flatnonzero(~proven)
+
+
+def _agree(trial_index: int, kernel: float, scalar: float) -> None:
+    if not abs(kernel - scalar) <= CHECK_TOL / 2:
+        raise AssertionError(
+            f"check kernel gave {kernel!r} at trial {trial_index}, the scalar path {scalar!r}"
+        )
 
 
 def verify_good(config: SearchConfig) -> CheckReport:
@@ -260,24 +303,39 @@ def verify_good(config: SearchConfig) -> CheckReport:
         raise ValueError("the learning inequality is only guaranteed under plain expected utility")
     violations = []
     for block in _blocks(config, 0):
-        for r in range(len(block.prior)):
+        with np.errstate(all="ignore"):
+            kernel_voi, proven = _good_kernel(block)
+        for r in _cross_checked(proven):
             problem, channel = _draw_instance(config, block, r)
-            report = value_of_learning_eu(problem, problem.prior, channel)
-            if report.voi < -1e-12:
-                violations.append(CheckViolation(block.start + r, "negative value of learning", report.voi))
+            voi = value_of_learning_eu(problem, problem.prior, channel).voi
+            if r == 0:
+                _agree(block.start, kernel_voi[0], voi)
+            if voi < -CHECK_TOL:
+                violations.append(CheckViolation(block.start + int(r), "negative value of learning", voi))
     return CheckReport(config.trials, tuple(violations))
 
 
 def verify_theorem1(config: SearchConfig) -> CheckReport:
     """Run the deference inequality on random discrete priors; expect no violations."""
     violations = []
-    for i in range(config.trials):
-        prior = random_discrete_prior(config, i)
-        result = theorem1_check(prior)
-        if not result.nonneg:
-            violations.append(CheckViolation(i, "negative deference advantage", result.delta))
-        elif result.strict_expected and not result.strict_observed:
-            violations.append(CheckViolation(i, "strictness clause failed", result.delta))
+    for block, rows in _block_rows(config):
+        values, weights = _draw_priors(config, block, rows)
+        with np.errstate(all="ignore"):
+            advantage, two_sided = _theorem1_kernel(values, weights)
+            proven = (
+                (advantage >= -CHECK_TOL / 2)
+                & (~two_sided | (advantage > 1.5 * CHECK_TOL))
+                & ~_unchecked_priors(values, weights)
+            )
+        for r in _cross_checked(proven):
+            i = block * BLOCK_TRIALS + int(r)
+            result = theorem1_check(_discrete_prior(values[r], weights[r]))
+            if r == 0:
+                _agree(i, advantage[0], result.delta)
+            if not result.nonneg:
+                violations.append(CheckViolation(i, "negative deference advantage", result.delta))
+            elif result.strict_expected and not result.strict_observed:
+                violations.append(CheckViolation(i, "strictness clause failed", result.delta))
     return CheckReport(config.trials, tuple(violations))
 
 
@@ -371,23 +429,51 @@ def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray
     )
 
 
+def _eu_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The expected-utility kernel of the faulty screen and ``check good``: per
+    trial the best expected utility now (n,), each act's expected utility on
+    the joint of the states and each signal (n, G, A), which is the signal's
+    marginal times the act's posterior value, and the marginals (n, G). A
+    zero marginal gives zero values, as the scalar path skips the signal."""
+    by_act = np.swapaxes(block.utilities, 1, 2)  # (n, S, A)
+    now = (block.prior[:, None] @ by_act)[:, 0].max(axis=-1)
+    joint = np.swapaxes(block.prior[..., None] * block.likelihood, 1, 2)  # (n, G, S)
+    return now, joint @ by_act, joint.sum(axis=-1)
+
+
+def _good_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's expected-utility voi, and whether it proves the learning
+    inequality with half of CHECK_TOL to spare on rows the scalar path accepts."""
+    now, values, marginals = _eu_kernel(block)
+    voi = values.max(axis=-1).sum(axis=-1) - now
+    return voi, (voi >= -CHECK_TOL / 2) & (marginals > SCREEN_MARGIN).all(axis=-1) & ~_unchecked_rows(block)
+
+
+def _theorem1_kernel(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The deference advantage E[max(U, 0)] - max(E[U], 0) of each prior from its
+    zero split, the prefer cell's mass times its mean being the weighted sum of
+    the atoms at or above 0, and whether the prior has mass on both sides of 0.
+    Atoms padded with zero weights add nothing to either."""
+    atoms = weights > 0.0
+    advantage = (weights * np.maximum(values, 0.0)).sum(axis=-1) - np.maximum((weights * values).sum(axis=-1), 0.0)
+    two_sided = (atoms & (values > 0.0)).any(axis=-1) & (atoms & (values < 0.0)).any(axis=-1)
+    return advantage, two_sided
+
+
 def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarray:
     """Possible witnesses of a faulty updater: the act best at the posterior
     blended with the act best at the misupdated belief, both scored at the true
     posterior. The posterior-best act enters only through its value, a max, so
     only the misupdated choice needs a lead."""
-    by_act = np.swapaxes(block.utilities, 1, 2)
-    now = (block.prior[:, None] @ by_act)[:, 0].max(axis=-1)
-    marginals, posteriors = _bayes(block.prior, block.likelihood)
-    values = posteriors @ by_act  # (n, G, A)
+    now, values, marginals = _eu_kernel(block)
     if rule.kind == MISUPDATE_CUSTOM:
         divisors, wrong = marginals, block.rule_rows
     else:
         complement, wrong = _bayes(block.prior, 1.0 - block.likelihood)
         divisors = np.minimum(marginals, complement)
-    wrong_choice, lead = _lead(wrong @ by_act)
+    wrong_choice, lead = _lead(wrong @ np.swapaxes(block.utilities, 1, 2))
     misfired = np.take_along_axis(values, wrong_choice[..., None], axis=-1)[..., 0]
-    learning = (marginals * ((1.0 - rule.q) * values.max(axis=-1) + rule.q * misfired)).sum(axis=-1)
+    learning = ((1.0 - rule.q) * values.max(axis=-1) + rule.q * misfired).sum(axis=-1)
     return ~(
         (learning - now >= floor)
         & (lead > SCREEN_MARGIN).all(axis=-1)
@@ -406,6 +492,14 @@ def _unchecked_rows(block: _Block) -> np.ndarray:
         ok &= (np.isfinite(vectors) & (vectors >= 0.0)).all(axis=(1, 2))
         ok &= (np.abs(vectors.sum(axis=-1) - 1.0) <= PROB_TOL / 2).all(axis=-1)
     return ~ok
+
+
+def _unchecked_priors(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Priors whose atoms might fail the checks ``Discrete`` makes: finite
+    values, and finite non-negative weights that sum to 1 within WEIGHT_TOL,
+    held to half of it for the reason ``_unchecked_rows`` gives."""
+    ok = np.isfinite(values).all(axis=-1) & (np.isfinite(weights) & (weights >= 0.0)).all(axis=-1)
+    return ~(ok & (np.abs(weights.sum(axis=-1) - 1.0) <= WEIGHT_TOL / 2))
 
 
 def _screen_for(config: SearchConfig):

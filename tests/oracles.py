@@ -13,6 +13,7 @@ import numpy as np
 
 from offswitch_lab import search
 from offswitch_lab.core import (
+    CHECK_TOL,
     MISUPDATE_MODES,
     Act,
     ComplementConditionalization,
@@ -24,8 +25,8 @@ from offswitch_lab.core import (
     SignalChannel,
     StayAtPrior,
 )
-from offswitch_lab.distributions import UtilityDistribution, expected_positive_part, mean
-from offswitch_lab.offswitch import OffSwitchReport, noisy_defer_value, reduce_to_two_state
+from offswitch_lab.distributions import Discrete, UtilityDistribution, expected_positive_part, mean
+from offswitch_lab.offswitch import OffSwitchReport, noisy_defer_value, reduce_to_two_state, theorem1_check
 from offswitch_lab.voi import value_of_learning_eu
 
 
@@ -194,15 +195,103 @@ def embedded_report(prior: UtilityDistribution, epsilon: float) -> OffSwitchRepo
     return OffSwitchReport(eu_act, 0.0, eu_defer, eu_learn, advantage, best, threshold)
 
 
+def normalized(draws) -> list[float]:
+    """Standard exponentials scaled by one over their running sum: a flat-Dirichlet row."""
+    total = 0.0
+    for x in draws:
+        total += float(x)
+    scale = 1.0 / total
+    return [float(x) * scale for x in draws]
+
+
+def block_rng(config, block: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(block,)))
+
+
+def block_draws(config, block: int, rule_rows: int) -> list:
+    """Each trial's prior, utilities, channel rows and rule rows in one block of
+    the search stream, from raw variates: standard exponentials normalized in
+    Python for numpy's ``dirichlet``, and ``lo + (hi - lo) * random()`` for its
+    ``uniform``."""
+    rng = block_rng(config, block)
+    n, states, acts, signals = search.BLOCK_TRIALS, config.state_count, config.act_count, config.signal_count
+    priors = rng.standard_exponential((n, states))
+    units = rng.random((n, acts, states))
+    rows = rng.standard_exponential((n, states, signals))
+    data = rng.standard_exponential((n, rule_rows, states))
+    lo, hi = search.UTILITY_RANGE
+    return [
+        (
+            normalized(priors[r]),
+            [[lo + (hi - lo) * float(u) for u in act] for act in units[r]],
+            [normalized(row) for row in rows[r]],
+            [normalized(row) for row in data[r]],
+        )
+        for r in range(n)
+    ]
+
+
 def trial_draws(config, trial_index: int, rule_rows: int):
-    """One trial's prior, utilities, channel rows and rule rows, drawn one by
-    one with numpy's own ``dirichlet`` and ``uniform`` from the trial's stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(trial_index,)))
-    states = np.ones(config.state_count)
-    prior = rng.dirichlet(states)
-    utilities = rng.uniform(*search.UTILITY_RANGE, size=(config.act_count, config.state_count))
-    rows = rng.dirichlet(np.ones(config.signal_count), size=config.state_count)
-    return prior, utilities, rows, [rng.dirichlet(states) for _ in range(rule_rows)]
+    """One trial's prior, utilities, channel rows and rule rows: a row of its block."""
+    return block_draws(config, trial_index // search.BLOCK_TRIALS, rule_rows)[trial_index % search.BLOCK_TRIALS]
+
+
+def per_trial(config, draw_block):
+    """(trial index, its draws) for trials 0 to ``config.trials - 1`` in order,
+    where ``draw_block(b)`` lists the draws of block b's trials."""
+    for i in range(config.trials):
+        if i % search.BLOCK_TRIALS == 0:
+            draws = draw_block(i // search.BLOCK_TRIALS)
+        yield i, draws[i % search.BLOCK_TRIALS]
+
+
+def instance_of(config, prior, utilities, rows) -> tuple[DecisionProblem, SignalChannel]:
+    problem = DecisionProblem(
+        tuple(f"state{w}" for w in range(config.state_count)),
+        tuple(prior),
+        tuple(Act(f"act{k}", tuple(u)) for k, u in enumerate(utilities)),
+    )
+    return problem, SignalChannel(tuple(f"signal{j}" for j in range(config.signal_count)), tuple(map(tuple, rows)))
+
+
+def prior_draws(config, block: int) -> list[Discrete]:
+    """The discrete priors of one block of the theorem-1 stream: atom counts,
+    then ``lo + (hi - lo) * random()`` values, then standard exponentials
+    normalized over each prior's atoms."""
+    rng = block_rng(config, block)
+    n = search.BLOCK_TRIALS
+    counts = rng.integers(1, search.MAX_ATOMS + 1, size=n)
+    units = rng.random((n, search.MAX_ATOMS))
+    exponentials = rng.standard_exponential((n, search.MAX_ATOMS))
+    lo, hi = search.UTILITY_RANGE
+    priors = []
+    for count, unit, draws in zip(counts, units, exponentials):
+        atoms = zip((lo + (hi - lo) * float(u) for u in unit[:count]), normalized(draws[:count]))
+        priors.append(Discrete(tuple((v, w) for v, w in atoms if w > 0.0)))
+    return priors
+
+
+def per_trial_good(config) -> search.CheckReport:
+    """``check good`` one trial at a time through the scalar kernel, with no block kernel."""
+    violations = []
+    for i, (prior, utilities, rows, _) in per_trial(config, lambda b: block_draws(config, b, 0)):
+        problem, channel = instance_of(config, prior, utilities, rows)
+        voi = value_of_learning_eu(problem, problem.prior, channel).voi
+        if voi < -CHECK_TOL:
+            violations.append(search.CheckViolation(i, "negative value of learning", voi))
+    return search.CheckReport(config.trials, tuple(violations))
+
+
+def per_trial_theorem1(config) -> search.CheckReport:
+    """``check theorem1`` one trial at a time through ``theorem1_check``, with no block kernel."""
+    violations = []
+    for i, prior in per_trial(config, lambda b: prior_draws(config, b)):
+        result = theorem1_check(prior)
+        if not result.nonneg:
+            violations.append(search.CheckViolation(i, "negative deference advantage", result.delta))
+        elif result.strict_expected and not result.strict_observed:
+            violations.append(search.CheckViolation(i, "strictness clause failed", result.delta))
+    return search.CheckReport(config.trials, tuple(violations))
 
 
 def per_trial_search(config) -> list:
@@ -215,14 +304,8 @@ def per_trial_search(config) -> list:
     else:
         rule_rows = config.signal_count if custom else 0
     witnesses = []
-    for i in range(config.trials):
-        prior, utilities, rows, data = trial_draws(config, i, rule_rows)
-        problem = DecisionProblem(
-            tuple(f"state{w}" for w in range(config.state_count)),
-            tuple(prior),
-            tuple(Act(f"act{k}", tuple(u)) for k, u in enumerate(utilities)),
-        )
-        channel = SignalChannel(tuple(f"signal{j}" for j in range(config.signal_count)), tuple(map(tuple, rows)))
+    for i, (prior, utilities, rows, data) in per_trial(config, lambda b: block_draws(config, b, rule_rows)):
+        problem, channel = instance_of(config, prior, utilities, rows)
         rule = search_rule
         if isinstance(search_rule, search.CredalSearch):
             rule = GammaMaximinRule(CredalSet(tuple(map(tuple, data))))

@@ -171,10 +171,10 @@ def test_sweep_out_file_and_determinism(tmp_path, capsys):
 def test_check_good_and_theorem1(capsys):
     code, out, _ = run(capsys, "check", "good", "--trials", "500", "--seed", "7")
     assert code == 0
-    assert "trials=500 violations=0 seed=7" in out
+    assert out == "good: trials=500 violations=0 seed=7 stream=2\n"
     code, out, _ = run(capsys, "check", "theorem1", "--trials", "500", "--seed", "7")
     assert code == 0
-    assert "violations=0" in out
+    assert out == "theorem1: trials=500 violations=0 seed=7 stream=2\n"
 
 
 def test_check_zero_trials_exits_2(capsys):
@@ -246,8 +246,9 @@ def test_search_writes_witnesses_and_verify_witness_replays(tmp_path, capsys):
         "--states", "2", "--acts", "2", "--signals", "2", "--out", str(out_path),
     )
     assert code == 0
-    assert "witnesses=" in out
     entries = json.loads(out_path.read_text())
+    most_negative = f" most_negative_voi={entries[0]['voi']!r}"
+    assert out == f"witnesses={len(entries)} trials=2000 seed=11 rule=reu:power:2{most_negative} stream=2\n"
     assert entries
     assert all(e["voi"] < -1e-6 for e in entries)
 
@@ -262,8 +263,9 @@ def test_search_without_out_prints_json_to_stdout(capsys):
         "search", "--rule", "faulty:complement:0.5", "--trials", "200", "--seed", "13",
     )
     assert code == 0
-    assert json.loads(out)
-    assert "witnesses=" in err
+    entries = json.loads(out)
+    assert err.startswith(f"witnesses={len(entries)} trials=200 seed=13 rule=faulty:complement:0.5 most_negative_voi=")
+    assert err.endswith(" stream=2\n")
 
 
 def test_search_exhausted_returns_3(capsys):
@@ -273,6 +275,7 @@ def test_search_exhausted_returns_3(capsys):
     )
     assert code == 3
     assert json.loads(out) == []
+    assert err == "witnesses=0 trials=200 seed=1 rule=gamma stream=2\n"
 
 
 def test_verify_witness_rejects_tampered_file(tmp_path, capsys):

@@ -218,6 +218,35 @@ def test_risk_weighted_value_matches_decumulative_oracle(raw, k):
     )
 
 
+def test_risk_weighted_value_is_real_on_a_thin_top_tail():
+    # the tail above the middle outcome rounds below 0 when found by subtraction
+    prospect = zip((0.0, 1.0, 2.0), (0.7496485088146057, 0.2503514911853944, 9.815048709252268e-18))
+    value = risk_weighted_value(prospect, PowerRisk(0.5))
+    assert type(value) is float
+    assert 0.0 <= value <= 2.0
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-50, 50, allow_nan=False),
+            st.one_of(st.floats(1e-18, 1e-15), st.floats(0.01, 1.0)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.one_of(st.floats(0.25, 4.0).map(PowerRisk), st.just(TableRisk(((0, 0), (0.3, 0.1), (1, 1))))),
+)
+def test_risk_weighted_value_is_a_real_number_between_the_extreme_utilities(raw, risk):
+    total = sum(p for _, p in raw)
+    prospect = [(u, p / total) for u, p in raw]
+    utilities = [u for u, _ in raw]
+    value = risk_weighted_value(prospect, risk)
+    assert type(value) is float
+    slack = 1e-12 * (1.0 + max(map(abs, utilities)))  # rounding of a few sums of increments
+    assert min(utilities) - slack <= value <= max(utilities) + slack
+
+
 def test_risk_weighted_monotone_under_pointwise_dominance():
     rng = np.random.default_rng(19)
     risk = PowerRisk(2)

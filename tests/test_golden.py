@@ -3,6 +3,7 @@
 The witness files are 8-320 KB, so only their sha256 digests are stored.
 A digest that changes means the random stream, the float arithmetic or the
 JSON layout changed; any of those must be a deliberate, recorded decision.
+The search digests are those of stream version 2 (``search.STREAM_VERSION``).
 """
 
 import hashlib
@@ -13,15 +14,15 @@ import pytest
 from offswitch_lab import cli
 
 SEARCH_DIGESTS = {
-    "reu:power:2": (37, "28193ebfedc914674e3a184807d9cd7cf49edd8996af0f3de26b621e36524e57"),
-    "gamma:2": (5, "1c2d7625f01b68117e45d375622eac36a1bae8ecaca45e70575745064c33a4a0"),
-    "faulty:complement:0.5": (153, "f1b02c873b4b57c6948a0ddcc28ea4f96beda82fd3a47bf1f17b84b123a16cc7"),
-    "faulty:custom:0.5": (207, "3e748ca6aeb5b52c8972f6c96c28751a97f80fb4b18c9f8cf1e6b4fc15d180fd"),
+    "reu:power:2": (32, "213247fad6d96ff6ccedd228cfd835d8a57e5a775ecdbc31633f73f3d23b46f0"),
+    "gamma:2": (7, "ef5d4a3ac6f2a65d76dd1cdd134f3c0ec430882c23226c40891bb8b012312ba6"),
+    "faulty:complement:0.5": (152, "137810524062673a44b2327ca19d172c8752dda810541b62f7c54933f841714d"),
+    "faulty:custom:0.5": (185, "7153c60dfb6e60f1a36db5ab26b07eb4d14ba9fea8d826d9b5894f19651b6427"),
 }
 
 # 2500 trials cross several blocks of the search's screen and end in a partial one
 BLOCKS_ARGV = ("--rule", "reu:power:2", "--states", "2", "--acts", "2", "--signals", "2", "--trials", "2500", "--seed", "3")
-BLOCKS_DIGEST = (129, "db0dd5e1cedc4418656629fd6b4616a59c69e78062357dde7156c22364fb6a8d")
+BLOCKS_DIGEST = (120, "5c911a0235f4cc86e6d186fedb3a76f83f7182bd94ba8ff9042610d35469e6df")
 
 STDOUT_DIGESTS = [
     (("report",), "3ee01cad8724ce31f139e93c1ac8815fd4be402ac4e65a1fd8951df7606063de"),

@@ -28,7 +28,18 @@ from offswitch_lab import (
 from offswitch_lab import search
 from offswitch_lab.core import Faulty
 from offswitch_lab.search import BLOCK_TRIALS, MAX_SIZE, MAX_TRIALS, REVERIFY_TOL, reproduces
-from oracles import faulty_voi, gamma_voi, per_trial_search, reu_voi, trial_draws
+from offswitch_lab.core import CHECK_TOL
+from offswitch_lab.offswitch import theorem1_check
+from oracles import (
+    block_draws,
+    faulty_voi,
+    gamma_voi,
+    per_trial_good,
+    per_trial_search,
+    per_trial_theorem1,
+    prior_draws,
+    reu_voi,
+)
 
 
 def test_random_instance_is_reproducible_per_trial():
@@ -243,17 +254,20 @@ def test_search_config_trial_bound_at_the_limit_and_past_it():
 
 @pytest.mark.parametrize("sizes", [(3, 3, 2), (1, 1, 1), (MAX_SIZE, 2, 3)])
 def test_block_rows_are_numpys_own_draws(sizes):
-    # at 16 states numpy's pairwise sum (np.sum) would part from dirichlet's running sum
+    # the oracle scales raw variates by their running sum, as numpy's dirichlet does;
+    # at 16 states numpy's pairwise sum (np.sum) would part from it
     states, acts, signals = sizes
-    config = SearchConfig(seed=21, trials=40, state_count=states, act_count=acts, signal_count=signals)
-    block = search._draw_block(config, 5, 40, 4)
-    for r in range(35):
-        prior, utilities, rows, rule_rows = trial_draws(config, 5 + r, 4)
+    config = SearchConfig(seed=21, trials=600, state_count=states, act_count=acts, signal_count=signals)
+    block = search._draw_block(config, 1, 4, 200)
+    assert block.start == BLOCK_TRIALS and len(block.prior) == 200
+    draws = block_draws(config, 1, 4)
+    for r in range(200):
+        prior, utilities, rows, rule_rows = draws[r]
         assert np.array_equal(block.prior[r], prior)
         assert np.array_equal(block.utilities[r], utilities)
         assert np.array_equal(block.likelihood[r], rows)
         assert np.array_equal(block.rule_rows[r], rule_rows)
-        assert random_instance(config, 5 + r) == search._draw_instance(config, block, r)
+        assert random_instance(config, BLOCK_TRIALS + r) == search._draw_instance(config, block, r)
 
 
 EQUIVALENCE_RULES = {
@@ -318,7 +332,7 @@ def screened_rows(config, edit=None):
     """Rows the screen keeps in a block of 64 trials, and after ``edit(block, r)``
     of a row r that it dropped, that row and the rows it keeps then."""
     screen, rule_rows = search._screen_for(config)
-    block = search._draw_block(config, 0, 64, rule_rows)
+    block = search._draw_block(config, 0, rule_rows, 64)
     before = set(search._possible_witnesses(config, screen, block).tolist())
     if edit is None:
         return before
@@ -385,3 +399,188 @@ def test_screen_keeps_a_trial_whose_complement_marginal_is_zero():
     custom = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES["faulty:custom:0.3"])
     assert screened_rows(complement) == set(range(64))
     assert len(screened_rows(custom)) < 64
+
+
+# ------------------------------------------------------- the stream contract
+
+PREFIX_RULES = ["reu:power:2", "gamma:3", "faulty:complement:0.5", "faulty:custom:0.3"]
+
+
+@pytest.mark.parametrize("name", PREFIX_RULES)
+def test_a_trial_does_not_depend_on_the_trial_count(name):
+    # a run of 300 trials cuts its second block short; a run of 1000 draws it whole
+    short, long = (
+        find_information_aversion(SearchConfig(seed=51, trials=trials, rule=EQUIVALENCE_RULES[name]))
+        for trials in (300, 1000)
+    )
+    assert short
+    assert short == [w for w in long if w.trial_index < 300]
+
+
+@pytest.mark.parametrize("name", ["gamma:3", "faulty:custom:0.3"])
+def test_random_instance_is_the_searched_instance_of_its_trial(name):
+    # these rules draw rule rows after the instance; random_instance draws none
+    config = SearchConfig(seed=52, trials=600, rule=EQUIVALENCE_RULES[name])
+    witnesses = find_information_aversion(config)
+    assert witnesses
+    for w in witnesses:
+        assert (w.problem, w.channel) == random_instance(config, w.trial_index)
+    _, rule_rows = search._screen_for(config)
+    block = search._draw_block(config, 2, rule_rows, 600 - 2 * BLOCK_TRIALS)
+    for r in range(len(block.prior)):
+        assert search._draw_instance(config, block, r) == random_instance(config, 2 * BLOCK_TRIALS + r)
+
+
+def test_random_discrete_prior_is_a_row_of_its_block():
+    config = SearchConfig(seed=53, trials=1)
+    for block in range(3):
+        values, weights = search._draw_priors(config, block)
+        reference = prior_draws(config, block)
+        for r in range(0, BLOCK_TRIALS, 5):
+            prior = random_discrete_prior(config, block * BLOCK_TRIALS + r)
+            assert prior == reference[r] == search._discrete_prior(values[r], weights[r])
+
+
+def test_each_run_draws_one_generator_per_block(monkeypatch):
+    calls = []
+    draw = search._trial_rng
+
+    def counted(seed, block):
+        calls.append(block)
+        return draw(seed, block)
+
+    monkeypatch.setattr(search, "_trial_rng", counted)
+    runs = (
+        lambda: find_information_aversion(SearchConfig(seed=54, trials=10_000, rule=CredalSearch(2))),
+        lambda: verify_good(SearchConfig(seed=54, trials=10_000)),
+        lambda: verify_theorem1(SearchConfig(seed=54, trials=10_000)),
+    )
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls == list(range(40))
+
+
+# -------------------------------------------------------- the check kernels
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_check_reports_equal_the_per_trial_reference(seed):
+    config = SearchConfig(seed=seed, trials=10_000)
+    assert verify_good(config) == per_trial_good(config)
+    assert verify_theorem1(config) == per_trial_theorem1(config)
+
+
+def edited_draws(monkeypatch, name, edit):
+    """Have ``search.<name>`` hand out its draws after ``edit`` changes them."""
+    draw = getattr(search, name)
+
+    def edited(*args):
+        drawn = draw(*args)
+        edit(drawn)
+        return drawn
+
+    monkeypatch.setattr(search, name, edited)
+
+
+def test_good_decides_identical_likelihood_rows(monkeypatch):
+    # a channel whose rows are equal says nothing, so its voi is exactly 0
+    def edit(block):
+        block.likelihood[:8] = block.likelihood[:8, :1]
+
+    edited_draws(monkeypatch, "_draw_block", edit)
+    config = SearchConfig(seed=63, trials=300)
+    assert verify_good(config).ok
+    block = search._draw_block(config, 0, 0)
+    voi, proven = search._good_kernel(block)
+    assert np.abs(voi[:8]).max() <= 1e-14
+    assert proven[:8].all()
+
+
+ONE_SIDED_PRIORS = [
+    ((0.0,), (1.0,)),
+    ((1.0, 2.5), (0.5, 0.5)),
+    ((-3.0, -1.0, -2.0), (0.2, 0.3, 0.5)),
+    ((0.0, -1.0), (0.5, 0.5)),
+]
+
+
+def test_theorem1_kernel_on_one_sided_priors_and_atoms_at_zero(monkeypatch):
+    def edit(priors):
+        values, weights = priors
+        weights[: len(ONE_SIDED_PRIORS)] = 0.0
+        for r, (atoms, masses) in enumerate(ONE_SIDED_PRIORS):
+            values[r, : len(atoms)] = atoms
+            weights[r, : len(masses)] = masses
+
+    edited_draws(monkeypatch, "_draw_priors", edit)
+    config = SearchConfig(seed=64, trials=300)
+    assert verify_theorem1(config).ok
+    values, weights = search._draw_priors(config, 0)
+    advantage, two_sided = search._theorem1_kernel(values, weights)
+    for r in range(len(ONE_SIDED_PRIORS) + 20):
+        result = theorem1_check(search._discrete_prior(values[r], weights[r]))
+        assert two_sided[r] == result.strict_expected
+        assert abs(advantage[r] - result.delta) <= CHECK_TOL / 2
+    assert not two_sided[: len(ONE_SIDED_PRIORS)].any()
+
+
+def test_check_rows_that_fail_the_dataclass_checks_reach_the_scalar_path(monkeypatch):
+    # scaled rows leave each kernel's proof intact, so only the row checks keep them
+    def scale_prior(block):
+        block.prior[5] *= 1.5
+
+    def scale_weights(priors):
+        priors[1][5] *= 1.5
+
+    edited_draws(monkeypatch, "_draw_block", scale_prior)
+    with pytest.raises(ValueError, match="prior sums to"):
+        verify_good(SearchConfig(seed=65, trials=20))
+    edited_draws(monkeypatch, "_draw_priors", scale_weights)
+    with pytest.raises(ValueError, match="atom weights sum to"):
+        verify_theorem1(SearchConfig(seed=65, trials=20))
+
+
+def test_a_shifted_check_kernel_fails_the_cross_check(monkeypatch):
+    eu_kernel, theorem1_kernel = search._eu_kernel, search._theorem1_kernel
+
+    def shifted_eu(block):
+        now, values, marginals = eu_kernel(block)
+        return now - 1e-9, values, marginals
+
+    def shifted_theorem1(values, weights):
+        advantage, two_sided = theorem1_kernel(values, weights)
+        return advantage + 1e-9, two_sided
+
+    monkeypatch.setattr(search, "_eu_kernel", shifted_eu)
+    monkeypatch.setattr(search, "_theorem1_kernel", shifted_theorem1)
+    with pytest.raises(AssertionError, match="check kernel gave"):
+        verify_good(SearchConfig(seed=66, trials=10))
+    with pytest.raises(AssertionError, match="check kernel gave"):
+        verify_theorem1(SearchConfig(seed=66, trials=10))
+
+
+def test_a_theorem1_strictness_failure_reaches_the_scalar_path(monkeypatch):
+    # mass on both sides of 0 with an advantage of 5e-14, below CHECK_TOL
+    def edit(priors):
+        values, weights = priors
+        values[7, :2] = (1e-13, -1.0)
+        weights[7] = (0.5, 0.5, 0.0, 0.0)
+
+    edited_draws(monkeypatch, "_draw_priors", edit)
+    report = verify_theorem1(SearchConfig(seed=67, trials=20))
+    assert [(v.trial_index, v.detail) for v in report.violations] == [(7, "strictness clause failed")]
+
+
+def test_good_sends_a_zero_marginal_to_the_scalar_path(monkeypatch):
+    # the scalar path skips a signal that never occurs; the kernel leaves it to it
+    def edit(block):
+        block.likelihood[3, :, 0] = 0.0
+        block.likelihood[3, :, 1] = 1.0
+
+    edited_draws(monkeypatch, "_draw_block", edit)
+    config = SearchConfig(seed=68, trials=20)
+    assert verify_good(config).ok
+    voi, proven = search._good_kernel(search._draw_block(config, 0, 0, 20))
+    assert voi[3] == pytest.approx(0.0, abs=1e-14)
+    assert not proven[3] and proven[4:].all()

@@ -64,6 +64,26 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _read_json(path: Path, what: str):
+    """The JSON document in a file; ValueError naming the file when it cannot be
+    read or parsed."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {str(path)!r}: {exc.strerror or type(exc).__name__}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc
+
+
+def _write_out(path: str, text: str) -> int:
+    """Write a command's output file: exit 0, or 2 naming the path when it cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _usage_error(f"cannot write {path!r}: {exc.strerror or type(exc).__name__}")
+    return 0
+
+
 def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwitchScenario:
     if name_or_path in BUILTIN_SCENARIOS:
         scenario = BUILTIN_SCENARIOS[name_or_path]
@@ -74,11 +94,7 @@ def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwit
                 f"unknown scenario {name_or_path!r}: not a built-in "
                 f"({', '.join(sorted(BUILTIN_SCENARIOS))}) and not a readable file"
             )
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"scenario file {name_or_path!r} is not valid JSON: {exc}") from exc
-        scenario = jsonio.decode_scenario(obj)
+        scenario = jsonio.decode_scenario(_read_json(path, "scenario file"))
     if epsilon_override is not None:
         scenario = replace(scenario, epsilon=epsilon_override)
     return scenario
@@ -162,9 +178,8 @@ def cmd_sweep(args) -> int:
         writer.writerow([repr(eps), repr(report.eu_act), repr(report.eu_defer), repr(report.eu_learn), report.best])
     text = buffer.getvalue()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return _write_out(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -234,12 +249,13 @@ def cmd_search(args) -> int:
         + (f" most_negative_voi={witnesses[0].voi!r}" if witnesses else "")
         + f" stream={search.STREAM_VERSION}"
     )
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(summary)
-    else:
+    if not args.out:
         print(text)
         print(summary, file=sys.stderr)
+    elif _write_out(args.out, text + "\n"):
+        return 2
+    else:
+        print(summary)
     return 0 if witnesses else 3
 
 
@@ -248,14 +264,21 @@ def cmd_verify_witness(args) -> int:
     if not path.is_file():
         return _usage_error(f"witness file {args.file!r} is not readable")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = _read_json(path, "witness file")
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    try:
         entries = obj if isinstance(obj, list) else [obj]
         witnesses = [search.witness_from_jsonable(entry) for entry in entries]
     except INPUT_ERRORS as exc:
         return _usage_error(f"cannot parse witness file: {exc}")
     failures = 0
     for witness in witnesses:
-        replayed = search.replay_witness(witness)
+        try:
+            replayed = search.replay_witness(witness)
+        except INPUT_ERRORS as exc:
+            # sizes that disagree across the problem, channel and rule data surface only here
+            return _usage_error(f"cannot replay the witness of trial {witness.trial_index}: {exc}")
         if not search.reproduces(replayed, witness.voi):
             failures += 1
             print(

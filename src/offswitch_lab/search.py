@@ -41,12 +41,11 @@ block by the expected-utility kernel that the faulty screen uses, and
 weights. A trial is dropped only when its kernel proves the property with
 half of ``CHECK_TOL`` to spare (a voi or deference advantage of at least
 -CHECK_TOL / 2, and above 1.5 * CHECK_TOL for a prior with mass on both
-sides of 0), with every marginal above the margin and rows that pass the
-dataclass checks. Every other trial, NaN values included, is decided by the
-scalar ``value_of_learning_eu`` or ``theorem1_check``, so every violation
-comes from the scalar path. Row 0 of every block goes through the scalar
-path as well, and its value must agree with the kernel's within
-CHECK_TOL / 2, or the check raises ``AssertionError``.
+sides of 0) on rows that pass the dataclass checks. Every other trial, NaN
+values included, is decided by the scalar ``value_of_learning_eu`` or
+``theorem1_check``, so every violation comes from the scalar path. Row 0 of
+every block goes through the scalar path as well, and its value must agree
+with the kernel's within CHECK_TOL / 2, or the check raises AssertionError.
 
 Witnesses of information aversion are re-verified before emission: the
 candidate is serialized, decoded again and re-evaluated through the voi
@@ -369,17 +368,17 @@ def _risk_weights(rule: RiskWeightedRule, tails: np.ndarray) -> np.ndarray:
 
 def _rank_brackets(rule: RiskWeightedRule, utilities: np.ndarray, probabilities: np.ndarray):
     """Lower and upper bounds of the rank-dependent value of prospects whose
-    utilities ascend along the last axis, and whether each has a tail (the mass
-    above an outcome) within the margin of zero.
+    utilities ascend along the last axis.
 
-    The scalar path sums its tails in another order, so they differ from these
-    by rounding; as a risk function is non-decreasing, its values at tail -/+
-    margin bound the weight the scalar path gives each step."""
+    The scalar path finds its tails (the mass above an outcome) by subtraction
+    and clamps them at 0, so they differ from these by rounding; as a risk
+    function is non-decreasing, its values at tail -/+ margin bound the weight
+    the scalar path gives each step, a thin tail's included."""
     tails = np.cumsum(probabilities[..., :0:-1], axis=-1)[..., ::-1]
     steps = np.diff(utilities, axis=-1)
     low = utilities[..., 0] + (_risk_weights(rule, np.clip(tails - SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=-1)
     high = utilities[..., 0] + (_risk_weights(rule, np.clip(tails + SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=-1)
-    return low, high, ~(tails > SCREEN_MARGIN).all(axis=-1)
+    return low, high
 
 
 def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarray:
@@ -391,22 +390,19 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarr
     ranked = np.take_along_axis(block.utilities, order, axis=-1)
     marginals, posteriors = _bayes(block.prior, block.likelihood)
     ranked_posteriors = np.take_along_axis(posteriors[:, :, None], order[:, None], -1)  # (n, G, A, S)
-    low, high, thin = _rank_brackets(rule, ranked[:, None], ranked_posteriors)
+    low, high = _rank_brackets(rule, ranked[:, None], ranked_posteriors)
     choice, lead = _lead(low, high)
     planned = np.take_along_axis(block.utilities, choice[..., None], axis=1).reshape(n, g * s)
     joint = (block.prior[:, None, :] * np.swapaxes(block.likelihood, 1, 2)).reshape(n, g * s)
     joint_order = planned.argsort(axis=-1)
-    learning, _, thin_joint = _rank_brackets(
+    learning, _ = _rank_brackets(
         rule, np.take_along_axis(planned, joint_order, -1), np.take_along_axis(joint, joint_order, -1)
     )
-    _, now, thin_now = _rank_brackets(rule, ranked, np.take_along_axis(block.prior[:, None], order, -1))
+    _, now = _rank_brackets(rule, ranked, np.take_along_axis(block.prior[:, None], order, -1))
     return ~(
         (learning - now.max(axis=-1) >= floor)
         & (lead > SCREEN_MARGIN).all(axis=-1)
         & (marginals > SCREEN_MARGIN).all(axis=-1)
-        & ~thin.any(axis=(1, 2))
-        & ~thin_joint
-        & ~thin_now.any(axis=-1)
     )
 
 
@@ -429,24 +425,24 @@ def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray
     )
 
 
-def _eu_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eu_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
     """The expected-utility kernel of the faulty screen and ``check good``: per
-    trial the best expected utility now (n,), each act's expected utility on
-    the joint of the states and each signal (n, G, A), which is the signal's
-    marginal times the act's posterior value, and the marginals (n, G). A
-    zero marginal gives zero values, as the scalar path skips the signal."""
+    trial the best expected utility now (n,), and each act's expected utility
+    on the joint of the states and each signal (n, G, A), which is the signal's
+    marginal times the act's posterior value. Nothing is divided, and a zero
+    marginal gives zero values, as the scalar path skips the signal."""
     by_act = np.swapaxes(block.utilities, 1, 2)  # (n, S, A)
     now = (block.prior[:, None] @ by_act)[:, 0].max(axis=-1)
     joint = np.swapaxes(block.prior[..., None] * block.likelihood, 1, 2)  # (n, G, S)
-    return now, joint @ by_act, joint.sum(axis=-1)
+    return now, joint @ by_act
 
 
 def _good_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's expected-utility voi, and whether it proves the learning
     inequality with half of CHECK_TOL to spare on rows the scalar path accepts."""
-    now, values, marginals = _eu_kernel(block)
+    now, values = _eu_kernel(block)
     voi = values.max(axis=-1).sum(axis=-1) - now
-    return voi, (voi >= -CHECK_TOL / 2) & (marginals > SCREEN_MARGIN).all(axis=-1) & ~_unchecked_rows(block)
+    return voi, (voi >= -CHECK_TOL / 2) & ~_unchecked_rows(block)
 
 
 def _theorem1_kernel(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -464,20 +460,20 @@ def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarra
     """Possible witnesses of a faulty updater: the act best at the posterior
     blended with the act best at the misupdated belief, both scored at the true
     posterior. The posterior-best act enters only through its value, a max, so
-    only the misupdated choice needs a lead."""
-    now, values, marginals = _eu_kernel(block)
+    only the misupdated choice needs a lead; only a complement posterior divides."""
+    now, values = _eu_kernel(block)
     if rule.kind == MISUPDATE_CUSTOM:
-        divisors, wrong = marginals, block.rule_rows
+        wrong, divisors_clear = block.rule_rows, True
     else:
         complement, wrong = _bayes(block.prior, 1.0 - block.likelihood)
-        divisors = np.minimum(marginals, complement)
+        divisors_clear = (complement > SCREEN_MARGIN).all(axis=-1)
     wrong_choice, lead = _lead(wrong @ np.swapaxes(block.utilities, 1, 2))
     misfired = np.take_along_axis(values, wrong_choice[..., None], axis=-1)[..., 0]
     learning = ((1.0 - rule.q) * values.max(axis=-1) + rule.q * misfired).sum(axis=-1)
     return ~(
         (learning - now >= floor)
         & (lead > SCREEN_MARGIN).all(axis=-1)
-        & (divisors > SCREEN_MARGIN).all(axis=-1)
+        & divisors_clear
     )
 
 

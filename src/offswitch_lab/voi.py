@@ -135,12 +135,13 @@ def _learning_reu(problem, belief, channel, risk) -> VoiReport:
 
 def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
     now = gamma_maximin(problem, credal)[1]
+    # steps[m][j]: member m's marginal and posterior on signal j
+    steps = [[bayes_step(member, channel, j) for j in range(len(channel.signals))] for member in credal.members]
 
     # Plan: per signal, the maximin act at the member-wise conditioned credal set.
     plan: dict[int, int] = {}
     for j in range(len(channel.signals)):
-        posts = (bayes_step(member, channel, j)[1] for member in credal.members)
-        post_members = tuple(post for post in posts if post is not None)
+        post_members = tuple(member_steps[j][1] for member_steps in steps if member_steps[j][1] is not None)
         if not post_members:
             continue
         plan[j] = gamma_maximin(problem, CredalSet(post_members))[0]
@@ -149,11 +150,11 @@ def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
     # the learning value is the worst of those scores.
     worst_value = float("inf")
     worst_rows: tuple[SignalOutcome, ...] = ()
-    for member in credal.members:
+    for member_steps in steps:
         member_total = 0.0
         member_rows = []
         for j, act_index in sorted(plan.items()):
-            marg, post = bayes_step(member, channel, j)
+            marg, post = member_steps[j]
             if post is None:
                 continue
             val = expected_utility(problem, act_index, post)

@@ -317,3 +317,21 @@ def per_trial_search(config) -> list:
             witnesses.append(search.Witness(problem, channel, rule, report.voi, i))
     witnesses.sort(key=lambda w: (w.voi, w.trial_index))
     return witnesses
+
+
+def block_search(config, block, rows=None) -> dict:
+    """The search over one block of the stream with no screen: each row (or
+    each of ``rows``) through the scalar ``_draw_instance``, ``_concrete_rule``
+    and ``evaluate_rule``. Maps the row of every witness to its voi in hex, and
+    the row of every error to its type and message."""
+    found = {}
+    for r in range(len(block.prior)) if rows is None else map(int, rows):
+        try:
+            problem, channel = search._draw_instance(config, block, r)
+            rule = search._concrete_rule(config.rule, block.rule_rows[r], channel)
+            voi = search.evaluate_rule(problem, channel, rule).voi
+            if voi < -config.aversion_tolerance:
+                found[r] = voi.hex()
+        except Exception as exc:  # every error, of any type, is an outcome to compare
+            found[r] = (type(exc), str(exc))
+    return found

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -430,9 +431,13 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
         (lambda w: w["problem"].update(states=["state0", 1, "state2"]), "decision problem states must be a JSON list of strings"),
         (lambda w: w["channel"].update(signals="xy"), "signal channel signals must be a JSON list of strings"),
         (lambda w: w["problem"]["acts"][0].update(name=7), "act name must be a JSON string"),
+        # sizes that decode but disagree at replay
+        (lambda w: w.update(rule={"kind": "gamma-maximin", "credal": {"members": [[0.25] * 4, [0.4, 0.2, 0.2, 0.2]]}}),
+         "credal member has 4 entries for 3 states"),
+        (lambda w: w["channel"]["likelihood"].append([0.5, 0.5]), "channel likelihood has 4 entries for 3 states"),
     ],
     ids=["table-missing-signal", "table-wrong-length", "table-list", "table-extra-signal",
-         "states-string", "states-int", "signals-string", "act-name-int"],
+         "states-string", "states-int", "signals-string", "act-name-int", "credal-member-size", "likelihood-rows"],
 )
 def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, capsys):
     out_path = tmp_path / "w.json"
@@ -446,6 +451,31 @@ def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, cap
     code, _, err = run(capsys, "verify-witness", str(out_path))
     assert code == 2
     assert message in err
+
+
+def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, capsys):
+    code, _, err = run(capsys, "search", "--rule", "gamma:2", "--trials", "20", "--seed", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert f"cannot write {str(tmp_path)!r}" in err
+    missing = tmp_path / "missing" / "x.csv"
+    code, _, err = run(capsys, "sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps", "3", "--out", str(missing))
+    assert code == 2
+    assert f"cannot write {str(missing)!r}" in err
+
+
+@pytest.mark.parametrize("command", ["scenario", "sweep", "verify-witness"])
+def test_input_files_that_cannot_be_read_exit_2_naming_the_path(command, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "locked.json"
+    path.write_text("[]")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    extra = ["--lo", "0", "--hi", "1", "--steps", "2"] if command == "sweep" else []
+    code, _, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert f"{str(path)!r}: Permission denied" in err
 
 
 def test_verify_witness_fails_a_replay_to_nan(tmp_path, capsys):

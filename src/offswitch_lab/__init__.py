@@ -6,7 +6,14 @@ together with the learn-then-choose comparisons that explain when deference
 is and is not worth it: plain expected utility (where free information is
 never bad), risk-weighted utility, credal maximin, and updaters that may
 fail to conditionalize (where it can be).
+
+The names of the seeded search and the property checks come from
+``offswitch_lab.search``, the only module that imports numpy. It is
+imported on first use of one of them, so that importing the package, or
+running a command that samples nothing, does not load numpy.
 """
+
+from importlib import import_module
 
 from .core import (
     Act,
@@ -69,32 +76,25 @@ from .offswitch import (
     reduce_to_two_state,
     theorem1_check,
 )
-from .search import (
-    CheckReport,
-    CheckViolation,
-    CredalSearch,
-    EuSearch,
-    FaultySearch,
-    ReuSearch,
-    SearchConfig,
-    SearchRule,
-    Witness,
-    find_information_aversion,
-    random_discrete_prior,
-    random_instance,
-    replay_witness,
-    verify_good,
-    verify_theorem1,
-    witness_from_jsonable,
-    witness_to_jsonable,
-)
+from .jsonio import Witness, witness_from_jsonable, witness_to_jsonable
 from .voi import (
     SignalOutcome,
     VoiReport,
+    replay_witness,
     value_of_learning_eu,
     value_of_learning_faulty,
     value_of_learning_rule,
 )
+
+
+def __getattr__(name: str):
+    # Every name of __all__ not imported above is search's. It is read from the
+    # module on each use, not bound here, as a binding made while something
+    # had wrapped one of search's functions would outlive the wrapping.
+    if name in __all__:
+        return getattr(import_module(".search", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

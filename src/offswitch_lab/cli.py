@@ -4,7 +4,8 @@ Subcommands: scenario, sweep, check, search, verify-witness, report.
 Exit codes: 0 success, 1 check/report/verification failure, 2 usage error,
 3 search exhausted without a witness. Every command is deterministic given
 its arguments; tables round to 7 significant digits, JSON and CSV keep full
-precision.
+precision. Only ``check`` and ``search`` sample, and only they import
+``search`` and with it numpy; the other commands start without either.
 """
 
 from __future__ import annotations
@@ -13,16 +14,19 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import jsonio, search
+from . import jsonio, voi
 from .core import MISUPDATE_MODES, ExpectedUtilityRule, IdentityRisk, PowerRisk, RiskWeightedRule
 from .distributions import Uniform
-from .errors import RuleCannotBeAverse
 from .offswitch import OffSwitchScenario, best_option, reduce_to_two_state
-from .search import CredalSearch, FaultySearch, SearchConfig
+
+if TYPE_CHECKING:
+    from .search import SearchRule
 
 BUILTIN_SCENARIOS = {
     "alice-basic": OffSwitchScenario(Uniform(-40.0, 60.0), 0.0, "alice-basic"),
@@ -75,12 +79,16 @@ def _read_json(path: Path, what: str):
         raise ValueError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    return _usage_error(f"cannot write {path!r}: {exc.strerror or type(exc).__name__}")
+
+
 def _write_out(path: str, text: str) -> int:
     """Write a command's output file: exit 0, or 2 naming the path when it cannot be written."""
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        return _usage_error(f"cannot write {path!r}: {exc.strerror or type(exc).__name__}")
+        return _cannot_write(path, exc)
     return 0
 
 
@@ -112,7 +120,7 @@ def _scenario_payload(scenario: OffSwitchScenario) -> dict:
         game = reduce_to_two_state(scenario.prior, scenario.epsilon)
         for key, rule in (("rule_analysis", scenario.rule), ("updater_analysis", scenario.updater)):
             if rule is not None:
-                payload[key] = asdict(search.evaluate_rule(game.problem, game.channel, rule))
+                payload[key] = asdict(voi.evaluate_rule(game.problem, game.channel, rule))
     return payload
 
 
@@ -184,8 +192,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import search
+
     try:
-        config = SearchConfig(seed=args.seed, trials=args.trials)
+        config = search.SearchConfig(seed=args.seed, trials=args.trials)
     except ValueError as exc:
         return _usage_error(str(exc))
     runner = search.verify_good if args.property == "good" else search.verify_theorem1
@@ -199,51 +209,77 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def parse_rule(text: str) -> search.SearchRule:
+def _rule_number(convert, part: str, text: str, kind: str, usage: str):
+    """``convert(part)``; ValueError naming the whole rule when it is not a number."""
+    try:
+        return convert(part)
+    except ValueError:
+        raise ValueError(f"cannot parse {kind} rule {text!r}; use {usage}") from None
+
+
+def parse_rule(text: str) -> SearchRule:
     """Parse a --rule string: eu | reu:identity | reu:power:K | gamma[:M] | faulty:KIND:Q."""
+    from .search import CredalSearch, FaultySearch
+
     parts = text.split(":")
     head = parts[0]
     if head == "eu" and len(parts) == 1:
         return ExpectedUtilityRule()
     if head == "reu":
+        usage = "reu:identity or reu:power:K"
         if parts[1:] == ["identity"]:
             return RiskWeightedRule(IdentityRisk())
         if len(parts) == 3 and parts[1] == "power":
-            return RiskWeightedRule(PowerRisk(float(parts[2])))
-        raise ValueError(f"cannot parse risk-weighted rule {text!r}; use reu:identity or reu:power:K")
+            return RiskWeightedRule(PowerRisk(_rule_number(float, parts[2], text, "risk-weighted", usage)))
+        raise ValueError(f"cannot parse risk-weighted rule {text!r}; use {usage}")
     if head == "gamma":
+        usage = "gamma or gamma:M"
         if len(parts) == 1:
             return CredalSearch()
         if len(parts) == 2:
-            return CredalSearch(int(parts[1]))
-        raise ValueError(f"cannot parse credal rule {text!r}; use gamma or gamma:M")
+            return CredalSearch(_rule_number(int, parts[1], text, "credal", usage))
+        raise ValueError(f"cannot parse credal rule {text!r}; use {usage}")
     if head == "faulty" and len(parts) == 3:
         # short names: the first word of each mode name
         kinds = {mode.split("-")[0]: mode for mode in MISUPDATE_MODES}
         if parts[1] not in kinds:
             raise ValueError(f"unknown misupdate kind {parts[1]!r}; use stay, complement or custom")
-        return FaultySearch(float(parts[2]), kinds[parts[1]])
+        return FaultySearch(_rule_number(float, parts[2], text, "faulty", "faulty:KIND:Q"), kinds[parts[1]])
     raise ValueError(
         f"cannot parse rule {text!r}; use eu, reu:identity, reu:power:K, gamma[:M] or faulty:KIND:Q"
     )
 
 
 def cmd_search(args) -> int:
+    from . import search
+
+    given = {
+        "state_count": args.states,
+        "act_count": args.acts,
+        "signal_count": args.signals,
+        "aversion_tolerance": args.tolerance,
+    }
     try:
         rule = parse_rule(args.rule)
-        config = SearchConfig(
-            seed=args.seed,
-            trials=args.trials,
-            state_count=args.states,
-            act_count=args.acts,
-            signal_count=args.signals,
-            rule=rule,
-            aversion_tolerance=args.tolerance,
+        config = search.SearchConfig(
+            seed=args.seed, trials=args.trials, rule=rule, **{k: v for k, v in given.items() if v is not None}
         )
-        witnesses = search.find_information_aversion(config)
-    except (ValueError, RuleCannotBeAverse) as exc:
+    except ValueError as exc:
         return _usage_error(str(exc))
-    text = json.dumps([search.witness_to_jsonable(w) for w in witnesses], indent=2)
+    if args.out:
+        # fail before the first trial; appending leaves an existing file as it is
+        created = not os.path.lexists(args.out)
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
+    try:
+        witnesses = search.find_information_aversion(config)
+    except ValueError as exc:  # RuleCannotBeAverse among them
+        if args.out and created:
+            os.remove(args.out)
+        return _usage_error(str(exc))
+    text = json.dumps([jsonio.witness_to_jsonable(w) for w in witnesses], indent=2)
     summary = (
         f"witnesses={len(witnesses)} trials={args.trials} seed={args.seed} rule={args.rule}"
         + (f" most_negative_voi={witnesses[0].voi!r}" if witnesses else "")
@@ -269,23 +305,23 @@ def cmd_verify_witness(args) -> int:
         return _usage_error(str(exc))
     try:
         entries = obj if isinstance(obj, list) else [obj]
-        witnesses = [search.witness_from_jsonable(entry) for entry in entries]
+        witnesses = [jsonio.witness_from_jsonable(entry) for entry in entries]
     except INPUT_ERRORS as exc:
         return _usage_error(f"cannot parse witness file: {exc}")
     failures = 0
     for witness in witnesses:
         try:
-            replayed = search.replay_witness(witness)
+            replayed = voi.replay_witness(witness)
         except INPUT_ERRORS as exc:
             # sizes that disagree across the problem, channel and rule data surface only here
             return _usage_error(f"cannot replay the witness of trial {witness.trial_index}: {exc}")
-        if not search.reproduces(replayed, witness.voi):
+        if not voi.reproduces(replayed, witness.voi):
             failures += 1
             print(
                 f"trial {witness.trial_index}: stored voi {witness.voi!r} "
                 f"but re-evaluation gives {replayed!r}"
             )
-    print(f"verified {len(witnesses) - failures} of {len(witnesses)} witnesses within {search.REVERIFY_TOL}")
+    print(f"verified {len(witnesses) - failures} of {len(witnesses)} witnesses within {voi.REVERIFY_TOL}")
     return 0 if failures == 0 else 1
 
 
@@ -351,10 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     searcher.add_argument("--rule", required=True, help="eu | reu:identity | reu:power:K | gamma[:M] | faulty:KIND:Q")
     searcher.add_argument("--trials", type=int, default=100000)
     searcher.add_argument("--seed", type=int, default=0)
-    searcher.add_argument("--states", type=int, default=SearchConfig.state_count)
-    searcher.add_argument("--acts", type=int, default=SearchConfig.act_count)
-    searcher.add_argument("--signals", type=int, default=SearchConfig.signal_count)
-    searcher.add_argument("--tolerance", type=float, default=SearchConfig.aversion_tolerance, help="Minimum |voi| for a witness.")
+    # sizes and tolerance left out take SearchConfig's defaults
+    searcher.add_argument("--states", type=int)
+    searcher.add_argument("--acts", type=int)
+    searcher.add_argument("--signals", type=int)
+    searcher.add_argument("--tolerance", type=float, help="Minimum |voi| for a witness.")
     searcher.add_argument("--out", default=None, help="Write witness JSON to this file instead of stdout.")
     searcher.set_defaults(handler=cmd_search)
 

@@ -3,17 +3,20 @@
 Two shapes cover everything the rest of the package needs: a finite list of
 weighted atoms, and a uniform interval. Values are immutable after
 construction and safe to share across threads; sampling takes an explicit
-generator, so there is no hidden global state.
+generator, so there is no hidden global state. Only ``sample_array`` needs
+numpy, and imports it when called, so that importing this module does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConditioningOnNull
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WEIGHT_TOL = 1e-12
 
@@ -157,6 +160,8 @@ def sample(d: UtilityDistribution, rng: np.random.Generator) -> float:
 
 def sample_array(d: UtilityDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
     """Vectorized draws, used by the Monte-Carlo cross-checks."""
+    import numpy as np
+
     if n < 0:
         raise ValueError("sample count must be non-negative")
     if isinstance(d, Uniform):

@@ -6,11 +6,16 @@ silently ignoring a typo. Numbers must be JSON numbers: a bool, a string or
 a ``NaN``/``Infinity`` literal is rejected, not coerced. Names and labels
 must be JSON strings. Decoder errors are ValueError with a message that
 names the offending field.
+
+A search witness (``Witness``) is one JSON object holding its trial index,
+voi, problem, channel and rule; ``witness_to_jsonable`` and
+``witness_from_jsonable`` are its codec.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .core import (
     MISUPDATE_MODES,
@@ -30,6 +35,7 @@ from .core import (
     SignalChannel,
     TableRisk,
     Updater,
+    check_length,
 )
 from .distributions import Discrete, Uniform, UtilityDistribution
 from .offswitch import OffSwitchScenario
@@ -238,4 +244,47 @@ def decode_scenario(obj) -> OffSwitchScenario:
         label=_string(obj["label"], "scenario label"),
         rule=decode_rule(obj["rule"], RULE_KINDS, "rule") if "rule" in obj else None,
         updater=decode_rule(obj["updater"], UPDATER_KINDS, "updater") if "updater" in obj else None,
+    )
+
+
+@dataclass(frozen=True)
+class Witness:
+    """One concrete instance on which the rule under test rejects free information."""
+
+    problem: DecisionProblem
+    channel: SignalChannel
+    rule: DecisionRule | Updater
+    voi: float
+    trial_index: int
+
+
+def witness_to_jsonable(witness: Witness) -> dict:
+    return {
+        "trial_index": witness.trial_index,
+        "voi": witness.voi,
+        "problem": encode_problem(witness.problem),
+        "channel": encode_channel(witness.channel),
+        "rule": encode_rule(witness.rule),
+    }
+
+
+def witness_from_jsonable(obj) -> Witness:
+    check_fields(obj, ("trial_index", "voi", "problem", "channel", "rule"), (), "witness")
+    problem = decode_problem(obj["problem"])
+    channel = decode_channel(obj["channel"])
+    rule = decode_rule(obj["rule"])
+    if isinstance(rule, Faulty) and isinstance(rule.kind, CustomPosterior):
+        # checked here, so a bad table is an input error rather than a failure partway through replay
+        for signal in channel.signals:
+            what = f"custom posterior for {signal!r}"
+            check_length(rule.kind.posterior_for(signal), len(problem.states), what)
+        unknown = sorted({signal for signal, _ in rule.kind.table} - set(channel.signals))
+        if unknown:
+            raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
+    return Witness(
+        problem=problem,
+        channel=channel,
+        rule=rule,
+        voi=float(number(obj["voi"], "witness voi")),
+        trial_index=number(obj["trial_index"], "witness trial_index", {int}),
     )

@@ -49,17 +49,22 @@ with the kernel's within CHECK_TOL / 2, or the check raises AssertionError.
 
 Witnesses of information aversion are re-verified before emission: the
 candidate is serialized, decoded again and re-evaluated through the voi
-module, and must reproduce its voi within 1e-10.
+module, and must reproduce its voi within ``REVERIFY_TOL`` (1e-10).
+
+This is the package's only numpy module. The scalar path it confirms with
+(``voi.evaluate_rule``, ``voi.replay_witness``) and the witness codec
+(``jsonio.Witness``) live in numpy-free modules, so the commands that
+sample nothing never import it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
 from .core import (
     CHECK_TOL,
     MISUPDATE_MODES,
@@ -76,16 +81,15 @@ from .core import (
     SignalChannel,
     TableRisk,
     Updater,
-    check_length,
     is_identity_risk,
     unit_interval,
 )
 from .distributions import WEIGHT_TOL, Discrete
 from .errors import RuleCannotBeAverse
+from .jsonio import Witness, witness_from_jsonable, witness_to_jsonable
 from .offswitch import theorem1_check
-from .voi import value_of_learning_eu, value_of_learning_faulty, value_of_learning_rule
+from .voi import REVERIFY_TOL, evaluate_rule, replay_witness, reproduces, value_of_learning_eu
 
-REVERIFY_TOL = 1e-10
 UTILITY_RANGE = (-10.0, 10.0)  # act utilities and prior atoms are drawn uniformly from it
 SCREEN_MARGIN = 1e-10 * (UTILITY_RANGE[1] - UTILITY_RANGE[0])  # the screen's slack; see above
 
@@ -104,6 +108,12 @@ EuSearch = ExpectedUtilityRule
 ReuSearch = RiskWeightedRule
 
 
+def _check_int(value, field: str) -> None:
+    """ValueError naming the field unless ``value`` is an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CredalSearch:
     """Gamma-maximin with a fresh credal set of ``members`` priors per trial."""
@@ -111,6 +121,7 @@ class CredalSearch:
     members: int = 2
 
     def __post_init__(self) -> None:
+        _check_int(self.members, "members")
         if not 1 <= self.members <= MAX_SIZE:
             raise ValueError(f"credal search needs between 1 and {MAX_SIZE} members, got {self.members}")
 
@@ -145,6 +156,8 @@ class SearchConfig:
     aversion_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
+        for field in ("seed", "trials", "state_count", "act_count", "signal_count"):
+            _check_int(getattr(self, field), field)
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not 1 <= self.trials <= MAX_TRIALS:
@@ -152,19 +165,8 @@ class SearchConfig:
         for what, count in (("state", self.state_count), ("act", self.act_count), ("signal", self.signal_count)):
             if not 1 <= count <= MAX_SIZE:
                 raise ValueError(f"{what} count must be between 1 and {MAX_SIZE}, got {count}")
-        if not self.aversion_tolerance > 0.0:
-            raise ValueError("aversion tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class Witness:
-    """One concrete instance on which the rule under test rejects free information."""
-
-    problem: DecisionProblem
-    channel: SignalChannel
-    rule: DecisionRule | Updater
-    voi: float
-    trial_index: int
+        if not 0.0 < self.aversion_tolerance < math.inf:
+            raise ValueError(f"aversion_tolerance must be positive and finite, got {self.aversion_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -543,62 +545,6 @@ def _concrete_rule(search_rule: SearchRule, rows: np.ndarray, channel: SignalCha
             return Faulty(search_rule.q, CustomPosterior(dict(zip(channel.signals, map(tuple, rows)))))
         return Faulty(search_rule.q, mode())
     return search_rule
-
-
-def evaluate_rule(
-    problem: DecisionProblem,
-    channel: SignalChannel,
-    rule: DecisionRule | Updater,
-):
-    """The voi report of any rule or updater at the problem's prior; search,
-    witness replay and the scenario command all evaluate through here."""
-    if isinstance(rule, Faulty):
-        return value_of_learning_faulty(problem, problem.prior, channel, rule)
-    if isinstance(rule, (RiskWeightedRule, GammaMaximinRule)):
-        return value_of_learning_rule(problem, problem.prior, channel, rule)
-    return value_of_learning_eu(problem, problem.prior, channel)
-
-
-def witness_to_jsonable(witness: Witness) -> dict:
-    return {
-        "trial_index": witness.trial_index,
-        "voi": witness.voi,
-        "problem": jsonio.encode_problem(witness.problem),
-        "channel": jsonio.encode_channel(witness.channel),
-        "rule": jsonio.encode_rule(witness.rule),
-    }
-
-
-def witness_from_jsonable(obj) -> Witness:
-    jsonio.check_fields(obj, ("trial_index", "voi", "problem", "channel", "rule"), (), "witness")
-    problem = jsonio.decode_problem(obj["problem"])
-    channel = jsonio.decode_channel(obj["channel"])
-    rule = jsonio.decode_rule(obj["rule"])
-    if isinstance(rule, Faulty) and isinstance(rule.kind, CustomPosterior):
-        # checked here, so a bad table is an input error rather than a failure partway through replay
-        for signal in channel.signals:
-            what = f"custom posterior for {signal!r}"
-            check_length(rule.kind.posterior_for(signal), len(problem.states), what)
-        unknown = sorted({signal for signal, _ in rule.kind.table} - set(channel.signals))
-        if unknown:
-            raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
-    return Witness(
-        problem=problem,
-        channel=channel,
-        rule=rule,
-        voi=float(jsonio.number(obj["voi"], "witness voi")),
-        trial_index=jsonio.number(obj["trial_index"], "witness trial_index", {int}),
-    )
-
-
-def replay_witness(witness: Witness) -> float:
-    """Re-evaluate a witness from its own embedded data; returns the fresh voi."""
-    return evaluate_rule(witness.problem, witness.channel, witness.rule).voi
-
-
-def reproduces(replayed: float, stored: float) -> bool:
-    """True when a replayed voi is within REVERIFY_TOL of the stored one; a NaN never is."""
-    return abs(replayed - stored) <= REVERIFY_TOL
 
 
 def _reverifies(witness: Witness) -> bool:

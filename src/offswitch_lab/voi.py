@@ -21,11 +21,15 @@ Evaluation conventions, fixed once here:
   the true Bayesian posterior, because the evidence itself is veridical;
   only the agent's handling of it may fail.
 - Signals with zero marginal probability are skipped and contribute zero.
+
+``evaluate_rule`` dispatches any rule or updater to its entry point; search,
+witness replay and the scenario command all evaluate through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import (
     CredalSet,
@@ -46,6 +50,11 @@ from .core import (
     risk_weighted_value,
 )
 from .errors import MissingRuleData
+
+if TYPE_CHECKING:
+    from .jsonio import Witness
+
+REVERIFY_TOL = 1e-10  # a replayed witness must reproduce its stored voi within this
 
 
 @dataclass(frozen=True)
@@ -199,3 +208,26 @@ def value_of_learning_faulty(
     if not isinstance(updater, Faulty):
         raise MissingRuleData("faulty learning value needs a Faulty updater")
     return _learn_by_eu_choice(problem, belief, channel, updater)
+
+
+def evaluate_rule(
+    problem: DecisionProblem,
+    channel: SignalChannel,
+    rule: DecisionRule | Updater,
+) -> VoiReport:
+    """The voi report of any rule or updater at the problem's prior."""
+    if isinstance(rule, Faulty):
+        return value_of_learning_faulty(problem, problem.prior, channel, rule)
+    if isinstance(rule, (RiskWeightedRule, GammaMaximinRule)):
+        return value_of_learning_rule(problem, problem.prior, channel, rule)
+    return value_of_learning_eu(problem, problem.prior, channel)
+
+
+def replay_witness(witness: Witness) -> float:
+    """Re-evaluate a witness from its own embedded data; returns the fresh voi."""
+    return evaluate_rule(witness.problem, witness.channel, witness.rule).voi
+
+
+def reproduces(replayed: float, stored: float) -> bool:
+    """True when a replayed voi is within REVERIFY_TOL of the stored one; a NaN never is."""
+    return abs(replayed - stored) <= REVERIFY_TOL

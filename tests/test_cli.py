@@ -237,6 +237,17 @@ def test_search_stay_at_prior_rejected(capsys):
 def test_search_bad_rule_string_exits_2(capsys):
     code, _, err = run(capsys, "search", "--rule", "reu:cubic", "--trials", "10")
     assert code == 2
+    # a number that does not parse is reported with the whole rule, as other parse errors are
+    for rule, kind, usage in [
+        ("gamma:x", "credal", "gamma or gamma:M"),
+        ("gamma:2.5", "credal", "gamma or gamma:M"),
+        ("reu:power:abc", "risk-weighted", "reu:identity or reu:power:K"),
+        ("reu:power:", "risk-weighted", "reu:identity or reu:power:K"),
+        ("faulty:complement:abc", "faulty", "faulty:KIND:Q"),
+    ]:
+        code, _, err = run(capsys, "search", "--rule", rule, "--trials", "10")
+        assert code == 2
+        assert err == f"error: cannot parse {kind} rule {rule!r}; use {usage}\n"
 
 
 def test_search_writes_witnesses_and_verify_witness_replays(tmp_path, capsys):
@@ -453,6 +464,31 @@ def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, cap
     assert message in err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_search_out_that_cannot_be_written_exits_2_before_the_first_trial(where, tmp_path, capsys, monkeypatch):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "w.json"
+
+    def never(config):
+        raise AssertionError("searched although the output file cannot be written")
+
+    monkeypatch.setattr(search, "find_information_aversion", never)
+    code, _, err = run(capsys, "search", "--rule", "faulty:custom:0.5", "--trials", "20000", "--out", str(path))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {str(path)!r}: ")
+
+
+@pytest.mark.parametrize("rule", ["bogus", "eu", "gamma:1"])
+def test_search_usage_errors_leave_the_out_file_as_it_was(rule, tmp_path, capsys):
+    existing = tmp_path / "kept.json"
+    existing.write_text("earlier witnesses\n")
+    fresh = tmp_path / "fresh.json"
+    for path in (existing, fresh):
+        code, _, _ = run(capsys, "search", "--rule", rule, "--trials", "10", "--out", str(path))
+        assert code == 2
+    assert existing.read_text() == "earlier witnesses\n"
+    assert not fresh.exists()
+
+
 def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, capsys):
     code, _, err = run(capsys, "search", "--rule", "gamma:2", "--trials", "20", "--seed", "1", "--out", str(tmp_path))
     assert code == 2
@@ -543,9 +579,19 @@ def test_numbers_that_overflow_a_float_exit_2(command, text, message, tmp_path, 
     assert message in err
 
 
-def test_search_flag_defaults_are_the_config_defaults():
-    args = cli.build_parser().parse_args(["search", "--rule", "gamma"])
+def test_search_flag_defaults_are_the_config_defaults(capsys, monkeypatch):
+    # the flags default to None, and the command passes only the flags given
+    searched = []
+    monkeypatch.setattr(search, "find_information_aversion", lambda config: searched.append(config) or [])
+    code, _, _ = run(capsys, "search", "--rule", "gamma", "--trials", "5")
+    assert code == 3
     defaults = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
-    flags = {"state_count": args.states, "act_count": args.acts, "signal_count": args.signals,
-             "aversion_tolerance": args.tolerance}
-    assert flags == {name: defaults[name] for name in flags}
+    for name in ("state_count", "act_count", "signal_count", "aversion_tolerance"):
+        assert getattr(searched[0], name) == defaults[name]
+    assert searched[0] == SearchConfig(seed=0, trials=5, rule=search.CredalSearch())
+
+
+def test_search_tolerance_inf_exits_2(capsys):
+    code, _, err = run(capsys, "search", "--rule", "gamma:2", "--trials", "5", "--tolerance", "inf")
+    assert code == 2
+    assert "aversion_tolerance must be positive and finite, got inf" in err

@@ -1,0 +1,92 @@
+"""numpy is imported only where trials are sampled.
+
+``report``, ``scenario``, ``sweep`` and ``verify-witness`` sample nothing, so
+they, and ``import offswitch_lab``, must not load numpy: its import is the
+larger part of a one-shot command's start-up. Each case runs in a fresh
+interpreter, as the console script does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import offswitch_lab
+from offswitch_lab import cli, search
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUN_CLI = "import sys; from offswitch_lab.cli import main; code = main(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(code)"
+
+
+def numpy_loaded(script: str, *argv: str) -> bool:
+    """Run ``script`` with ``argv`` in a fresh interpreter that finds the package
+    in ``src``; its last line of output says whether numpy was imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_importing_the_package_does_not_import_numpy():
+    assert not numpy_loaded("import sys, offswitch_lab; print('numpy' in sys.modules)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report",),
+        ("scenario", "alice-noisy", "--json"),
+        ("sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps", "51"),
+    ],
+    ids=["report", "scenario", "sweep"],
+)
+def test_commands_that_sample_nothing_do_not_import_numpy(argv):
+    assert not numpy_loaded(RUN_CLI, *argv)
+
+
+def test_a_scenario_file_with_a_rule_and_an_updater_does_not_import_numpy(tmp_path):
+    path = tmp_path / "ruleful.json"
+    path.write_text(json.dumps({
+        "label": "ruleful",
+        "prior": {"kind": "uniform", "lo": -10, "hi": 90},
+        "epsilon": 0.02,
+        "rule": {"kind": "gamma-maximin", "credal": {"members": [[0.3, 0.7], [0.6, 0.4]]}},
+        "updater": {"kind": "faulty", "q": 0.5, "mode": "complement-conditionalization"},
+    }))
+    assert not numpy_loaded(RUN_CLI, "scenario", str(path))
+
+
+def test_verify_witness_does_not_import_numpy(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    assert cli.main(["search", "--rule", "faulty:complement:0.5", "--trials", "300", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())
+    assert not numpy_loaded(RUN_CLI, "verify-witness", str(path))
+
+
+def test_the_sampling_commands_do_import_numpy():
+    # the cases above would pass vacuously if the check could not see numpy
+    assert numpy_loaded(RUN_CLI, "check", "theorem1", "--trials", "10")
+
+
+def test_every_public_name_resolves():
+    for name in offswitch_lab.__all__:
+        assert getattr(offswitch_lab, name) is not None, name
+    assert offswitch_lab.SearchConfig is offswitch_lab.search.SearchConfig
+    assert offswitch_lab.verify_good is search.verify_good
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        offswitch_lab.nonexistent
+
+
+
+def test_the_package_reads_search_names_from_the_module_on_each_use(monkeypatch):
+    # a wrapper put into search (as the benchmark's tracer does) is seen through
+    # the package while it is in place, and the original once it is removed
+    original = search.verify_good
+    monkeypatch.setattr(search, "verify_good", lambda config: "wrapped")
+    assert offswitch_lab.verify_good(None) == "wrapped"
+    monkeypatch.undo()
+    assert offswitch_lab.verify_good is original

@@ -237,6 +237,29 @@ def test_search_config_validation():
         CredalSearch(0)
 
 
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: SearchConfig(seed=1.5, trials=10), "seed"),
+        (lambda: SearchConfig(seed=True, trials=10), "seed"),
+        (lambda: SearchConfig(seed=1, trials=2.5), "trials"),
+        (lambda: SearchConfig(seed=1, trials=True), "trials"),
+        (lambda: SearchConfig(seed=1, trials=10, state_count=2.0), "state_count"),
+        (lambda: SearchConfig(seed=1, trials=10, act_count=2.0), "act_count"),
+        (lambda: SearchConfig(seed=1, trials=10, signal_count=True), "signal_count"),
+        (lambda: CredalSearch(2.0), "members"),
+        (lambda: SearchConfig(seed=1, trials=10, aversion_tolerance=float("inf")), "aversion_tolerance"),
+        (lambda: SearchConfig(seed=1, trials=10, aversion_tolerance=float("nan")), "aversion_tolerance"),
+    ],
+    ids=["seed-float", "seed-bool", "trials-float", "trials-bool", "states-float", "acts-float", "signals-bool",
+         "members-float", "tolerance-inf", "tolerance-nan"],
+)
+def test_search_config_rejects_what_would_fail_inside_numpy(make, field):
+    # each of these used to be accepted, and failed later inside numpy or searched in vain
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make()
+
+
 def test_search_config_size_bounds_at_the_limit_and_past_it():
     at_limit = SearchConfig(
         seed=2, trials=3, state_count=MAX_SIZE, act_count=MAX_SIZE, signal_count=MAX_SIZE,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DimensionMismatch, MissingRuleData, ZeroMarginal
 
@@ -19,10 +20,11 @@ CHECK_TOL = 1e-12  # how far below 0 the property checks let a voi or deference 
 
 def as_probability_vector(vec, what: str = "probability vector") -> tuple[float, ...]:
     """Coerce to a tuple of floats and validate non-negativity and unit sum."""
-    out = tuple(float(x) for x in vec)
+    out = tuple(map(float, vec))
     if not out:
         raise ValueError(f"{what} must be non-empty")
-    if any(x < 0.0 or not math.isfinite(x) for x in out):
+    # min(out) is negative or NaN whenever an entry is negative; -0.0 passes
+    if not (min(out) >= 0.0 and all(map(math.isfinite, out))):
         raise ValueError(f"{what} has negative or non-finite entries: {out!r}")
     total = sum(out)
     if abs(total - 1.0) > PROB_TOL:
@@ -54,10 +56,10 @@ class Act:
     utilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        utilities = tuple(float(u) for u in self.utilities)
+        utilities = tuple(map(float, self.utilities))
         if not utilities:
             raise ValueError(f"act {self.name!r} needs at least one utility")
-        if any(not math.isfinite(u) for u in utilities):
+        if not all(map(math.isfinite, utilities)):
             raise ValueError(f"act {self.name!r} has non-finite utilities")
         object.__setattr__(self, "utilities", utilities)
 
@@ -71,7 +73,7 @@ class DecisionProblem:
     acts: tuple[Act, ...]
 
     def __post_init__(self) -> None:
-        states = tuple(str(s) for s in self.states)
+        states = tuple(map(str, self.states))
         if not states:
             raise ValueError("decision problem needs at least one state")
         prior = check_length(as_probability_vector(self.prior, "prior"), len(states), "prior")
@@ -97,12 +99,12 @@ class SignalChannel:
     likelihood: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        signals = tuple(str(s) for s in self.signals)
+        signals = tuple(map(str, self.signals))
         if not signals:
             raise ValueError("channel needs at least one signal")
         # signals are looked up by name (the complement's column, a custom posterior)
-        repeated = sorted({name for name in signals if signals.count(name) > 1})
-        if repeated:
+        if len(set(signals)) < len(signals):
+            repeated = sorted({name for name in signals if signals.count(name) > 1})
             raise ValueError(f"channel has repeated signal names: {repeated}")
         rows = tuple(self.likelihood)
         if not rows:
@@ -299,23 +301,32 @@ class GammaMaximinRule:
 DecisionRule = ExpectedUtilityRule | RiskWeightedRule | GammaMaximinRule
 
 
+def _argmax(values) -> tuple[int, float]:
+    """Index and value of the largest entry; ties go to the lowest index, and
+    a NaN never wins."""
+    best_index = 0
+    best_value = -math.inf
+    for i, value in enumerate(values):
+        if value > best_value:
+            best_index, best_value = i, value
+    return best_index, best_value
+
+
+def _act_values(problem: DecisionProblem, belief) -> list[float]:
+    """Every act's expected utility at a belief already checked to have one entry per state."""
+    return [sum(map(mul, belief, act.utilities)) for act in problem.acts]
+
+
 def expected_utility(problem: DecisionProblem, act_index: int, belief) -> float:
     """Belief-weighted utility of one act."""
     belief = check_length(belief, len(problem.states), "belief")
-    utilities = problem.acts[act_index].utilities
-    return sum(b * u for b, u in zip(belief, utilities))
+    return sum(map(mul, belief, problem.acts[act_index].utilities))
 
 
 def best_act_eu(problem: DecisionProblem, belief) -> tuple[int, float]:
     """Act with maximal expected utility; ties go to the lowest index."""
     belief = check_length(belief, len(problem.states), "belief")
-    best_index = 0
-    best_value = -math.inf
-    for i, act in enumerate(problem.acts):
-        value = sum(b * u for b, u in zip(belief, act.utilities))
-        if value > best_value:
-            best_index, best_value = i, value
-    return best_index, best_value
+    return _argmax(_act_values(problem, belief))
 
 
 def bayes_step(belief, channel: SignalChannel, j: int) -> tuple[float, tuple[float, ...] | None]:
@@ -324,10 +335,11 @@ def bayes_step(belief, channel: SignalChannel, j: int) -> tuple[float, tuple[flo
     The posterior is None when the marginal is not positive. The belief must
     already have one entry per channel row.
     """
-    marg = sum(b * row[j] for b, row in zip(belief, channel.likelihood))
+    joint = [b * row[j] for b, row in zip(belief, channel.likelihood)]
+    marg = sum(joint)
     if marg <= 0.0:
         return marg, None
-    return marg, tuple(b * row[j] / marg for b, row in zip(belief, channel.likelihood))
+    return marg, tuple([p / marg for p in joint])
 
 
 def signal_marginal(belief, channel: SignalChannel, signal: str) -> float:
@@ -357,13 +369,15 @@ def risk_weighted_value(prospect, risk: RiskFunction) -> float:
     risk-transformed probability of doing at least that well. Zero-probability
     atoms are dropped; they cannot change the value.
     """
-    pairs = sorted((float(u), float(p)) for u, p in prospect if p > 0.0)
+    pairs = sorted([(float(u), float(p)) for u, p in prospect if p > 0.0])
     if not pairs:
         raise ValueError("prospect needs at least one positive-probability atom")
     value = pairs[0][0]
-    tail = sum(p for _, p in pairs)
+    tail = sum([p for _, p in pairs])
     for (u_prev, p_prev), (u, _) in zip(pairs, pairs[1:]):
-        tail = max(tail - p_prev, 0.0)  # the subtraction can round below 0 on a thin top tail
+        tail -= p_prev
+        if tail < 0.0:  # the subtraction can round below 0 on a thin top tail
+            tail = 0.0
         value += risk.weight(tail) * (u - u_prev)
     return value
 
@@ -386,27 +400,28 @@ def gamma_maximin(problem: DecisionProblem, credal: CredalSet) -> tuple[int, flo
         raise MissingRuleData("gamma-maximin needs a credal set")
     for member in credal.members:
         check_length(member, len(problem.states), "credal member")
-    best_index = 0
-    best_value = -math.inf
-    for i, act in enumerate(problem.acts):
-        worst = min(
-            sum(b * u for b, u in zip(member, act.utilities)) for member in credal.members
-        )
-        if worst > best_value:
-            best_index, best_value = i, worst
-    return best_index, best_value
+    return _maximin(problem, credal.members)
+
+
+def _maximin(problem: DecisionProblem, members) -> tuple[int, float]:
+    """``gamma_maximin`` over members already checked to have one entry per state."""
+    return _argmax([min([sum(map(mul, member, act.utilities)) for member in members]) for act in problem.acts])
 
 
 def misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) -> tuple[float, ...]:
     """Belief produced by a failed conditionalization on the observed signal."""
-    belief = check_length(belief, len(channel.likelihood), "belief")
+    return _misupdate(check_length(belief, len(channel.likelihood), "belief"), channel, signal, kind)
+
+
+def _misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) -> tuple[float, ...]:
+    """``misupdate`` of a belief already checked to have one entry per channel row."""
     if isinstance(kind, StayAtPrior):
         return belief
     if isinstance(kind, ComplementConditionalization):
         j = channel.signal_index(signal)
-        comp = tuple(b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood))
+        comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
         marg = sum(comp)
         if marg <= 0.0:
             raise ZeroMarginal(f"complement of signal {signal!r} has zero marginal probability")
-        return tuple(x / marg for x in comp)
+        return tuple([x / marg for x in comp])
     return check_length(kind.posterior_for(signal), len(belief), f"custom posterior for {signal!r}")

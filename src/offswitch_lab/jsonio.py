@@ -44,6 +44,7 @@ RULE_KINDS = ("eu", "reu", "gamma-maximin")
 UPDATER_KINDS = ("conditionalization", "faulty")
 _NUMBER_TYPES = frozenset((int, float))
 _STRING_TYPES = frozenset((str,))
+_INT_TYPES = frozenset((int,))
 
 
 def number(value, field: str, types=_NUMBER_TYPES):
@@ -60,15 +61,25 @@ def number(value, field: str, types=_NUMBER_TYPES):
     return value
 
 
-def _numbers(values, field: str) -> tuple:
-    values = tuple(values)
-    # one pass over the types and one over finiteness in C; witness decoding
-    # is on the replay hot path (a huge integer here raises OverflowError, an
-    # input error just as float() of it would be)
-    if not (_NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))):
-        for value in values:
-            number(value, field)
+def _list(values, field: str) -> list:
+    """``values`` itself when it is a JSON list; a string or a number is not split or iterated."""
+    if type(values) is not list:
+        raise ValueError(f"{field} must be a JSON list, got {values!r}")
     return values
+
+
+def _numbers(values, field: str) -> tuple:
+    """A JSON list of finite JSON numbers as a tuple."""
+    # one test of the list type, one pass over the types and one over
+    # finiteness in C; witness decoding is on the replay hot path (a huge
+    # integer here raises OverflowError, an input error just as float() of it
+    # would be)
+    if not (
+        type(values) is list and _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
+    ):
+        for value in _list(values, field):
+            number(value, field)
+    return tuple(values)
 
 
 def _string(value, field: str) -> str:
@@ -88,6 +99,9 @@ def check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...]
     """ValueError unless ``obj`` is an object with all required fields and no unknown ones."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    # the usual case: exactly the required keys, which are distinct
+    if len(obj) == len(required) and all(map(obj.__contains__, required)):
+        return
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"{what} has unknown fields: {sorted(unknown)}")
@@ -117,7 +131,7 @@ def decode_distribution(obj) -> UtilityDistribution:
         check_fields(obj, ("kind", "atoms"), (), "discrete prior")
         atoms = obj["atoms"]
         if not isinstance(atoms, list) or not all(
-            isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms
+            isinstance(a, list) and len(a) == 2 for a in atoms
         ):
             raise ValueError("discrete prior atoms must be a list of [value, weight] pairs")
         return Discrete(tuple(_numbers(atom, "discrete prior atom") for atom in atoms))
@@ -135,7 +149,7 @@ def encode_problem(problem: DecisionProblem) -> dict:
 def decode_problem(obj) -> DecisionProblem:
     check_fields(obj, ("states", "prior", "acts"), (), "decision problem")
     acts = []
-    for entry in obj["acts"]:
+    for entry in _list(obj["acts"], "decision problem acts"):
         check_fields(entry, ("name", "utilities"), (), "act")
         acts.append(Act(_string(entry["name"], "act name"), _numbers(entry["utilities"], "act utilities")))
     prior = _numbers(obj["prior"], "decision problem prior")
@@ -151,7 +165,7 @@ def encode_channel(channel: SignalChannel) -> dict:
 
 def decode_channel(obj) -> SignalChannel:
     check_fields(obj, ("signals", "likelihood"), (), "signal channel")
-    rows = tuple(_numbers(row, "channel likelihood") for row in obj["likelihood"])
+    rows = tuple([_numbers(row, "channel likelihood") for row in _list(obj["likelihood"], "channel likelihood")])
     return SignalChannel(_strings(obj["signals"], "signal channel signals"), rows)
 
 
@@ -173,7 +187,7 @@ def decode_risk(obj) -> RiskFunction:
         return PowerRisk(number(obj["k"], "power risk k"))
     if kind == "table":
         check_fields(obj, ("kind", "knots"), (), "table risk")
-        return TableRisk(tuple(_numbers(knot, "table risk knot") for knot in obj["knots"]))
+        return TableRisk(tuple(_numbers(knot, "table risk knot") for knot in _list(obj["knots"], "table risk knots")))
     raise ValueError(f"risk kind must be 'identity', 'power' or 'table', got {kind!r}")
 
 
@@ -183,7 +197,7 @@ def encode_credal(credal: CredalSet) -> dict:
 
 def decode_credal(obj) -> CredalSet:
     check_fields(obj, ("members",), (), "credal set")
-    return CredalSet(tuple(_numbers(m, "credal member") for m in obj["members"]))
+    return CredalSet(tuple(_numbers(m, "credal member") for m in _list(obj["members"], "credal set members")))
 
 
 def encode_rule(rule: DecisionRule | Updater) -> dict:
@@ -286,5 +300,5 @@ def witness_from_jsonable(obj) -> Witness:
         channel=channel,
         rule=rule,
         voi=float(number(obj["voi"], "witness voi")),
-        trial_index=number(obj["trial_index"], "witness trial_index", {int}),
+        trial_index=number(obj["trial_index"], "witness trial_index", _INT_TYPES),
     )

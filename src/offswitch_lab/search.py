@@ -47,9 +47,15 @@ values included, is decided by the scalar ``value_of_learning_eu`` or
 every block goes through the scalar path as well, and its value must agree
 with the kernel's within CHECK_TOL / 2, or the check raises AssertionError.
 
-Witnesses of information aversion are re-verified before emission: the
-candidate is serialized, decoded again and re-evaluated through the voi
-module, and must reproduce its voi within ``REVERIFY_TOL`` (1e-10).
+The witness path. A possible witness is built from its rows through
+``tolist``, so the dataclasses receive plain floats, the same doubles as the
+arrays, and check them as they check any input. It is evaluated once; a
+witness is then encoded, written as JSON text, decoded by the strict decoder
+(every check again) and replayed through the voi module, and must reproduce
+its voi within ``REVERIFY_TOL`` (1e-10). The replay makes the same float
+operations in the same order, so it gives the voi exactly. The scalar
+kernels stay cheap without skipping a check: each checks a belief's length
+once and scores each act once per belief.
 
 This is the package's only numpy module. The scalar path it confirms with
 (``voi.evaluate_rule``, ``voi.replay_witness``) and the witness codec
@@ -225,15 +231,16 @@ def _blocks(config: SearchConfig, rule_rows: int):
 
 
 def _draw_instance(config: SearchConfig, block: _Block, r: int) -> tuple[DecisionProblem, SignalChannel]:
-    """The (problem, channel) pair of trial ``block.start + r``, built from its rows."""
+    """The (problem, channel) pair of trial ``block.start + r``, built from its
+    rows as plain floats (``tolist`` gives the same doubles as the arrays)."""
     problem = DecisionProblem(
         states=tuple(f"state{i}" for i in range(config.state_count)),
-        prior=tuple(block.prior[r]),
-        acts=tuple(Act(f"act{k}", tuple(utilities)) for k, utilities in enumerate(block.utilities[r])),
+        prior=block.prior[r].tolist(),
+        acts=tuple([Act(f"act{k}", utilities) for k, utilities in enumerate(block.utilities[r].tolist())]),
     )
     channel = SignalChannel(
         signals=tuple(f"signal{j}" for j in range(config.signal_count)),
-        likelihood=tuple(tuple(row) for row in block.likelihood[r]),
+        likelihood=block.likelihood[r].tolist(),
     )
     return problem, channel
 
@@ -538,11 +545,11 @@ def _screen_for(config: SearchConfig):
 def _concrete_rule(search_rule: SearchRule, rows: np.ndarray, channel: SignalChannel) -> DecisionRule | Updater:
     """Materialize a trial's rule from its rows of rule data."""
     if isinstance(search_rule, CredalSearch):
-        return GammaMaximinRule(CredalSet(tuple(tuple(m) for m in rows)))
+        return GammaMaximinRule(CredalSet(rows.tolist()))
     if isinstance(search_rule, FaultySearch):
         mode = MISUPDATE_MODES[search_rule.kind]
         if mode is CustomPosterior:
-            return Faulty(search_rule.q, CustomPosterior(dict(zip(channel.signals, map(tuple, rows)))))
+            return Faulty(search_rule.q, CustomPosterior(dict(zip(channel.signals, rows.tolist()))))
         return Faulty(search_rule.q, mode())
     return search_rule
 

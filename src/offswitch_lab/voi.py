@@ -29,6 +29,7 @@ witness replay and the scenario command all evaluate through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -40,13 +41,13 @@ from .core import (
     RiskWeightedRule,
     SignalChannel,
     Updater,
+    _act_values,
+    _argmax,
+    _maximin,
+    _misupdate,
     bayes_step,
-    best_act_eu,
     check_length,
-    expected_utility,
     gamma_maximin,
-    misupdate,
-    risk_weighted_eu,
     risk_weighted_value,
 )
 from .errors import MissingRuleData
@@ -89,21 +90,26 @@ def _checked_belief(problem: DecisionProblem, belief, channel: SignalChannel) ->
 
 
 def _learn_by_eu_choice(problem, belief, channel, updater: Faulty | None) -> VoiReport:
-    """The one learn-then-choose loop of ``value_of_learning_eu`` and ``value_of_learning_faulty``."""
+    """The one learn-then-choose loop of ``value_of_learning_eu`` and ``value_of_learning_faulty``.
+
+    The belief's length is checked once; the posterior and the misupdated
+    belief have that length by construction. Each act is scored once at each
+    posterior, and the misfired act's value is read from those scores.
+    """
     belief = _checked_belief(problem, belief, channel)
     q = 0.0 if updater is None else updater.q
-    _, now = best_act_eu(problem, belief)
+    _, now = _argmax(_act_values(problem, belief))
     rows = []
     total = 0.0
     for j, signal in enumerate(channel.signals):
         marg, post = bayes_step(belief, channel, j)
         if post is None:
             continue
-        idx, val = best_act_eu(problem, post)
+        values = _act_values(problem, post)
+        idx, val = _argmax(values)
         if q > 0.0:
-            wrong_belief = misupdate(belief, channel, signal, updater.kind)
-            wrong_index, _ = best_act_eu(problem, wrong_belief)
-            val = (1.0 - q) * val + q * expected_utility(problem, wrong_index, post)
+            wrong_index, _ = _argmax(_act_values(problem, _misupdate(belief, channel, signal, updater.kind)))
+            val = (1.0 - q) * val + q * values[wrong_index]
         rows.append(SignalOutcome(signal, marg, idx, val))
         total += marg * val
     return VoiReport(now, total, total - now, "eu" if updater is None else "faulty", tuple(rows))
@@ -119,18 +125,13 @@ def value_of_learning_eu(problem: DecisionProblem, belief, channel: SignalChanne
 
 
 def _learning_reu(problem, belief, channel, risk) -> VoiReport:
-    n_acts = len(problem.acts)
     rows = []
     joint: list[tuple[float, float]] = []
     for j, signal in enumerate(channel.signals):
         marg, post = bayes_step(belief, channel, j)
         if post is None:
             continue
-        best_index, best_value = 0, -float("inf")
-        for i in range(n_acts):
-            value = risk_weighted_eu(problem, i, post, risk)
-            if value > best_value:
-                best_index, best_value = i, value
+        best_index, best_value = _argmax([risk_weighted_value(zip(act.utilities, post), risk) for act in problem.acts])
         rows.append(SignalOutcome(signal, marg, best_index, best_value))
         utilities = problem.acts[best_index].utilities
         for w, (b, row) in enumerate(zip(belief, channel.likelihood)):
@@ -138,7 +139,7 @@ def _learning_reu(problem, belief, channel, risk) -> VoiReport:
             if p > 0.0:
                 joint.append((utilities[w], p))
     learning = risk_weighted_value(joint, risk)
-    now = max(risk_weighted_eu(problem, i, belief, risk) for i in range(n_acts))
+    now = max([risk_weighted_value(zip(act.utilities, belief), risk) for act in problem.acts])
     return VoiReport(now, learning, learning - now, "reu", tuple(rows))
 
 
@@ -153,7 +154,7 @@ def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
         post_members = tuple(member_steps[j][1] for member_steps in steps if member_steps[j][1] is not None)
         if not post_members:
             continue
-        plan[j] = gamma_maximin(problem, CredalSet(post_members))[0]
+        plan[j] = _maximin(problem, CredalSet(post_members).members)[0]
 
     # Each member scores the whole plan with its own marginals and posteriors;
     # the learning value is the worst of those scores.
@@ -166,7 +167,7 @@ def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
             marg, post = member_steps[j]
             if post is None:
                 continue
-            val = expected_utility(problem, act_index, post)
+            val = sum(map(mul, post, problem.acts[act_index].utilities))
             member_rows.append(SignalOutcome(channel.signals[j], marg, act_index, val))
             member_total += marg * val
         if member_total < worst_value:

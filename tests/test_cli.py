@@ -446,9 +446,27 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
         (lambda w: w.update(rule={"kind": "gamma-maximin", "credal": {"members": [[0.25] * 4, [0.4, 0.2, 0.2, 0.2]]}}),
          "credal member has 4 entries for 3 states"),
         (lambda w: w["channel"]["likelihood"].append([0.5, 0.5]), "channel likelihood has 4 entries for 3 states"),
+        # vectors that are not JSON lists are neither iterated nor split into characters
+        (lambda w: w["problem"].update(prior=5), "decision problem prior must be a JSON list, got 5"),
+        (lambda w: w["problem"].update(prior="0.5"), "decision problem prior must be a JSON list, got '0.5'"),
+        (lambda w: w["problem"].update(acts=3), "decision problem acts must be a JSON list, got 3"),
+        (lambda w: w["problem"]["acts"][0].update(utilities=2.5), "act utilities must be a JSON list, got 2.5"),
+        (lambda w: w["channel"].update(likelihood=7), "channel likelihood must be a JSON list, got 7"),
+        (lambda w: w["channel"]["likelihood"].__setitem__(0, 7), "channel likelihood must be a JSON list, got 7"),
+        (lambda w: w["rule"]["table"].update(signal0="0.5"), "custom posterior for 'signal0' must be a JSON list, got '0.5'"),
+        (lambda w: w.update(rule={"kind": "gamma-maximin", "credal": {"members": 3}}),
+         "credal set members must be a JSON list, got 3"),
+        (lambda w: w.update(rule={"kind": "gamma-maximin", "credal": {"members": [[1.0, 0.0, 0.0], 3]}}),
+         "credal member must be a JSON list, got 3"),
+        (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "table", "knots": [[0, 0], 5, [1, 1]]}}),
+         "table risk knot must be a JSON list, got 5"),
+        (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "table", "knots": 5}}),
+         "table risk knots must be a JSON list, got 5"),
     ],
     ids=["table-missing-signal", "table-wrong-length", "table-list", "table-extra-signal",
-         "states-string", "states-int", "signals-string", "act-name-int", "credal-member-size", "likelihood-rows"],
+         "states-string", "states-int", "signals-string", "act-name-int", "credal-member-size", "likelihood-rows",
+         "prior-int", "prior-string", "acts-int", "utilities-float", "likelihood-int", "likelihood-row-int",
+         "table-entry-string", "credal-members-int", "credal-member-int", "table-knot-int", "table-knots-int"],
 )
 def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, capsys):
     out_path = tmp_path / "w.json"

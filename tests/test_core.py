@@ -27,6 +27,8 @@ from offswitch_lab import (
     risk_weighted_value,
     signal_marginal,
 )
+from offswitch_lab.core import as_probability_vector
+from offswitch_lab.jsonio import check_fields
 from oracles import reu_decumulative
 
 
@@ -388,3 +390,68 @@ def test_channel_rejects_repeated_signal_names():
     with pytest.raises(ValueError, match=r"repeated signal names: \['a', 'b'\]"):
         SignalChannel(("b", "a", "b", "a"), ((0.25, 0.25, 0.25, 0.25),))
     assert SignalChannel(("x", "y"), ((0.9, 0.1), (0.2, 0.8))).signals == ("x", "y")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def raised(fn, *args) -> tuple:
+    """The type and message of the error ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "vec,message",
+    [
+        ((0.5, NAN, 0.5), "prior has negative or non-finite entries: (0.5, nan, 0.5)"),
+        ((NAN, -1.0, 2.0), "prior has negative or non-finite entries: (nan, -1.0, 2.0)"),
+        ((INF, 0.0), "prior has negative or non-finite entries: (inf, 0.0)"),
+        ((2.0, -INF), "prior has negative or non-finite entries: (2.0, -inf)"),
+        ((1.5, -0.5), "prior has negative or non-finite entries: (1.5, -0.5)"),
+        ((), "prior must be non-empty"),
+        ((0.5, 0.25), "prior sums to 0.75, expected 1 within 1e-12"),
+    ],
+    ids=["nan", "nan-first-then-negative", "inf", "minus-inf", "negative", "empty", "sum"],
+)
+def test_probability_vector_errors_are_unchanged(vec, message):
+    assert raised(as_probability_vector, vec, "prior") == (ValueError, message)
+
+
+def test_negative_zero_is_a_probability():
+    assert as_probability_vector((-0.0, 1.0)) == (-0.0, 1.0)
+    assert SignalChannel(("x", "y"), ((-0.0, 1.0), (1.0, 0.0))).likelihood[0] == (0.0, 1.0)
+    assert Act("a", (-0.0,)).utilities == (-0.0,)
+
+
+def test_act_and_channel_errors_are_unchanged():
+    assert raised(Act, "a", (1.0, NAN)) == (ValueError, "act 'a' has non-finite utilities")
+    assert raised(Act, "a", (-INF, 1.0)) == (ValueError, "act 'a' has non-finite utilities")
+    assert raised(Act, "a", ()) == (ValueError, "act 'a' needs at least one utility")
+    assert raised(SignalChannel, ("x", "y"), ((0.5, 0.5), (NAN, 1.0))) == (
+        ValueError, "likelihood row 1 has negative or non-finite entries: (nan, 1.0)"
+    )
+    assert raised(SignalChannel, ("x", "y"), ((1.5, -0.5),)) == (
+        ValueError, "likelihood row 0 has negative or non-finite entries: (1.5, -0.5)"
+    )
+    assert raised(SignalChannel, (), ((1.0,),)) == (ValueError, "channel needs at least one signal")
+    assert raised(SignalChannel, ("y", "x", "y", "x"), ((0.25,) * 4,)) == (
+        ValueError, "channel has repeated signal names: ['x', 'y']"
+    )
+
+
+def test_check_fields_errors_are_unchanged():
+    required = ("kind", "rule")
+    assert check_fields({"kind": 1, "rule": 2}, required, (), "block") is None
+    # the right number of keys, one of them misspelled
+    assert raised(check_fields, {"kind": 1, "rulez": 2}, required, (), "block") == (
+        ValueError, "block has unknown fields: ['rulez']"
+    )
+    assert raised(check_fields, {"kind": 1}, required, (), "block") == (
+        ValueError, "block is missing fields: ['rule']"
+    )
+    assert check_fields({"kind": 1, "rule": 2, "extra": 3}, required, ("extra",), "block") is None
+    assert raised(check_fields, [("kind", 1)], required, (), "block") == (
+        ValueError, "block must be a JSON object, got list"
+    )

@@ -211,6 +211,25 @@ def test_witness_json_round_trip_preserves_everything():
         assert round_tripped == w
 
 
+EXACT_REPLAY_RULES = {
+    "reu:power:2": ReuSearch(PowerRisk(2)),
+    "reu:table": ReuSearch(TableRisk(((0.0, 0.0), (0.4, 0.1), (0.6, 0.9), (1.0, 1.0)))),
+    "gamma:2": CredalSearch(2),
+    "faulty:complement:0.5": FaultySearch(0.5, "complement-conditionalization"),
+    "faulty:custom:0.5": FaultySearch(0.5, "custom-posterior"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_REPLAY_RULES))
+def test_every_witness_replays_to_exactly_its_voi_from_its_json_text(name):
+    # exact equality, not within REVERIFY_TOL: the decoded witness is evaluated
+    # by the same float operations in the same order as the search's
+    witnesses = find_information_aversion(SearchConfig(seed=3, trials=1024, rule=EXACT_REPLAY_RULES[name]))
+    assert witnesses
+    for w in witnesses:
+        assert replay_witness(witness_from_jsonable(json.loads(json.dumps(witness_to_jsonable(w))))) == w.voi
+
+
 def test_witness_from_jsonable_rejects_unknown_fields():
     config = SearchConfig(seed=16, trials=800, rule=CredalSearch(2))
     w = find_information_aversion(config)[0]
@@ -501,6 +520,44 @@ def test_screened_search_equals_the_scalar_loop_on_edited_blocks(name, seed, edi
         for r, edit in edits:
             apply_edit(block, r, edit)
     assert screened_search(config, block) == block_search(config, block)
+
+
+def subnormal_marginal_edit(block, r, mass):
+    """Give row r of a three-signal block a signal whose marginal is positive
+    and subnormal. On even rows signal 2 has likelihood ``mass`` times 1, 2, 3
+    in the three states, under every belief. On odd rows signal 0 is certain
+    in every state but state 0, whose mass in the prior and in every credal
+    member becomes ``mass``: then signal 0's complement marginal, and signal 1
+    and 2's marginals, are ``mass`` times state 0's likelihoods."""
+    if r % 2 == 0:
+        for s, row in enumerate(block.likelihood[r]):
+            _rescaled(row, 2, mass * (s + 1))
+        return
+    block.likelihood[r, 1:] = (1.0, 0.0, 0.0)
+    _rescaled(block.prior[r], 0, mass)
+    for member in block.rule_rows[r]:
+        _rescaled(member, 0, mass)
+
+
+@pytest.mark.parametrize("mass", [5e-324, 1e-320, 1e-310])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
+def test_screened_search_equals_the_scalar_loop_where_a_marginal_is_subnormal(name, mass):
+    # The REU and gamma screens keep every trial whose marginals are not all
+    # above the margin, and the complement screen every trial whose complement
+    # marginals are not; with those terms deleted the two searches still agree
+    # here, because the screen's posteriors divide the same products by the
+    # same sums as the scalar path's
+    config = SearchConfig(seed=46, trials=64, signal_count=3, rule=EQUIVALENCE_RULES[name])
+    _, rule_rows = search._screen_for(config)
+    block = search._draw_block(config, 0, rule_rows, 64)
+    for r in range(64):
+        subnormal_marginal_edit(block, r, mass)
+    marginals = (block.prior[:, :, None] * block.likelihood).sum(axis=1)
+    assert ((marginals > 0.0) & (marginals < np.finfo(float).tiny)).any(axis=1).sum() >= 32
+    reference = block_search(config, block)
+    # the edited rows still hold witnesses (power 0.5 seeks risk and has none here)
+    assert reference or name == "reu:power:0.5"
+    assert screened_search(config, block) == reference
 
 
 # ------------------------------------------------------- the stream contract

@@ -16,6 +16,7 @@ from offswitch_lab import (
     PowerRisk,
     RiskWeightedRule,
     SignalChannel,
+    SignalOutcome,
     StayAtPrior,
     Uniform,
     ZeroMarginal,
@@ -266,6 +267,22 @@ def test_faulty_custom_matches_independent_oracle_and_returns_table_choice():
         updater = Faulty(0.7, table)
         report = value_of_learning_faulty(problem, problem.prior, channel, updater)
         assert report.voi == pytest.approx(faulty_voi(problem, channel, updater), abs=1e-9)
+
+
+def test_faulty_ties_go_to_the_lowest_index_at_the_posterior_and_the_misupdated_belief():
+    # posteriors (0.75, 0.25) on x and (0.25, 0.75) on y, and the complement
+    # misupdate swaps them. At (0.75, 0.25) acts 0 and 1 tie at 1.0, at
+    # (0.25, 0.75) acts 1 and 2 do; every number here is exact in binary
+    problem = DecisionProblem(
+        ("s0", "s1"), (0.5, 0.5), (Act("a0", (2.0, -2.0)), Act("a1", (1.0, 1.0)), Act("a2", (-2.0, 2.0)))
+    )
+    channel = SignalChannel(("x", "y"), ((0.75, 0.25), (0.25, 0.75)))
+    report = value_of_learning_faulty(problem, problem.prior, channel, Faulty(0.5, ComplementConditionalization()))
+    # on x: act 0 by the tie at the posterior; the misupdated belief picks act 1
+    # (not act 2), worth 1.0 at the posterior. On y: act 1; the misupdated
+    # belief picks act 0 (not act 1), worth -1.0 at the posterior
+    assert report.per_signal == (SignalOutcome("x", 0.5, 0, 1.0), SignalOutcome("y", 0.5, 1, 0.0))
+    assert (report.value_now, report.value_learning, report.voi) == (1.0, 0.5, -0.5)
 
 
 def test_faulty_requires_faulty_updater():

@@ -48,6 +48,13 @@ def unit_interval(x, what: str) -> float:
     return x
 
 
+def _reject_repeated_signals(names, what: str) -> None:
+    """ValueError naming every signal name that occurs more than once."""
+    if len(set(names)) < len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"{what} has repeated signal names: {repeated}")
+
+
 @dataclass(frozen=True)
 class Act:
     """A named act: one utility per state, in state order."""
@@ -103,9 +110,7 @@ class SignalChannel:
         if not signals:
             raise ValueError("channel needs at least one signal")
         # signals are looked up by name (the complement's column, a custom posterior)
-        if len(set(signals)) < len(signals):
-            repeated = sorted({name for name in signals if signals.count(name) > 1})
-            raise ValueError(f"channel has repeated signal names: {repeated}")
+        _reject_repeated_signals(signals, "channel")
         rows = tuple(self.likelihood)
         if not rows:
             raise ValueError("channel needs at least one state row")
@@ -237,6 +242,8 @@ class CustomPosterior:
             (str(signal), as_probability_vector(vec, f"custom posterior for {signal!r}"))
             for signal, vec in items
         )
+        # a signal is looked up by its first entry, and a JSON object keeps its last
+        _reject_repeated_signals([signal for signal, _ in canon], "custom posterior table")
         object.__setattr__(self, "table", canon)
 
     def posterior_for(self, signal: str) -> tuple[float, ...]:
@@ -266,6 +273,10 @@ class Faulty:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", unit_interval(self.q, "misupdate probability"))
+        kinds = tuple(MISUPDATE_MODES.values())
+        if not isinstance(self.kind, kinds):
+            names = ", ".join(kind.__name__ for kind in kinds)
+            raise ValueError(f"misupdate kind must be an instance of {names}, got {self.kind!r}")
 
 
 Updater = Conditionalization | Faulty
@@ -317,12 +328,6 @@ def _act_values(problem: DecisionProblem, belief) -> list[float]:
     return [sum(map(mul, belief, act.utilities)) for act in problem.acts]
 
 
-def expected_utility(problem: DecisionProblem, act_index: int, belief) -> float:
-    """Belief-weighted utility of one act."""
-    belief = check_length(belief, len(problem.states), "belief")
-    return sum(map(mul, belief, problem.acts[act_index].utilities))
-
-
 def best_act_eu(problem: DecisionProblem, belief) -> tuple[int, float]:
     """Act with maximal expected utility; ties go to the lowest index."""
     belief = check_length(belief, len(problem.states), "belief")
@@ -340,21 +345,6 @@ def bayes_step(belief, channel: SignalChannel, j: int) -> tuple[float, tuple[flo
     if marg <= 0.0:
         return marg, None
     return marg, tuple([p / marg for p in joint])
-
-
-def signal_marginal(belief, channel: SignalChannel, signal: str) -> float:
-    """P(signal) under the belief: sum over states of belief * likelihood."""
-    belief = check_length(belief, len(channel.likelihood), "belief")
-    return bayes_step(belief, channel, channel.signal_index(signal))[0]
-
-
-def posterior(belief, channel: SignalChannel, signal: str) -> tuple[float, ...]:
-    """Bayesian update of the belief on the observed signal."""
-    belief = check_length(belief, len(channel.likelihood), "belief")
-    _, post = bayes_step(belief, channel, channel.signal_index(signal))
-    if post is None:
-        raise ZeroMarginal(f"signal {signal!r} has zero marginal probability")
-    return post
 
 
 def risk_weighted_value(prospect, risk: RiskFunction) -> float:
@@ -380,14 +370,6 @@ def risk_weighted_value(prospect, risk: RiskFunction) -> float:
             tail = 0.0
         value += risk.weight(tail) * (u - u_prev)
     return value
-
-
-def risk_weighted_eu(problem: DecisionProblem, act_index: int, belief, risk: RiskFunction) -> float:
-    """Rank-dependent value of one act under the belief."""
-    if risk is None:
-        raise MissingRuleData("risk-weighted evaluation needs a risk function")
-    belief = check_length(belief, len(problem.states), "belief")
-    return risk_weighted_value(zip(problem.acts[act_index].utilities, belief), risk)
 
 
 def gamma_maximin(problem: DecisionProblem, credal: CredalSet) -> tuple[int, float]:

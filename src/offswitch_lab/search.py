@@ -24,8 +24,11 @@ The search screens, then confirms. A numpy kernel per search rule values
 the whole block, and a trial is dropped only when the screen proves it is
 not a witness: its screened voi is at least ``-aversion_tolerance +
 SCREEN_MARGIN``, every act choice the voi depends on leads the runner-up by
-more than the margin, every marginal it divides by exceeds the margin, and
-its rows pass the checks that the dataclasses make. The margin is derived
+more than the margin, and its rows pass the checks that the dataclasses
+make. No condition is put on the marginals a screen divides by: a zero
+marginal gives NaN, which fails every lead test and so keeps the trial, and
+a positive one, however small, gives the posterior the scalar path computes,
+as both divide the same products by the same sums. The margin is derived
 from ``UTILITY_RANGE``, because float error in a voi scales with the
 utilities; at this range the screen and the scalar path agree to about
 1e-14. A risk-weighted screen brackets each risk weight between its values
@@ -397,7 +400,7 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarr
     n, g, s = block.likelihood.shape[0], block.likelihood.shape[2], block.prior.shape[1]
     order = block.utilities.argsort(axis=-1)
     ranked = np.take_along_axis(block.utilities, order, axis=-1)
-    marginals, posteriors = _bayes(block.prior, block.likelihood)
+    _, posteriors = _bayes(block.prior, block.likelihood)
     ranked_posteriors = np.take_along_axis(posteriors[:, :, None], order[:, None], -1)  # (n, G, A, S)
     low, high = _rank_brackets(rule, ranked[:, None], ranked_posteriors)
     choice, lead = _lead(low, high)
@@ -411,7 +414,6 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarr
     return ~(
         (learning - now.max(axis=-1) >= floor)
         & (lead > SCREEN_MARGIN).all(axis=-1)
-        & (marginals > SCREEN_MARGIN).all(axis=-1)
     )
 
 
@@ -430,7 +432,6 @@ def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray
     return ~(
         (learning - now >= floor)
         & (lead > SCREEN_MARGIN).all(axis=-1)
-        & (marginals > SCREEN_MARGIN).all(axis=(1, 2))
     )
 
 
@@ -469,20 +470,19 @@ def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarra
     """Possible witnesses of a faulty updater: the act best at the posterior
     blended with the act best at the misupdated belief, both scored at the true
     posterior. The posterior-best act enters only through its value, a max, so
-    only the misupdated choice needs a lead; only a complement posterior divides."""
+    only the misupdated choice needs a lead. A complement posterior needs no
+    condition on its marginal, for the reason the module docstring gives."""
     now, values = _eu_kernel(block)
     if rule.kind == MISUPDATE_CUSTOM:
-        wrong, divisors_clear = block.rule_rows, True
+        wrong = block.rule_rows
     else:
-        complement, wrong = _bayes(block.prior, 1.0 - block.likelihood)
-        divisors_clear = (complement > SCREEN_MARGIN).all(axis=-1)
+        _, wrong = _bayes(block.prior, 1.0 - block.likelihood)
     wrong_choice, lead = _lead(wrong @ np.swapaxes(block.utilities, 1, 2))
     misfired = np.take_along_axis(values, wrong_choice[..., None], axis=-1)[..., 0]
     learning = ((1.0 - rule.q) * values.max(axis=-1) + rule.q * misfired).sum(axis=-1)
     return ~(
         (learning - now >= floor)
         & (lead > SCREEN_MARGIN).all(axis=-1)
-        & divisors_clear
     )
 
 

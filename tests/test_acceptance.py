@@ -13,39 +13,37 @@ import math
 import numpy as np
 import pytest
 
-from offswitch_lab import (
-    CredalSearch,
+from offswitch_lab import cli
+from offswitch_lab.core import (
     CredalSet,
-    Discrete,
+    Faulty,
+    PowerRisk,
+    RiskWeightedRule,
+    StayAtPrior,
+    best_act_eu,
+    gamma_maximin,
+)
+from offswitch_lab.distributions import Discrete, Uniform, mean, sample_array
+from offswitch_lab.errors import RuleCannotBeAverse
+from offswitch_lab.offswitch import best_option, defer_threshold, noisy_defer_value, noisy_learn_value
+from offswitch_lab.search import (
+    CredalSearch,
     EuSearch,
     FaultySearch,
-    PowerRisk,
     ReuSearch,
-    RiskWeightedRule,
-    RuleCannotBeAverse,
     SearchConfig,
-    StayAtPrior,
-    Uniform,
-    best_act_eu,
-    best_option,
-    cli,
-    defer_threshold,
     find_information_aversion,
-    gamma_maximin,
-    mean,
-    noisy_defer_value,
-    noisy_learn_value,
     random_discrete_prior,
     random_instance,
-    replay_witness,
-    sample_array,
-    value_of_learning_eu,
-    value_of_learning_faulty,
-    value_of_learning_rule,
     verify_good,
     verify_theorem1,
 )
-from offswitch_lab.core import Faulty
+from offswitch_lab.voi import (
+    replay_witness,
+    value_of_learning_eu,
+    value_of_learning_faulty,
+    value_of_learning_rule,
+)
 from oracles import bisect_defer_threshold, faulty_voi, gamma_voi, reu_voi
 
 TOL = 1e-9

@@ -3,31 +3,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offswitch_lab import (
+from offswitch_lab.core import (
     Act,
     ComplementConditionalization,
+    Conditionalization,
     CredalSet,
     CustomPosterior,
     DecisionProblem,
-    DimensionMismatch,
+    Faulty,
     IdentityRisk,
-    MissingRuleData,
     PowerRisk,
     SignalChannel,
     StayAtPrior,
     TableRisk,
-    ZeroMarginal,
+    as_probability_vector,
+    bayes_step,
     best_act_eu,
-    expected_utility,
     gamma_maximin,
     is_identity_risk,
     misupdate,
-    posterior,
-    risk_weighted_eu,
     risk_weighted_value,
-    signal_marginal,
 )
-from offswitch_lab.core import as_probability_vector
+from offswitch_lab.errors import DimensionMismatch, MissingRuleData, ZeroMarginal
 from offswitch_lab.jsonio import check_fields
 from oracles import reu_decumulative
 
@@ -38,6 +35,17 @@ def two_state_problem(acts):
 
 FLIP_02 = SignalChannel(("approve", "reject"), ((0.98, 0.02), (0.02, 0.98)))
 PARTITION = SignalChannel(("approve", "reject"), ((1.0, 0.0), (0.0, 1.0)))
+
+
+def expected_utility(problem, act_index, belief):
+    """One act's expected utility, as the best act of a menu holding only it."""
+    alone = DecisionProblem(problem.states, problem.prior, (problem.acts[act_index],))
+    return best_act_eu(alone, belief)[1]
+
+
+def risk_weighted_eu(problem, act_index, belief, risk):
+    """One act's rank-dependent value under the belief."""
+    return risk_weighted_value(zip(problem.acts[act_index].utilities, belief), risk)
 
 
 def test_expected_utility_defer_branch_value():
@@ -100,7 +108,7 @@ def test_posterior_flip_channel_matches_bayes_formula():
     eps = 0.02
     # joint/marginal arithmetic done from scratch
     expected_prefer = 0.9 * (1 - eps) / (0.1 * eps + 0.9 * (1 - eps))
-    post = posterior((0.9, 0.1), FLIP_02, "approve")
+    _, post = bayes_step((0.9, 0.1), FLIP_02, 0)
     assert post[0] == pytest.approx(expected_prefer, abs=1e-12)
     assert post[0] == pytest.approx(0.99774, abs=5e-6)
     assert sum(post) == pytest.approx(1.0, abs=1e-12)
@@ -108,23 +116,22 @@ def test_posterior_flip_channel_matches_bayes_formula():
 
 def test_posterior_partition_channel_renormalizes_cell():
     channel = SignalChannel(("left", "right"), ((1.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
-    post = posterior((0.2, 0.3, 0.5), channel, "left")
+    _, post = bayes_step((0.2, 0.3, 0.5), channel, 0)
     assert post == pytest.approx((0.4, 0.6, 0.0), abs=1e-12)
 
 
 def test_posterior_noiseless_flip_equals_partition_case():
     noiseless = SignalChannel(("approve", "reject"), ((1.0, 0.0), (0.0, 1.0)))
     assert noiseless.likelihood == ((1.0, 0.0), (0.0, 1.0))
-    assert posterior((0.9, 0.1), noiseless, "approve") == pytest.approx((1.0, 0.0))
+    assert bayes_step((0.9, 0.1), noiseless, 0)[1] == pytest.approx((1.0, 0.0))
 
 
-def test_posterior_zero_marginal_raises():
-    with pytest.raises(ZeroMarginal):
-        posterior((1.0, 0.0), PARTITION, "reject")
+def test_posterior_zero_marginal_gives_no_posterior():
+    assert bayes_step((1.0, 0.0), PARTITION, 1) == (0.0, None)
 
 
 def test_signal_marginal_footnote_value():
-    assert signal_marginal((0.9, 0.1), FLIP_02, "approve") == pytest.approx(0.884, abs=1e-12)
+    assert bayes_step((0.9, 0.1), FLIP_02, 0)[0] == pytest.approx(0.884, abs=1e-12)
 
 
 def test_signal_marginals_sum_to_one():
@@ -133,13 +140,13 @@ def test_signal_marginals_sum_to_one():
         belief = tuple(rng.dirichlet(np.ones(3)))
         rows = rng.dirichlet(np.ones(4), size=3)
         channel = SignalChannel(tuple("abcd"), tuple(tuple(r) for r in rows))
-        total = sum(signal_marginal(belief, channel, s) for s in channel.signals)
+        total = sum(bayes_step(belief, channel, j)[0] for j in range(len(channel.signals)))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_signal_marginal_partition_equals_cell_prior():
     channel = SignalChannel(("left", "right"), ((1.0, 0.0), (0.0, 1.0)))
-    assert signal_marginal((0.3, 0.7), channel, "left") == pytest.approx(0.3)
+    assert bayes_step((0.3, 0.7), channel, 0)[0] == pytest.approx(0.3)
 
 
 def test_law_of_total_probability_reconstructs_belief():
@@ -149,11 +156,10 @@ def test_law_of_total_probability_reconstructs_belief():
         rows = rng.dirichlet(np.ones(2), size=3)
         channel = SignalChannel(("u", "v"), tuple(tuple(r) for r in rows))
         mixed = [0.0, 0.0, 0.0]
-        for s in channel.signals:
-            marg = signal_marginal(belief, channel, s)
-            if marg <= 0:
+        for j in range(len(channel.signals)):
+            marg, post = bayes_step(belief, channel, j)
+            if post is None:
                 continue
-            post = posterior(belief, channel, s)
             for i, p in enumerate(post):
                 mixed[i] += marg * p
         assert mixed == pytest.approx(belief, abs=1e-12)
@@ -345,7 +351,7 @@ def test_misupdate_stay_at_prior_is_identity():
 def test_misupdate_complement_on_binary_partition_is_other_signal():
     belief = (0.3, 0.7)
     wrong = misupdate(belief, PARTITION, "approve", ComplementConditionalization())
-    assert wrong == pytest.approx(posterior(belief, PARTITION, "reject"), abs=1e-12)
+    assert wrong == pytest.approx(bayes_step(belief, PARTITION, 1)[1], abs=1e-12)
 
 
 def test_misupdate_custom_returns_table_entry_verbatim():
@@ -390,6 +396,28 @@ def test_channel_rejects_repeated_signal_names():
     with pytest.raises(ValueError, match=r"repeated signal names: \['a', 'b'\]"):
         SignalChannel(("b", "a", "b", "a"), ((0.25, 0.25, 0.25, 0.25),))
     assert SignalChannel(("x", "y"), ((0.9, 0.1), (0.2, 0.8))).signals == ("x", "y")
+
+
+def test_custom_posterior_rejects_repeated_signal_names():
+    # evaluation reads a signal's first entry and the JSON codec writes an
+    # object, which keeps the last: as a faulty updater (q 0.5) on prior
+    # (0.5, 0.5), acts (1, -1), (0, 0), (-0.3, 0.6) and rows (0.9, 0.1),
+    # (0.2, 0.8), this table's voi of 0.425 replayed to 0.2125 after a round
+    # trip through witness JSON
+    with pytest.raises(ValueError, match=r"repeated signal names: \['s'\]"):
+        CustomPosterior((("s", (1.0, 0.0)), ("s", (0.0, 1.0)), ("t", (0.5, 0.5))))
+    table = CustomPosterior((("t", (0.5, 0.5)), ("s", (1.0, 0.0))))
+    assert table.table == (("t", (0.5, 0.5)), ("s", (1.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["complement-conditionalization", ComplementConditionalization, Conditionalization()],
+    ids=["mode-name", "class", "conditionalization"],
+)
+def test_faulty_rejects_a_kind_that_is_not_a_misupdate(kind):
+    with pytest.raises(ValueError, match="misupdate kind must be an instance of"):
+        Faulty(0.5, kind)
 
 
 NAN, INF = float("nan"), float("inf")

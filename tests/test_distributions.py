@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offswitch_lab import (
-    ConditioningOnNull,
+from offswitch_lab.distributions import (
     Discrete,
     Uniform,
     cond_mean_ge,
     expected_positive_part,
     mean,
     prob_ge,
+    prob_gt,
     sample,
     sample_array,
+    zero_split,
 )
-from offswitch_lab.distributions import prob_gt, zero_split
+from offswitch_lab.errors import ConditioningOnNull
 
 
 def test_mean_examples():

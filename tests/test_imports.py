@@ -6,8 +6,11 @@ larger part of a one-shot command's start-up. Each case runs in a fresh
 interpreter, as the console script does.
 """
 
+import ast
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +19,10 @@ import pytest
 
 import offswitch_lab
 from offswitch_lab import cli, search
+from test_bench_contract import package_imports
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 RUN_CLI = "import sys; from offswitch_lab.cli import main; code = main(sys.argv[1:]); print('numpy' in sys.modules); sys.exit(code)"
 
 
@@ -76,17 +81,39 @@ def test_every_public_name_resolves():
     for name in offswitch_lab.__all__:
         assert getattr(offswitch_lab, name) is not None, name
     assert offswitch_lab.SearchConfig is offswitch_lab.search.SearchConfig
-    assert offswitch_lab.verify_good is search.verify_good
+    assert offswitch_lab.find_information_aversion is search.find_information_aversion
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         offswitch_lab.nonexistent
 
+
+def readme_library_imports() -> set[str]:
+    """The names the README's Library example imports from the package."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "offswitch_lab"
+        for alias in node.names
+    }
+
+
+def test_the_public_names_are_the_documented_and_benchmarked_ones():
+    # the benchmark imports submodules from the package too; those are not names of __all__
+    benchmarked = {
+        name
+        for module, name in package_imports()
+        if module == "offswitch_lab" and importlib.util.find_spec(f"offswitch_lab.{name}") is None
+    }
+    # perfbench/selftest.py reads offswitch_lab.best_act_eu as an attribute
+    assert set(offswitch_lab.__all__) == readme_library_imports() | benchmarked | {"best_act_eu"}
 
 
 def test_the_package_reads_search_names_from_the_module_on_each_use(monkeypatch):
     # a wrapper put into search (as the benchmark's tracer does) is seen through
     # the package while it is in place, and the original once it is removed
-    original = search.verify_good
-    monkeypatch.setattr(search, "verify_good", lambda config: "wrapped")
-    assert offswitch_lab.verify_good(None) == "wrapped"
+    original = search.find_information_aversion
+    monkeypatch.setattr(search, "find_information_aversion", lambda config: "wrapped")
+    assert offswitch_lab.find_information_aversion(None) == "wrapped"
     monkeypatch.undo()
-    assert offswitch_lab.verify_good is original
+    assert offswitch_lab.find_information_aversion is original

@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from offswitch_lab import (
-    Discrete,
-    Uniform,
+from offswitch_lab import offswitch
+from offswitch_lab.distributions import Discrete, Uniform, cond_mean_ge, expected_positive_part, mean
+from offswitch_lab.offswitch import (
     best_option,
-    cond_mean_ge,
     defer_threshold,
     delta,
-    expected_positive_part,
-    mean,
     noisy_defer_value,
     noisy_learn_value,
-    offswitch,
     reduce_to_two_state,
     theorem1_check,
 )

@@ -5,34 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offswitch_lab import (
-    CredalSearch,
-    Discrete,
-    EuSearch,
-    FaultySearch,
+from offswitch_lab import search
+from offswitch_lab.core import (
+    CHECK_TOL,
+    Faulty,
     GammaMaximinRule,
     IdentityRisk,
     PowerRisk,
-    ReuSearch,
     RiskWeightedRule,
-    RuleCannotBeAverse,
-    SearchConfig,
     TableRisk,
+)
+from offswitch_lab.distributions import Discrete
+from offswitch_lab.errors import RuleCannotBeAverse
+from offswitch_lab.jsonio import witness_from_jsonable, witness_to_jsonable
+from offswitch_lab.offswitch import theorem1_check
+from offswitch_lab.search import (
+    BLOCK_TRIALS,
+    MAX_SIZE,
+    MAX_TRIALS,
+    REVERIFY_TOL,
+    CredalSearch,
+    EuSearch,
+    FaultySearch,
+    ReuSearch,
+    SearchConfig,
     find_information_aversion,
     random_discrete_prior,
     random_instance,
-    replay_witness,
+    reproduces,
     verify_good,
     verify_theorem1,
-    witness_from_jsonable,
-    witness_to_jsonable,
 )
-from offswitch_lab import search
-from offswitch_lab.core import Faulty
-from offswitch_lab.search import BLOCK_TRIALS, MAX_SIZE, MAX_TRIALS, REVERIFY_TOL, reproduces
-from offswitch_lab.core import CHECK_TOL
-from offswitch_lab.offswitch import theorem1_check
-from offswitch_lab.voi import value_of_learning_eu
+from offswitch_lab.voi import replay_witness, value_of_learning_eu
 from oracles import (
     block_draws,
     block_search,
@@ -417,10 +421,12 @@ def test_screen_keeps_a_trial_with_two_identical_acts(name):
 @pytest.mark.parametrize("mass", [0.0, 1e-15])
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
 def test_screen_keeps_a_trial_whose_likelihood_column_is_zero(name, mass):
-    # a column of 1e-15 keeps its posteriors finite; only the margin keeps the
-    # trial where a posterior divides by it. A custom table divides by nothing,
-    # and the expected-utility kernel values each act on the joint of state and
-    # signal, where a zero column adds exactly 0, as the scalar path's skip does
+    # a zero column makes a posterior that divides by its marginal NaN, which
+    # fails every lead test; a column of 1e-15 gives the scalar path's own
+    # posteriors, which the screen may decide on. A custom table divides by
+    # nothing, and the expected-utility kernel values each act on the joint of
+    # state and signal, where a zero column adds exactly 0, as the scalar
+    # path's skip does
     config = SearchConfig(seed=42, trials=64, rule=EQUIVALENCE_RULES[name])
 
     def edit(block, r):
@@ -428,7 +434,7 @@ def test_screen_keeps_a_trial_whose_likelihood_column_is_zero(name, mass):
         block.likelihood[r, :, 1] = 1.0 - mass
 
     assert screen_is_exact_after(config, edit)
-    if name != "faulty:custom:0.3":
+    if mass == 0.0 and name != "faulty:custom:0.3":
         before, r, after = screened_rows(config, edit)
         assert after == before | {r}
 
@@ -460,11 +466,14 @@ def test_screen_keeps_a_trial_whose_rows_fail_the_dataclass_checks(name):
 
 
 def test_screen_keeps_a_trial_whose_complement_marginal_is_zero():
-    # with one signal its complement never occurs: the signal's marginal is 1,
-    # the complement's is 0, and the scalar path raises ZeroMarginal
-    complement = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES["faulty:complement:0.5"])
+    # with one signal its complement never occurs: where the drawn likelihood is
+    # 1 the complement's marginal is 0 and the scalar path raises ZeroMarginal,
+    # and where it is 1 - 2**-53 the complement's marginal is about 1e-16
+    for name in ("faulty:complement:0.5", "faulty:custom:0.3"):
+        config = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES[name])
+        block = search._draw_block(config, 0, search._screen_for(config)[1], 64)
+        assert screened_search(config, block) == block_search(config, block)
     custom = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES["faulty:custom:0.3"])
-    assert screened_rows(complement) == set(range(64))
     assert len(screened_rows(custom)) < 64
 
 
@@ -542,11 +551,9 @@ def subnormal_marginal_edit(block, r, mass):
 @pytest.mark.parametrize("mass", [5e-324, 1e-320, 1e-310])
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
 def test_screened_search_equals_the_scalar_loop_where_a_marginal_is_subnormal(name, mass):
-    # The REU and gamma screens keep every trial whose marginals are not all
-    # above the margin, and the complement screen every trial whose complement
-    # marginals are not; with those terms deleted the two searches still agree
-    # here, because the screen's posteriors divide the same products by the
-    # same sums as the scalar path's
+    # No screen has a condition on the marginals it divides by; the two
+    # searches agree here because the screen's posteriors divide the same
+    # products by the same sums as the scalar path's
     config = SearchConfig(seed=46, trials=64, signal_count=3, rule=EQUIVALENCE_RULES[name])
     _, rule_rows = search._screen_for(config)
     block = search._draw_block(config, 0, rule_rows, 64)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offswitch_lab import (
+from offswitch_lab.core import (
     Act,
     ComplementConditionalization,
     Conditionalization,
@@ -12,16 +12,16 @@ from offswitch_lab import (
     Faulty,
     GammaMaximinRule,
     IdentityRisk,
-    MissingRuleData,
     PowerRisk,
     RiskWeightedRule,
     SignalChannel,
-    SignalOutcome,
     StayAtPrior,
-    Uniform,
-    ZeroMarginal,
-    mean,
-    reduce_to_two_state,
+)
+from offswitch_lab.distributions import Uniform, mean
+from offswitch_lab.errors import MissingRuleData, ZeroMarginal
+from offswitch_lab.offswitch import reduce_to_two_state
+from offswitch_lab.voi import (
+    SignalOutcome,
     value_of_learning_eu,
     value_of_learning_faulty,
     value_of_learning_rule,

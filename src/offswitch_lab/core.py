@@ -296,6 +296,9 @@ class RiskWeightedRule:
     def __post_init__(self) -> None:
         if self.risk is None:
             raise MissingRuleData("risk-weighted rule needs a risk function")
+        if not isinstance(self.risk, RiskFunction):
+            names = ", ".join(kind.__name__ for kind in RiskFunction.__args__)
+            raise ValueError(f"risk must be an instance of {names}, got {self.risk!r}")
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,8 @@ class GammaMaximinRule:
     def __post_init__(self) -> None:
         if self.credal is None:
             raise MissingRuleData("gamma-maximin rule needs a credal set")
+        if not isinstance(self.credal, CredalSet):
+            raise ValueError(f"credal must be an instance of CredalSet, got {self.credal!r}")
 
 
 DecisionRule = ExpectedUtilityRule | RiskWeightedRule | GammaMaximinRule

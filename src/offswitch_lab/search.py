@@ -38,8 +38,17 @@ from its rows into a ``DecisionProblem`` and ``SignalChannel`` and
 evaluated by the scalar ``evaluate_rule``, so every witness, every voi and
 every exception comes from the scalar path.
 
-The checks screen and confirm the same way. ``check good`` values each
-block by the expected-utility kernel that the faulty screen uses, and
+The kernels take a block as drawn, one row per trial, and work on contiguous
+trials-last copies: prior (S, n), utilities (A, S, n), likelihood (S, G, n),
+rule rows (R, S, n), atoms (MAX_ATOMS, n). So each sum, max or choice runs
+over a short leading axis in one numpy call for all trials (a trailing axis
+costs a call per trial), and sums over states are added state by state in
+the scalar path's order, with no extra axis. A check values CHECK_BLOCKS
+blocks per call; a screen values one, as its intermediates grow with the
+call (the risk-weighted screen's to about 34 MiB per block at MAX_SIZE).
+
+The checks screen and confirm the same way. ``check good`` values trials
+by the expected-utility kernel that the faulty screen uses, and
 ``check theorem1`` by a zero-split kernel over atoms padded with zero
 weights. A trial is dropped only when its kernel proves the property with
 half of ``CHECK_TOL`` to spare (a voi or deference advantage of at least
@@ -47,8 +56,9 @@ half of ``CHECK_TOL`` to spare (a voi or deference advantage of at least
 sides of 0) on rows that pass the dataclass checks. Every other trial, NaN
 values included, is decided by the scalar ``value_of_learning_eu`` or
 ``theorem1_check``, so every violation comes from the scalar path. Row 0 of
-every block goes through the scalar path as well, and its value must agree
-with the kernel's within CHECK_TOL / 2, or the check raises AssertionError.
+every block, not only of every call, goes through the scalar path as well,
+and its value must agree with the kernel's within CHECK_TOL / 2, or the
+check raises AssertionError.
 
 The witness path. A possible witness is built from its rows through
 ``tolist``, so the dataclasses receive plain floats, the same doubles as the
@@ -105,6 +115,7 @@ SCREEN_MARGIN = 1e-10 * (UTILITY_RANGE[1] - UTILITY_RANGE[0])  # the screen's sl
 STREAM_VERSION = 2  # the block stream described above
 BLOCK_TRIALS = 256  # trials drawn from one generator and screened together
 MAX_ATOMS = 4  # a theorem-1 check prior has 1 to MAX_ATOMS atoms
+CHECK_BLOCKS = 4  # blocks a check values per kernel call; see above
 # Upper bounds on the sizes a search or check accepts. With them no block
 # array holds more than BLOCK_TRIALS * 16**3 floats (8 MB).
 MAX_SIZE = 16  # states, acts, signals and credal members
@@ -224,7 +235,7 @@ def _draw_block(config: SearchConfig, block: int, rule_rows: int, rows: int = BL
     prior = rng.dirichlet(np.ones(s), size=n)
     utilities = rng.uniform(*UTILITY_RANGE, size=(n, config.act_count, s))
     likelihood = rng.dirichlet(np.ones(config.signal_count), size=(n, s))
-    rule_data = rng.dirichlet(np.ones(s), size=(n, rule_rows))
+    rule_data = rng.dirichlet(np.ones(s), size=(n, rule_rows)) if rule_rows else np.empty((n, 0, s))
     return _Block(block * n, prior[:rows], utilities[:rows], likelihood[:rows], rule_data[:rows])
 
 
@@ -294,10 +305,16 @@ def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
     return _discrete_prior(values[r], weights[r])
 
 
+def _chunks(config: SearchConfig) -> list[list[tuple[int, int]]]:
+    """The (block, rows) pairs of a check run, CHECK_BLOCKS to a kernel call."""
+    blocks = _block_rows(config)
+    return [blocks[i : i + CHECK_BLOCKS] for i in range(0, len(blocks), CHECK_BLOCKS)]
+
+
 def _cross_checked(proven: np.ndarray) -> np.ndarray:
     """Row numbers the scalar path decides: every row its kernel did not prove
-    the property on, and row 0, which cross-checks the kernel on every block."""
-    proven[0] = False
+    the property on, and row 0 of every block, which cross-checks the kernel."""
+    proven[::BLOCK_TRIALS] = False
     return np.flatnonzero(~proven)
 
 
@@ -313,14 +330,17 @@ def verify_good(config: SearchConfig) -> CheckReport:
     if not isinstance(config.rule, ExpectedUtilityRule):
         raise ValueError("the learning inequality is only guaranteed under plain expected utility")
     violations = []
-    for block in _blocks(config, 0):
+    for chunk in _chunks(config):
+        drawn = [_draw_block(config, b, 0, rows) for b, rows in chunk]
+        arrays = zip(*((d.prior, d.utilities, d.likelihood, d.rule_rows) for d in drawn))
+        block = _Block(drawn[0].start, *map(np.concatenate, arrays))
         with np.errstate(all="ignore"):
             kernel_voi, proven = _good_kernel(block)
         for r in _cross_checked(proven):
             problem, channel = _draw_instance(config, block, r)
             voi = value_of_learning_eu(problem, problem.prior, channel).voi
-            if r == 0:
-                _agree(block.start, kernel_voi[0], voi)
+            if r % BLOCK_TRIALS == 0:
+                _agree(block.start + int(r), kernel_voi[r], voi)
             if voi < -CHECK_TOL:
                 violations.append(CheckViolation(block.start + int(r), "negative value of learning", voi))
     return CheckReport(config.trials, tuple(violations))
@@ -329,8 +349,8 @@ def verify_good(config: SearchConfig) -> CheckReport:
 def verify_theorem1(config: SearchConfig) -> CheckReport:
     """Run the deference inequality on random discrete priors; expect no violations."""
     violations = []
-    for block, rows in _block_rows(config):
-        values, weights = _draw_priors(config, block, rows)
+    for chunk in _chunks(config):
+        values, weights = map(np.concatenate, zip(*(_draw_priors(config, b, rows) for b, rows in chunk)))
         with np.errstate(all="ignore"):
             advantage, two_sided = _theorem1_kernel(values, weights)
             proven = (
@@ -339,10 +359,10 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
                 & ~_unchecked_priors(values, weights)
             )
         for r in _cross_checked(proven):
-            i = block * BLOCK_TRIALS + int(r)
+            i = chunk[0][0] * BLOCK_TRIALS + int(r)
             result = theorem1_check(_discrete_prior(values[r], weights[r]))
-            if r == 0:
-                _agree(i, advantage[0], result.delta)
+            if r % BLOCK_TRIALS == 0:
+                _agree(i, advantage[r], result.delta)
             if not result.nonneg:
                 violations.append(CheckViolation(i, "negative deference advantage", result.delta))
             elif result.strict_expected and not result.strict_observed:
@@ -353,22 +373,46 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
 # ------------------------------------------------------------------ the screen
 
 
+def _columns(block: _Block) -> tuple[np.ndarray, ...]:
+    """Contiguous trials-last copies of a block's prior (S, n), utilities
+    (A, S, n), likelihood (S, G, n) and rule rows (R, S, n)."""
+    arrays = (block.prior, block.utilities, block.likelihood, block.rule_rows)
+    return tuple(a.transpose(*range(1, a.ndim), 0).copy() for a in arrays)
+
+
+def _expectations(beliefs: np.ndarray, utilities: np.ndarray) -> np.ndarray:
+    """Each act's expected utility (A, ..., n) at beliefs (S, ..., n), added
+    state by state, in the order of the scalar path."""
+    by_state = utilities.reshape(utilities.shape[:2] + (1,) * (beliefs.ndim - 2) + utilities.shape[2:])
+    total = by_state[:, 0] * beliefs[0]
+    for s in range(1, len(beliefs)):
+        total += by_state[:, s] * beliefs[s]
+    return total
+
+
 def _bayes(beliefs: np.ndarray, likelihood: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Marginals (..., G) and posteriors (..., G, S) of beliefs (..., S) on every
-    signal of likelihood tables (..., S, G)."""
-    joint = beliefs[..., :, None] * likelihood
-    marginals = joint.sum(axis=-2)
-    return marginals, np.swapaxes(joint, -1, -2) / marginals[..., None]
+    """Marginals (G, ..., n) and posteriors (S, G, ..., n) of beliefs (S, ..., n)
+    on every signal of likelihood tables (S, G, n)."""
+    by_signal = likelihood.reshape(likelihood.shape[:2] + (1,) * (beliefs.ndim - 2) + likelihood.shape[2:])
+    joint = by_signal * beliefs[:, None]
+    marginals = joint.sum(axis=0)
+    joint /= marginals
+    return marginals, joint
 
 
 def _lead(values: np.ndarray, upper: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the largest value along the last axis and its lead over the
+    """The index of the largest value along the first axis and its lead over the
     runner-up (inf when there is none); ``upper`` bounds the values from above
-    where they are brackets."""
-    best = values.argmax(axis=-1)[..., None]
-    rest = (values if upper is None else upper).copy()
-    np.put_along_axis(rest, best, -np.inf, axis=-1)
-    return best[..., 0], np.take_along_axis(values, best, axis=-1)[..., 0] - rest.max(axis=-1)
+    where they are brackets. A NaN best value, or a NaN bound among the others,
+    makes the lead NaN; a bracket's bounds are NaN together."""
+    best, top = np.zeros(values.shape[1:], dtype=np.intp), values[0]
+    for a in range(1, len(values)):
+        better = values[a] > top
+        best, top = np.where(better, a, best), np.where(better, values[a], top)
+    rest = np.full_like(top, -np.inf)
+    for a, bound in enumerate(values if upper is None else upper):
+        np.maximum(rest, np.where(best == a, -np.inf, bound), out=rest)
+    return best, top - rest
 
 
 def _risk_weights(rule: RiskWeightedRule, tails: np.ndarray) -> np.ndarray:
@@ -380,16 +424,18 @@ def _risk_weights(rule: RiskWeightedRule, tails: np.ndarray) -> np.ndarray:
 
 def _rank_brackets(rule: RiskWeightedRule, utilities: np.ndarray, probabilities: np.ndarray):
     """Lower and upper bounds of the rank-dependent value of prospects whose
-    utilities ascend along the last axis.
+    utilities ascend along the first axis.
 
     The scalar path finds its tails (the mass above an outcome) by subtraction
     and clamps them at 0, so they differ from these by rounding; as a risk
     function is non-decreasing, its values at tail -/+ margin bound the weight
     the scalar path gives each step, a thin tail's included."""
-    tails = np.cumsum(probabilities[..., :0:-1], axis=-1)[..., ::-1]
-    steps = np.diff(utilities, axis=-1)
-    low = utilities[..., 0] + (_risk_weights(rule, np.clip(tails - SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=-1)
-    high = utilities[..., 0] + (_risk_weights(rule, np.clip(tails + SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=-1)
+    tails = probabilities[1:].copy()
+    for k in range(len(tails) - 2, -1, -1):  # numpy's cumsum makes a call per prospect
+        tails[k] += tails[k + 1]
+    steps = np.diff(utilities, axis=0)
+    low = utilities[0] + (_risk_weights(rule, np.clip(tails - SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=0)
+    high = utilities[0] + (_risk_weights(rule, np.clip(tails + SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=0)
     return low, high
 
 
@@ -397,61 +443,54 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarr
     """Possible witnesses of a risk-weighted rule: per signal the act with the
     best posterior value, then the plan's joint (state, signal) prospect valued
     globally, as the voi module fixes."""
-    n, g, s = block.likelihood.shape[0], block.likelihood.shape[2], block.prior.shape[1]
-    order = block.utilities.argsort(axis=-1)
-    ranked = np.take_along_axis(block.utilities, order, axis=-1)
-    _, posteriors = _bayes(block.prior, block.likelihood)
-    ranked_posteriors = np.take_along_axis(posteriors[:, :, None], order[:, None], -1)  # (n, G, A, S)
-    low, high = _rank_brackets(rule, ranked[:, None], ranked_posteriors)
+    prior, utilities, likelihood, _ = _columns(block)
+    by_state = utilities.swapaxes(0, 1)  # (S, A, n)
+    order = by_state.argsort(axis=0)
+    ranked = np.take_along_axis(by_state, order, axis=0)
+    _, posteriors = _bayes(prior, likelihood)  # (S, G, n)
+    ranked_posteriors = np.take_along_axis(posteriors[:, None], order[:, :, None], axis=0)  # (S, A, G, n)
+    low, high = _rank_brackets(rule, ranked[:, :, None], ranked_posteriors)
     choice, lead = _lead(low, high)
-    planned = np.take_along_axis(block.utilities, choice[..., None], axis=1).reshape(n, g * s)
-    joint = (block.prior[:, None, :] * np.swapaxes(block.likelihood, 1, 2)).reshape(n, g * s)
-    joint_order = planned.argsort(axis=-1)
+    planned = np.take_along_axis(utilities[:, :, None], choice[None, None], 0)[0].reshape(-1, len(block.prior))
+    joint = (prior[:, None] * likelihood).reshape(planned.shape)
+    joint_order = planned.argsort(axis=0)
     learning, _ = _rank_brackets(
-        rule, np.take_along_axis(planned, joint_order, -1), np.take_along_axis(joint, joint_order, -1)
+        rule, np.take_along_axis(planned, joint_order, 0), np.take_along_axis(joint, joint_order, 0)
     )
-    _, now = _rank_brackets(rule, ranked, np.take_along_axis(block.prior[:, None], order, -1))
-    return ~(
-        (learning - now.max(axis=-1) >= floor)
-        & (lead > SCREEN_MARGIN).all(axis=-1)
-    )
+    _, now = _rank_brackets(rule, ranked, np.take_along_axis(prior[:, None], order, 0))
+    return ~((learning - now.max(axis=0) >= floor) & (lead > SCREEN_MARGIN).all(axis=0))
 
 
 def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray:
     """Possible witnesses of gamma-maximin: the plan is the maximin act per
     signal at the member-wise posteriors, and the learning value is the worst
     member's score of that plan."""
-    members = block.rule_rows  # (n, M, S)
-    by_act = np.swapaxes(block.utilities, 1, 2)  # (n, S, A)
-    now = (members @ by_act).min(axis=1).max(axis=-1)
-    marginals, posteriors = _bayes(members, block.likelihood[:, None])  # (n, M, G), (n, M, G, S)
-    values = posteriors @ by_act[:, None]  # (n, M, G, A)
-    plan, lead = _lead(values.min(axis=1))
-    scores = np.take_along_axis(values, plan[:, None, :, None], axis=-1)[..., 0]
-    learning = (marginals * scores).sum(axis=-1).min(axis=-1)
-    return ~(
-        (learning - now >= floor)
-        & (lead > SCREEN_MARGIN).all(axis=-1)
-    )
+    _, utilities, likelihood, members = _columns(block)
+    members = members.swapaxes(0, 1)  # (S, M, n)
+    now = _expectations(members, utilities).min(axis=1).max(axis=0)
+    marginals, posteriors = _bayes(members, likelihood)  # (G, M, n), (S, G, M, n)
+    values = _expectations(posteriors, utilities)  # (A, G, M, n)
+    plan, lead = _lead(values.min(axis=2))
+    learning = (marginals * np.take_along_axis(values, plan[None, :, None], 0)[0]).sum(axis=0).min(axis=0)
+    return ~((learning - now >= floor) & (lead > SCREEN_MARGIN).all(axis=0))
 
 
 def _eu_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
     """The expected-utility kernel of the faulty screen and ``check good``: per
     trial the best expected utility now (n,), and each act's expected utility
-    on the joint of the states and each signal (n, G, A), which is the signal's
+    on the joint of the states and each signal (A, G, n), which is the signal's
     marginal times the act's posterior value. Nothing is divided, and a zero
     marginal gives zero values, as the scalar path skips the signal."""
-    by_act = np.swapaxes(block.utilities, 1, 2)  # (n, S, A)
-    now = (block.prior[:, None] @ by_act)[:, 0].max(axis=-1)
-    joint = np.swapaxes(block.prior[..., None] * block.likelihood, 1, 2)  # (n, G, S)
-    return now, joint @ by_act
+    prior, utilities, likelihood, _ = _columns(block)
+    now = _expectations(prior, utilities).max(axis=0)
+    return now, _expectations(prior[:, None] * likelihood, utilities)
 
 
 def _good_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's expected-utility voi, and whether it proves the learning
     inequality with half of CHECK_TOL to spare on rows the scalar path accepts."""
     now, values = _eu_kernel(block)
-    voi = values.max(axis=-1).sum(axis=-1) - now
+    voi = values.max(axis=0).sum(axis=0) - now
     return voi, (voi >= -CHECK_TOL / 2) & ~_unchecked_rows(block)
 
 
@@ -460,9 +499,10 @@ def _theorem1_kernel(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
     zero split, the prefer cell's mass times its mean being the weighted sum of
     the atoms at or above 0, and whether the prior has mass on both sides of 0.
     Atoms padded with zero weights add nothing to either."""
+    values, weights = values.T.copy(), weights.T.copy()  # (MAX_ATOMS, n)
     atoms = weights > 0.0
-    advantage = (weights * np.maximum(values, 0.0)).sum(axis=-1) - np.maximum((weights * values).sum(axis=-1), 0.0)
-    two_sided = (atoms & (values > 0.0)).any(axis=-1) & (atoms & (values < 0.0)).any(axis=-1)
+    advantage = (weights * np.maximum(values, 0.0)).sum(axis=0) - np.maximum((weights * values).sum(axis=0), 0.0)
+    two_sided = (atoms & (values > 0.0)).any(axis=0) & (atoms & (values < 0.0)).any(axis=0)
     return advantage, two_sided
 
 
@@ -473,29 +513,28 @@ def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarra
     only the misupdated choice needs a lead. A complement posterior needs no
     condition on its marginal, for the reason the module docstring gives."""
     now, values = _eu_kernel(block)
+    prior, utilities, likelihood, rule_rows = _columns(block)
     if rule.kind == MISUPDATE_CUSTOM:
-        wrong = block.rule_rows
+        wrong = rule_rows.swapaxes(0, 1)  # (S, G, n)
     else:
-        _, wrong = _bayes(block.prior, 1.0 - block.likelihood)
-    wrong_choice, lead = _lead(wrong @ np.swapaxes(block.utilities, 1, 2))
-    misfired = np.take_along_axis(values, wrong_choice[..., None], axis=-1)[..., 0]
-    learning = ((1.0 - rule.q) * values.max(axis=-1) + rule.q * misfired).sum(axis=-1)
-    return ~(
-        (learning - now >= floor)
-        & (lead > SCREEN_MARGIN).all(axis=-1)
-    )
+        _, wrong = _bayes(prior, 1.0 - likelihood)
+    wrong_choice, lead = _lead(_expectations(wrong, utilities))
+    misfired = np.take_along_axis(values, wrong_choice[None], 0)[0]
+    learning = ((1.0 - rule.q) * values.max(axis=0) + rule.q * misfired).sum(axis=0)
+    return ~((learning - now >= floor) & (lead > SCREEN_MARGIN).all(axis=0))
 
 
 def _unchecked_rows(block: _Block) -> np.ndarray:
     """Trials whose rows might fail the checks the dataclasses make: finite
     utilities, and probability vectors that are finite, non-negative and sum
-    to 1 within PROB_TOL. Sums are held to half of PROB_TOL here, as numpy adds
-    in another order than Python, which moves a sum of at most MAX_SIZE
-    entries by far less than the other half."""
-    ok = np.isfinite(block.utilities).all(axis=(1, 2))
-    for vectors in (block.prior[:, None], block.likelihood, block.rule_rows):
-        ok &= (np.isfinite(vectors) & (vectors >= 0.0)).all(axis=(1, 2))
-        ok &= (np.abs(vectors.sum(axis=-1) - 1.0) <= PROB_TOL / 2).all(axis=-1)
+    to 1 within PROB_TOL. A vector of non-negative entries whose sum is near 1
+    is finite. Sums are held to half of PROB_TOL here, as numpy adds in
+    another order than Python, which moves a sum of at most MAX_SIZE entries
+    by far less than the other half."""
+    prior, utilities, likelihood, rule_rows = _columns(block)
+    ok = np.isfinite(utilities).all(axis=(0, 1))
+    for vectors in (prior[None], likelihood, rule_rows):  # each vector runs along axis 1
+        ok &= (vectors >= 0.0).all(axis=(0, 1)) & (np.abs(vectors.sum(axis=1) - 1.0) <= PROB_TOL / 2).all(axis=0)
     return ~ok
 
 
@@ -503,8 +542,9 @@ def _unchecked_priors(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Priors whose atoms might fail the checks ``Discrete`` makes: finite
     values, and finite non-negative weights that sum to 1 within WEIGHT_TOL,
     held to half of it for the reason ``_unchecked_rows`` gives."""
-    ok = np.isfinite(values).all(axis=-1) & (np.isfinite(weights) & (weights >= 0.0)).all(axis=-1)
-    return ~(ok & (np.abs(weights.sum(axis=-1) - 1.0) <= WEIGHT_TOL / 2))
+    values, weights = values.T.copy(), weights.T.copy()
+    ok = np.isfinite(values).all(axis=0) & (weights >= 0.0).all(axis=0)
+    return ~(ok & (np.abs(weights.sum(axis=0) - 1.0) <= WEIGHT_TOL / 2))
 
 
 def _screen_for(config: SearchConfig):
@@ -564,7 +604,7 @@ def _possible_witnesses(config: SearchConfig, screen, block: _Block) -> np.ndarr
     # a zero marginal gives NaN, and each screen's conditions keep a trial on NaN
     with np.errstate(all="ignore"):
         possible = screen(config.rule, block, -config.aversion_tolerance + SCREEN_MARGIN)
-    return np.flatnonzero(possible | _unchecked_rows(block))
+        return np.flatnonzero(possible | _unchecked_rows(block))
 
 
 def find_information_aversion(config: SearchConfig) -> list[Witness]:

@@ -11,8 +11,10 @@ from offswitch_lab.core import (
     CustomPosterior,
     DecisionProblem,
     Faulty,
+    GammaMaximinRule,
     IdentityRisk,
     PowerRisk,
+    RiskWeightedRule,
     SignalChannel,
     StayAtPrior,
     TableRisk,
@@ -418,6 +420,26 @@ def test_custom_posterior_rejects_repeated_signal_names():
 def test_faulty_rejects_a_kind_that_is_not_a_misupdate(kind):
     with pytest.raises(ValueError, match="misupdate kind must be an instance of"):
         Faulty(0.5, kind)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: RiskWeightedRule(2.0), "risk"),
+        (lambda: RiskWeightedRule("power:2"), "risk"),
+        (lambda: GammaMaximinRule(((0.5, 0.5), (0.2, 0.8))), "credal"),
+        (lambda: GammaMaximinRule([(1.0, 0.0)]), "credal"),
+    ],
+    ids=["risk-number", "risk-string", "credal-tuple", "credal-list"],
+)
+def test_rules_reject_rule_data_of_the_wrong_type(make, field):
+    # each of these used to construct, and then failed with AttributeError
+    # in voi.evaluate_rule and jsonio.encode_rule
+    with pytest.raises(ValueError, match=f"^{field} must be an instance of"):
+        make()
+    for risk in (IdentityRisk(), PowerRisk(2), TableRisk(((0.0, 0.0), (1.0, 1.0)))):
+        assert RiskWeightedRule(risk).risk == risk
+    assert GammaMaximinRule(CredalSet(((1.0, 0.0),))).credal == CredalSet(((1.0, 0.0),))
 
 
 NAN, INF = float("nan"), float("inf")

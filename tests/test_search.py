@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -637,6 +638,14 @@ def test_check_reports_equal_the_per_trial_reference(seed):
     assert verify_theorem1(config) == per_trial_theorem1(config)
 
 
+# a check values four blocks per kernel call: trial counts around a block and a call
+@pytest.mark.parametrize("trials", [1, 255, 256, 257, 1023, 1024, 1025, 2300])
+def test_check_reports_equal_the_per_trial_reference_around_kernel_calls(trials):
+    config = SearchConfig(seed=69, trials=trials)
+    assert verify_good(config) == per_trial_good(config)
+    assert verify_theorem1(config) == per_trial_theorem1(config)
+
+
 def edited_draws(monkeypatch, name, edit):
     """Have ``search.<name>`` hand out its draws after ``edit`` changes them."""
     draw = getattr(search, name)
@@ -726,6 +735,34 @@ def test_a_shifted_check_kernel_fails_the_cross_check(monkeypatch):
         verify_theorem1(SearchConfig(seed=66, trials=10))
 
 
+@pytest.mark.parametrize("trial", [512, 5 * BLOCK_TRIALS])
+def test_a_check_kernel_shifted_at_one_block_start_fails_the_cross_check(monkeypatch, trial):
+    # row 0 of every block is cross-checked, not only the first row of a kernel
+    # call: trial 512 is row 0 of the third block of the first call, and trial
+    # 1280 of the second block of the second call
+    eu_kernel, theorem1_kernel = search._eu_kernel, search._theorem1_kernel
+    seen = [0]  # trials the theorem-1 kernel valued before this call
+
+    def shifted_eu(block):
+        now, values = eu_kernel(block)
+        if block.start <= trial < block.start + len(now):
+            now[trial - block.start] -= 1e-9
+        return now, values
+
+    def shifted_theorem1(values, weights):
+        advantage, two_sided = theorem1_kernel(values, weights)
+        if seen[0] <= trial < seen[0] + len(advantage):
+            advantage[trial - seen[0]] += 1e-9
+        seen[0] += len(advantage)
+        return advantage, two_sided
+
+    monkeypatch.setattr(search, "_eu_kernel", shifted_eu)
+    monkeypatch.setattr(search, "_theorem1_kernel", shifted_theorem1)
+    for check in (verify_good, verify_theorem1):
+        with pytest.raises(AssertionError, match=f"check kernel gave .* at trial {trial}, "):
+            check(SearchConfig(seed=66, trials=6 * BLOCK_TRIALS))
+
+
 def test_a_theorem1_strictness_failure_reaches_the_scalar_path(monkeypatch):
     # mass on both sides of 0 with an advantage of 5e-14, below CHECK_TOL
     def edit(priors):
@@ -753,3 +790,35 @@ def test_good_sends_a_zero_marginal_to_the_scalar_path(monkeypatch):
     problem, channel = search._draw_instance(config, block, 3)
     assert proven[3]
     assert abs(voi[3] - value_of_learning_eu(problem, problem.prior, channel).voi) <= CHECK_TOL / 2
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ReuSearch(PowerRisk(2)),
+        CredalSearch(MAX_SIZE),
+        FaultySearch(0.5, "custom-posterior"),
+        FaultySearch(0.5, "complement-conditionalization"),
+        None,
+    ],
+    ids=["reu", "gamma", "faulty-custom", "faulty-complement", "check-good"],
+)
+def test_block_kernels_hold_no_extra_size_axis_at_the_size_limit(rule):
+    # every size at MAX_SIZE: a kernel that broadcasts one more size axis, such
+    # as a (members, signals, acts, states, trials) product, needs about 128 MiB
+    sizes = dict(state_count=MAX_SIZE, act_count=MAX_SIZE, signal_count=MAX_SIZE)
+    if rule is None:
+        config = SearchConfig(seed=70, trials=4 * BLOCK_TRIALS, **sizes)
+        run = lambda: verify_good(config)  # noqa: E731
+    else:
+        config = SearchConfig(seed=70, trials=BLOCK_TRIALS, rule=rule, **sizes)
+        screen, rule_rows = search._screen_for(config)
+        block = search._draw_block(config, 0, rule_rows)
+        run = lambda: search._possible_witnesses(config, screen, block)  # noqa: E731
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20

@@ -238,6 +238,8 @@ def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: 
             f"updater mode must be one of {', '.join(map(repr, MISUPDATE_MODES))}, got {mode!r}"
         )
     if MISUPDATE_MODES[mode] is not CustomPosterior:
+        if "table" in obj:
+            raise ValueError(f"{mode} updater takes no 'table' field; only custom-posterior has one")
         return Faulty(q, MISUPDATE_MODES[mode]())
     if "table" not in obj:
         raise ValueError("custom-posterior updater needs a 'table' field")

@@ -17,7 +17,7 @@ A full block is always drawn, then cut to the trials a run asks for, so
 trial i depends only on (seed, i): it is row i % BLOCK_TRIALS of block
 i // BLOCK_TRIALS, whatever the trial count, the order of evaluation or the
 rule (whose rows come last). ``random_instance`` and
-``random_discrete_prior`` return that row. Changing ``BLOCK_TRIALS``, or the
+``random_discrete_prior`` return that trial. Changing ``BLOCK_TRIALS``, or the
 order or shapes of the draws, changes the stream.
 
 The search screens, then confirms. A numpy kernel per search rule values
@@ -38,14 +38,15 @@ from its rows into a ``DecisionProblem`` and ``SignalChannel`` and
 evaluated by the scalar ``evaluate_rule``, so every witness, every voi and
 every exception comes from the scalar path.
 
-The kernels take a block as drawn, one row per trial, and work on contiguous
-trials-last copies: prior (S, n), utilities (A, S, n), likelihood (S, G, n),
-rule rows (R, S, n), atoms (MAX_ATOMS, n). So each sum, max or choice runs
-over a short leading axis in one numpy call for all trials (a trailing axis
-costs a call per trial), and sums over states are added state by state in
-the scalar path's order, with no extra axis. A check values CHECK_BLOCKS
-blocks per call; a screen values one, as its intermediates grow with the
-call (the risk-weighted screen's to about 34 MiB per block at MAX_SIZE).
+A block has one layout, made once right after its draw: each array is cut
+and copied contiguous with the trial axis last, so trial r is column r of
+prior (S, n), utilities (A, S, n), likelihood (S, G, n), rule rows (R, S, n)
+or atoms (MAX_ATOMS, n). Each sum, max or choice runs over a short leading
+axis in one numpy call for all trials (a trailing axis costs a call per
+trial), and sums over states are added state by state in the scalar path's
+order, with no extra axis. A check values CHECK_BLOCKS blocks per call; a
+screen values one, as its intermediates grow with the call (the
+risk-weighted screen's to about 34 MiB per block at MAX_SIZE).
 
 The checks screen and confirm the same way. ``check good`` values trials
 by the expected-utility kernel that the faulty screen uses, and
@@ -185,6 +186,11 @@ class SearchConfig:
         for what, count in (("state", self.state_count), ("act", self.act_count), ("signal", self.signal_count)):
             if not 1 <= count <= MAX_SIZE:
                 raise ValueError(f"{what} count must be between 1 and {MAX_SIZE}, got {count}")
+        if not isinstance(self.rule, SearchRule):
+            raise ValueError("rule must be a SearchRule (a Faulty is searched as FaultySearch and a "
+                             f"GammaMaximinRule as CredalSearch), got {self.rule!r}")
+        if isinstance(self.aversion_tolerance, bool) or not isinstance(self.aversion_tolerance, (int, float)):
+            raise ValueError(f"aversion_tolerance must be an int or float, got {self.aversion_tolerance!r}")
         if not 0.0 < self.aversion_tolerance < math.inf:
             raise ValueError(f"aversion_tolerance must be positive and finite, got {self.aversion_tolerance!r}")
 
@@ -208,13 +214,13 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class _Block:
-    """Trials ``start`` to ``start + n - 1`` as stacked arrays, one row per trial."""
+    """Trials ``start`` to ``start + n - 1``, copied once at draw time: trial ``start + r`` is column r."""
 
     start: int
-    prior: np.ndarray  # (n, S)
-    utilities: np.ndarray  # (n, A, S)
-    likelihood: np.ndarray  # (n, S, G)
-    rule_rows: np.ndarray  # (n, R, S): credal members, or custom posteriors in signal order
+    prior: np.ndarray  # (S, n), C-contiguous like the others, with the trial axis last
+    utilities: np.ndarray  # (A, S, n)
+    likelihood: np.ndarray  # (S, G, n)
+    rule_rows: np.ndarray  # (R, S, n): credal members, or custom posteriors in signal order
 
 
 def _trial_rng(seed: int, block: int) -> np.random.Generator:
@@ -229,19 +235,15 @@ def _block_rows(config: SearchConfig) -> list[tuple[int, int]]:
 def _draw_block(config: SearchConfig, block: int, rule_rows: int, rows: int = BLOCK_TRIALS) -> _Block:
     """The first ``rows`` trials of a block: flat-Dirichlet priors, uniform
     utilities, flat-Dirichlet channel rows and ``rule_rows`` flat-Dirichlet
-    rows of rule data per trial, each array drawn for the whole block."""
+    rows of rule data per trial, each drawn for the whole block and copied trials-last."""
     rng = _trial_rng(config.seed, block)
     n, s = BLOCK_TRIALS, config.state_count
     prior = rng.dirichlet(np.ones(s), size=n)
     utilities = rng.uniform(*UTILITY_RANGE, size=(n, config.act_count, s))
     likelihood = rng.dirichlet(np.ones(config.signal_count), size=(n, s))
     rule_data = rng.dirichlet(np.ones(s), size=(n, rule_rows)) if rule_rows else np.empty((n, 0, s))
-    return _Block(block * n, prior[:rows], utilities[:rows], likelihood[:rows], rule_data[:rows])
-
-
-def _blocks(config: SearchConfig, rule_rows: int):
-    for block, rows in _block_rows(config):
-        yield _draw_block(config, block, rule_rows, rows)
+    drawn = (prior, utilities, likelihood, rule_data)
+    return _Block(block * n, *(a[:rows].transpose(*range(1, a.ndim), 0).copy() for a in drawn))
 
 
 def _draw_instance(config: SearchConfig, block: _Block, r: int) -> tuple[DecisionProblem, SignalChannel]:
@@ -249,12 +251,12 @@ def _draw_instance(config: SearchConfig, block: _Block, r: int) -> tuple[Decisio
     rows as plain floats (``tolist`` gives the same doubles as the arrays)."""
     problem = DecisionProblem(
         states=tuple(f"state{i}" for i in range(config.state_count)),
-        prior=block.prior[r].tolist(),
-        acts=tuple([Act(f"act{k}", utilities) for k, utilities in enumerate(block.utilities[r].tolist())]),
+        prior=block.prior[:, r].tolist(),
+        acts=tuple([Act(f"act{k}", utilities) for k, utilities in enumerate(block.utilities[..., r].tolist())]),
     )
     channel = SignalChannel(
         signals=tuple(f"signal{j}" for j in range(config.signal_count)),
-        likelihood=block.likelihood[r].tolist(),
+        likelihood=block.likelihood[..., r].tolist(),
     )
     return problem, channel
 
@@ -264,8 +266,8 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
 
     Priors and channel rows come from the flat Dirichlet (symmetric simplex)
     distribution; utilities are uniform in ``UTILITY_RANGE``. Each call draws
-    the trial's whole block of ``BLOCK_TRIALS`` trials and keeps one row, so a
-    caller that wants many trials should walk the blocks (``_blocks`` and
+    the trial's whole block of ``BLOCK_TRIALS`` trials and keeps one, so a
+    caller that wants many trials should walk the blocks (``_draw_block`` and
     ``_draw_instance``) instead.
     """
     block = _draw_block(config, trial_index // BLOCK_TRIALS, 0)
@@ -273,9 +275,9 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
 
 
 def _draw_priors(config: SearchConfig, block: int, rows: int = BLOCK_TRIALS) -> tuple[np.ndarray, np.ndarray]:
-    """Atom values and weights (rows, MAX_ATOMS) of the first ``rows`` discrete
+    """Atom values and weights (MAX_ATOMS, rows) of the first ``rows`` discrete
     priors of a block: per prior 1 to MAX_ATOMS atoms with uniform values and
-    flat-Dirichlet weights, and zero weights past its count."""
+    flat-Dirichlet weights, and zero weights past its count, copied trials-last."""
     rng = _trial_rng(config.seed, block)
     n = BLOCK_TRIALS
     counts = rng.integers(1, MAX_ATOMS + 1, size=n)
@@ -283,11 +285,11 @@ def _draw_priors(config: SearchConfig, block: int, rows: int = BLOCK_TRIALS) -> 
     draws = np.where(np.arange(MAX_ATOMS) < counts[:, None], rng.standard_exponential((n, MAX_ATOMS)), 0.0)
     # scaled by one over their running sum, as numpy's dirichlet scales its draws
     weights = draws * (1.0 / np.cumsum(draws, axis=-1)[:, -1:])
-    return values[:rows], weights[:rows]
+    return values[:rows].T.copy(), weights[:rows].T.copy()
 
 
 def _discrete_prior(values: np.ndarray, weights: np.ndarray) -> Discrete:
-    """The prior of one row of a block of priors."""
+    """The prior of one column of a block of priors."""
     return Discrete(tuple((float(v), float(w)) for v, w in zip(values, weights) if w > 0.0))
 
 
@@ -297,12 +299,12 @@ def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
     Values are uniform in ``UTILITY_RANGE`` and weights come from
     the flat Dirichlet, so one-sided supports occur regularly in the stream.
     Each call draws the trial's whole block of ``BLOCK_TRIALS`` priors and
-    keeps one row, so a caller that wants many priors should draw the blocks
+    keeps one, so a caller that wants many priors should draw the blocks
     (``_draw_priors``) instead.
     """
     values, weights = _draw_priors(config, trial_index // BLOCK_TRIALS)
     r = trial_index % BLOCK_TRIALS
-    return _discrete_prior(values[r], weights[r])
+    return _discrete_prior(values[:, r], weights[:, r])
 
 
 def _chunks(config: SearchConfig) -> list[list[tuple[int, int]]]:
@@ -333,7 +335,7 @@ def verify_good(config: SearchConfig) -> CheckReport:
     for chunk in _chunks(config):
         drawn = [_draw_block(config, b, 0, rows) for b, rows in chunk]
         arrays = zip(*((d.prior, d.utilities, d.likelihood, d.rule_rows) for d in drawn))
-        block = _Block(drawn[0].start, *map(np.concatenate, arrays))
+        block = _Block(drawn[0].start, *(np.concatenate(a, axis=-1) for a in arrays))
         with np.errstate(all="ignore"):
             kernel_voi, proven = _good_kernel(block)
         for r in _cross_checked(proven):
@@ -350,7 +352,8 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
     """Run the deference inequality on random discrete priors; expect no violations."""
     violations = []
     for chunk in _chunks(config):
-        values, weights = map(np.concatenate, zip(*(_draw_priors(config, b, rows) for b, rows in chunk)))
+        drawn = zip(*(_draw_priors(config, b, rows) for b, rows in chunk))
+        values, weights = (np.concatenate(a, axis=-1) for a in drawn)
         with np.errstate(all="ignore"):
             advantage, two_sided = _theorem1_kernel(values, weights)
             proven = (
@@ -360,7 +363,7 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
             )
         for r in _cross_checked(proven):
             i = chunk[0][0] * BLOCK_TRIALS + int(r)
-            result = theorem1_check(_discrete_prior(values[r], weights[r]))
+            result = theorem1_check(_discrete_prior(values[:, r], weights[:, r]))
             if r % BLOCK_TRIALS == 0:
                 _agree(i, advantage[r], result.delta)
             if not result.nonneg:
@@ -371,13 +374,6 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
 
 
 # ------------------------------------------------------------------ the screen
-
-
-def _columns(block: _Block) -> tuple[np.ndarray, ...]:
-    """Contiguous trials-last copies of a block's prior (S, n), utilities
-    (A, S, n), likelihood (S, G, n) and rule rows (R, S, n)."""
-    arrays = (block.prior, block.utilities, block.likelihood, block.rule_rows)
-    return tuple(a.transpose(*range(1, a.ndim), 0).copy() for a in arrays)
 
 
 def _expectations(beliefs: np.ndarray, utilities: np.ndarray) -> np.ndarray:
@@ -443,7 +439,7 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarr
     """Possible witnesses of a risk-weighted rule: per signal the act with the
     best posterior value, then the plan's joint (state, signal) prospect valued
     globally, as the voi module fixes."""
-    prior, utilities, likelihood, _ = _columns(block)
+    prior, utilities, likelihood = block.prior, block.utilities, block.likelihood
     by_state = utilities.swapaxes(0, 1)  # (S, A, n)
     order = by_state.argsort(axis=0)
     ranked = np.take_along_axis(by_state, order, axis=0)
@@ -451,7 +447,7 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarr
     ranked_posteriors = np.take_along_axis(posteriors[:, None], order[:, :, None], axis=0)  # (S, A, G, n)
     low, high = _rank_brackets(rule, ranked[:, :, None], ranked_posteriors)
     choice, lead = _lead(low, high)
-    planned = np.take_along_axis(utilities[:, :, None], choice[None, None], 0)[0].reshape(-1, len(block.prior))
+    planned = np.take_along_axis(utilities[:, :, None], choice[None, None], 0)[0].reshape(-1, prior.shape[-1])
     joint = (prior[:, None] * likelihood).reshape(planned.shape)
     joint_order = planned.argsort(axis=0)
     learning, _ = _rank_brackets(
@@ -465,8 +461,8 @@ def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray
     """Possible witnesses of gamma-maximin: the plan is the maximin act per
     signal at the member-wise posteriors, and the learning value is the worst
     member's score of that plan."""
-    _, utilities, likelihood, members = _columns(block)
-    members = members.swapaxes(0, 1)  # (S, M, n)
+    utilities, likelihood = block.utilities, block.likelihood
+    members = block.rule_rows.swapaxes(0, 1)  # (S, M, n)
     now = _expectations(members, utilities).min(axis=1).max(axis=0)
     marginals, posteriors = _bayes(members, likelihood)  # (G, M, n), (S, G, M, n)
     values = _expectations(posteriors, utilities)  # (A, G, M, n)
@@ -481,9 +477,8 @@ def _eu_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
     on the joint of the states and each signal (A, G, n), which is the signal's
     marginal times the act's posterior value. Nothing is divided, and a zero
     marginal gives zero values, as the scalar path skips the signal."""
-    prior, utilities, likelihood, _ = _columns(block)
-    now = _expectations(prior, utilities).max(axis=0)
-    return now, _expectations(prior[:, None] * likelihood, utilities)
+    now = _expectations(block.prior, block.utilities).max(axis=0)
+    return now, _expectations(block.prior[:, None] * block.likelihood, block.utilities)
 
 
 def _good_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
@@ -499,7 +494,6 @@ def _theorem1_kernel(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
     zero split, the prefer cell's mass times its mean being the weighted sum of
     the atoms at or above 0, and whether the prior has mass on both sides of 0.
     Atoms padded with zero weights add nothing to either."""
-    values, weights = values.T.copy(), weights.T.copy()  # (MAX_ATOMS, n)
     atoms = weights > 0.0
     advantage = (weights * np.maximum(values, 0.0)).sum(axis=0) - np.maximum((weights * values).sum(axis=0), 0.0)
     two_sided = (atoms & (values > 0.0)).any(axis=0) & (atoms & (values < 0.0)).any(axis=0)
@@ -513,12 +507,11 @@ def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarra
     only the misupdated choice needs a lead. A complement posterior needs no
     condition on its marginal, for the reason the module docstring gives."""
     now, values = _eu_kernel(block)
-    prior, utilities, likelihood, rule_rows = _columns(block)
     if rule.kind == MISUPDATE_CUSTOM:
-        wrong = rule_rows.swapaxes(0, 1)  # (S, G, n)
+        wrong = block.rule_rows.swapaxes(0, 1)  # (S, G, n)
     else:
-        _, wrong = _bayes(prior, 1.0 - likelihood)
-    wrong_choice, lead = _lead(_expectations(wrong, utilities))
+        _, wrong = _bayes(block.prior, 1.0 - block.likelihood)
+    wrong_choice, lead = _lead(_expectations(wrong, block.utilities))
     misfired = np.take_along_axis(values, wrong_choice[None], 0)[0]
     learning = ((1.0 - rule.q) * values.max(axis=0) + rule.q * misfired).sum(axis=0)
     return ~((learning - now >= floor) & (lead > SCREEN_MARGIN).all(axis=0))
@@ -531,9 +524,8 @@ def _unchecked_rows(block: _Block) -> np.ndarray:
     is finite. Sums are held to half of PROB_TOL here, as numpy adds in
     another order than Python, which moves a sum of at most MAX_SIZE entries
     by far less than the other half."""
-    prior, utilities, likelihood, rule_rows = _columns(block)
-    ok = np.isfinite(utilities).all(axis=(0, 1))
-    for vectors in (prior[None], likelihood, rule_rows):  # each vector runs along axis 1
+    ok = np.isfinite(block.utilities).all(axis=(0, 1))
+    for vectors in (block.prior[None], block.likelihood, block.rule_rows):  # each vector runs along axis 1
         ok &= (vectors >= 0.0).all(axis=(0, 1)) & (np.abs(vectors.sum(axis=1) - 1.0) <= PROB_TOL / 2).all(axis=0)
     return ~ok
 
@@ -542,7 +534,6 @@ def _unchecked_priors(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Priors whose atoms might fail the checks ``Discrete`` makes: finite
     values, and finite non-negative weights that sum to 1 within WEIGHT_TOL,
     held to half of it for the reason ``_unchecked_rows`` gives."""
-    values, weights = values.T.copy(), weights.T.copy()
     ok = np.isfinite(values).all(axis=0) & (weights >= 0.0).all(axis=0)
     return ~(ok & (np.abs(weights.sum(axis=0) - 1.0) <= WEIGHT_TOL / 2))
 
@@ -616,11 +607,12 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
     """
     screen, rule_rows = _screen_for(config)
     witnesses = []
-    for block in _blocks(config, rule_rows):
+    for b, rows in _block_rows(config):
+        block = _draw_block(config, b, rule_rows, rows)
         for r in _possible_witnesses(config, screen, block):
             i = block.start + int(r)
             problem, channel = _draw_instance(config, block, r)
-            rule = _concrete_rule(config.rule, block.rule_rows[r], channel)
+            rule = _concrete_rule(config.rule, block.rule_rows[..., r], channel)
             report = evaluate_rule(problem, channel, rule)
             if report.voi < -config.aversion_tolerance:
                 witness = Witness(problem, channel, rule, report.voi, i)

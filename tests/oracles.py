@@ -320,15 +320,15 @@ def per_trial_search(config) -> list:
 
 
 def block_search(config, block, rows=None) -> dict:
-    """The search over one block of the stream with no screen: each row (or
+    """The search over one block of the stream with no screen: each trial (or
     each of ``rows``) through the scalar ``_draw_instance``, ``_concrete_rule``
     and ``evaluate_rule``. Maps the row of every witness to its voi in hex, and
     the row of every error to its type and message."""
     found = {}
-    for r in range(len(block.prior)) if rows is None else map(int, rows):
+    for r in range(block.prior.shape[-1]) if rows is None else map(int, rows):
         try:
             problem, channel = search._draw_instance(config, block, r)
-            rule = search._concrete_rule(config.rule, block.rule_rows[r], channel)
+            rule = search._concrete_rule(config.rule, block.rule_rows[..., r], channel)
             voi = search.evaluate_rule(problem, channel, rule).voi
             if voi < -config.aversion_tolerance:
                 found[r] = voi.hex()

@@ -125,6 +125,14 @@ def test_scenario_file_with_rule_and_updater_blocks(tmp_path, capsys):
     assert "rule_value_learning" in out
     assert "updater_voi" in out
 
+    # a table belongs to custom-posterior alone; on another mode the file is rejected
+    obj = json.loads(path.read_text())
+    obj["updater"]["table"] = 5
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "scenario", str(path))
+    assert code == 2
+    assert "complement-conditionalization updater takes no 'table' field" in err
+
 
 def test_sweep_bracket_of_the_crossover(capsys):
     code, out, _ = run(capsys, "sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps", "51")
@@ -462,11 +470,14 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
          "table risk knot must be a JSON list, got 5"),
         (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "table", "knots": 5}}),
          "table risk knots must be a JSON list, got 5"),
+        (lambda w: w["rule"].update(mode="complement-conditionalization"),
+         "complement-conditionalization updater takes no 'table' field"),
     ],
     ids=["table-missing-signal", "table-wrong-length", "table-list", "table-extra-signal",
          "states-string", "states-int", "signals-string", "act-name-int", "credal-member-size", "likelihood-rows",
          "prior-int", "prior-string", "acts-int", "utilities-float", "likelihood-int", "likelihood-row-int",
-         "table-entry-string", "credal-members-int", "credal-member-int", "table-knot-int", "table-knots-int"],
+         "table-entry-string", "credal-members-int", "credal-member-int", "table-knot-int", "table-knots-int",
+         "table-on-complement"],
 )
 def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, capsys):
     out_path = tmp_path / "w.json"

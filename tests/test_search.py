@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from offswitch_lab import search
 from offswitch_lab.core import (
     CHECK_TOL,
+    ComplementConditionalization,
+    CredalSet,
     Faulty,
     GammaMaximinRule,
     IdentityRisk,
@@ -274,9 +276,16 @@ def test_search_config_validation():
         (lambda: CredalSearch(2.0), "members"),
         (lambda: SearchConfig(seed=1, trials=10, aversion_tolerance=float("inf")), "aversion_tolerance"),
         (lambda: SearchConfig(seed=1, trials=10, aversion_tolerance=float("nan")), "aversion_tolerance"),
+        (lambda: SearchConfig(seed=1, trials=10, rule=Faulty(0.5, ComplementConditionalization())), "rule"),
+        (lambda: SearchConfig(seed=1, trials=10, rule=GammaMaximinRule(CredalSet(((0.5, 0.5, 0.0), (0.2, 0.3, 0.5))))),
+         "rule"),
+        (lambda: SearchConfig(seed=1, trials=10, rule="reu"), "rule"),
+        (lambda: SearchConfig(seed=1, trials=10, aversion_tolerance="x"), "aversion_tolerance"),
+        (lambda: SearchConfig(seed=1, trials=10, aversion_tolerance=True), "aversion_tolerance"),
     ],
     ids=["seed-float", "seed-bool", "trials-float", "trials-bool", "states-float", "acts-float", "signals-bool",
-         "members-float", "tolerance-inf", "tolerance-nan"],
+         "members-float", "tolerance-inf", "tolerance-nan", "rule-faulty", "rule-gamma-maximin", "rule-string",
+         "tolerance-string", "tolerance-bool"],
 )
 def test_search_config_rejects_what_would_fail_inside_numpy(make, field):
     # each of these used to be accepted, and failed later inside numpy or searched in vain
@@ -306,19 +315,28 @@ def test_search_config_trial_bound_at_the_limit_and_past_it():
 @pytest.mark.parametrize("sizes", [(3, 3, 2), (1, 1, 1), (MAX_SIZE, 2, 3)])
 def test_block_rows_are_numpys_own_draws(sizes):
     # the oracle scales raw variates by their running sum, as numpy's dirichlet does;
-    # at 16 states numpy's pairwise sum (np.sum) would part from it
+    # at 16 states numpy's pairwise sum (np.sum) would part from it. Every array
+    # of a partial and of a full block is contiguous with the trial axis last,
+    # and column r is trial r's draw
     states, acts, signals = sizes
     config = SearchConfig(seed=21, trials=600, state_count=states, act_count=acts, signal_count=signals)
-    block = search._draw_block(config, 1, 4, 200)
-    assert block.start == BLOCK_TRIALS and len(block.prior) == 200
-    draws = block_draws(config, 1, 4)
-    for r in range(200):
-        prior, utilities, rows, rule_rows = draws[r]
-        assert np.array_equal(block.prior[r], prior)
-        assert np.array_equal(block.utilities[r], utilities)
-        assert np.array_equal(block.likelihood[r], rows)
-        assert np.array_equal(block.rule_rows[r], rule_rows)
-        assert random_instance(config, BLOCK_TRIALS + r) == search._draw_instance(config, block, r)
+    draws, priors = block_draws(config, 1, 4), prior_draws(config, 1)
+    for n in (200, BLOCK_TRIALS):
+        block = search._draw_block(config, 1, 4, n)
+        values, weights = search._draw_priors(config, 1, n)
+        assert block.start == BLOCK_TRIALS
+        arrays = (block.prior, block.utilities, block.likelihood, block.rule_rows, values, weights)
+        shapes = ((states,), (acts, states), (states, signals), (4, states), (search.MAX_ATOMS,), (search.MAX_ATOMS,))
+        for array, shape in zip(arrays, shapes):
+            assert array.shape == shape + (n,) and array.flags.c_contiguous
+        for r in range(n):
+            prior, utilities, rows, rule_rows = draws[r]
+            assert np.array_equal(block.prior[:, r], prior)
+            assert np.array_equal(block.utilities[..., r], utilities)
+            assert np.array_equal(block.likelihood[..., r], rows)
+            assert np.array_equal(block.rule_rows[..., r], rule_rows)
+            assert search._discrete_prior(values[:, r], weights[:, r]) == priors[r]
+            assert random_instance(config, BLOCK_TRIALS + r) == search._draw_instance(config, block, r)
 
 
 EQUIVALENCE_RULES = {
@@ -413,7 +431,7 @@ def test_screen_keeps_a_trial_with_two_identical_acts(name):
     config = SearchConfig(seed=41, trials=64, act_count=2, rule=EQUIVALENCE_RULES[name])
 
     def edit(block, r):
-        block.utilities[r, 1] = block.utilities[r, 0]
+        block.utilities[1, :, r] = block.utilities[0, :, r]
 
     before, r, after = screened_rows(config, edit)
     assert after == before | {r}
@@ -431,8 +449,8 @@ def test_screen_keeps_a_trial_whose_likelihood_column_is_zero(name, mass):
     config = SearchConfig(seed=42, trials=64, rule=EQUIVALENCE_RULES[name])
 
     def edit(block, r):
-        block.likelihood[r, :, 0] = mass
-        block.likelihood[r, :, 1] = 1.0 - mass
+        block.likelihood[:, 0, r] = mass
+        block.likelihood[:, 1, r] = 1.0 - mass
 
     assert screen_is_exact_after(config, edit)
     if mass == 0.0 and name != "faulty:custom:0.3":
@@ -448,8 +466,8 @@ def test_screen_keeps_a_risk_weighted_trial_with_a_thin_tail(name):
     config = SearchConfig(seed=45, trials=64, rule=EQUIVALENCE_RULES[name])
 
     def edit(block, r):
-        block.prior[r] = (0.5, 0.5, 1e-17)
-        block.utilities[r, 0] = (-1.0, 0.0, 9.0)
+        block.prior[:, r] = (0.5, 0.5, 1e-17)
+        block.utilities[0, :, r] = (-1.0, 0.0, 9.0)
 
     assert screen_is_exact_after(config, edit)
 
@@ -460,7 +478,7 @@ def test_screen_keeps_a_trial_whose_rows_fail_the_dataclass_checks(name):
     config = SearchConfig(seed=44, trials=64, rule=EQUIVALENCE_RULES[name])
 
     def edit(block, r):
-        block.prior[r] *= 1.0 + 1e-9
+        block.prior[:, r] *= 1.0 + 1e-9
 
     before, r, after = screened_rows(config, edit)
     assert after == before | {r}
@@ -500,21 +518,21 @@ EDITS = st.one_of(
 
 
 def apply_edit(block, r, edit):
-    """Apply one edit drawn from ``EDITS`` to row r of the block."""
+    """Apply one edit drawn from ``EDITS`` to trial r of the block, its column r."""
     kind, i, k, mass = edit
     if kind == "thin tail":  # state i gets the mass and act k its best outcome there
-        _rescaled(block.prior[r], i, mass)
-        block.utilities[r, k, i] = search.UTILITY_RANGE[1]
+        _rescaled(block.prior[:, r], i, mass)
+        block.utilities[k, i, r] = search.UTILITY_RANGE[1]
     elif kind == "column":
-        for row in block.likelihood[r]:
+        for row in block.likelihood[..., r]:
             _rescaled(row, i, mass)
     elif kind == "zero prior entry":
-        _rescaled(block.prior[r], i, 0.0)
+        _rescaled(block.prior[:, r], i, 0.0)
     elif kind == "zero rule-row entry":
-        for row in block.rule_rows[r]:
+        for row in block.rule_rows[..., r]:
             _rescaled(row, i, 0.0)
     else:
-        block.utilities[r, k] = block.utilities[r, i]
+        block.utilities[k, :, r] = block.utilities[i, :, r]
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_RULES))
@@ -540,12 +558,12 @@ def subnormal_marginal_edit(block, r, mass):
     member becomes ``mass``: then signal 0's complement marginal, and signal 1
     and 2's marginals, are ``mass`` times state 0's likelihoods."""
     if r % 2 == 0:
-        for s, row in enumerate(block.likelihood[r]):
+        for s, row in enumerate(block.likelihood[..., r]):
             _rescaled(row, 2, mass * (s + 1))
         return
-    block.likelihood[r, 1:] = (1.0, 0.0, 0.0)
-    _rescaled(block.prior[r], 0, mass)
-    for member in block.rule_rows[r]:
+    block.likelihood[1:, :, r] = (1.0, 0.0, 0.0)
+    _rescaled(block.prior[:, r], 0, mass)
+    for member in block.rule_rows[..., r]:
         _rescaled(member, 0, mass)
 
 
@@ -560,8 +578,8 @@ def test_screened_search_equals_the_scalar_loop_where_a_marginal_is_subnormal(na
     block = search._draw_block(config, 0, rule_rows, 64)
     for r in range(64):
         subnormal_marginal_edit(block, r, mass)
-    marginals = (block.prior[:, :, None] * block.likelihood).sum(axis=1)
-    assert ((marginals > 0.0) & (marginals < np.finfo(float).tiny)).any(axis=1).sum() >= 32
+    marginals = (block.prior[:, None] * block.likelihood).sum(axis=0)
+    assert ((marginals > 0.0) & (marginals < np.finfo(float).tiny)).any(axis=0).sum() >= 32
     reference = block_search(config, block)
     # the edited rows still hold witnesses (power 0.5 seeks risk and has none here)
     assert reference or name == "reu:power:0.5"
@@ -594,7 +612,7 @@ def test_random_instance_is_the_searched_instance_of_its_trial(name):
         assert (w.problem, w.channel) == random_instance(config, w.trial_index)
     _, rule_rows = search._screen_for(config)
     block = search._draw_block(config, 2, rule_rows, 600 - 2 * BLOCK_TRIALS)
-    for r in range(len(block.prior)):
+    for r in range(block.prior.shape[-1]):
         assert search._draw_instance(config, block, r) == random_instance(config, 2 * BLOCK_TRIALS + r)
 
 
@@ -605,7 +623,7 @@ def test_random_discrete_prior_is_a_row_of_its_block():
         reference = prior_draws(config, block)
         for r in range(0, BLOCK_TRIALS, 5):
             prior = random_discrete_prior(config, block * BLOCK_TRIALS + r)
-            assert prior == reference[r] == search._discrete_prior(values[r], weights[r])
+            assert prior == reference[r] == search._discrete_prior(values[:, r], weights[:, r])
 
 
 def test_each_run_draws_one_generator_per_block(monkeypatch):
@@ -661,7 +679,7 @@ def edited_draws(monkeypatch, name, edit):
 def test_good_decides_identical_likelihood_rows(monkeypatch):
     # a channel whose rows are equal says nothing, so its voi is exactly 0
     def edit(block):
-        block.likelihood[:8] = block.likelihood[:8, :1]
+        block.likelihood[..., :8] = block.likelihood[:1, :, :8]
 
     edited_draws(monkeypatch, "_draw_block", edit)
     config = SearchConfig(seed=63, trials=300)
@@ -683,10 +701,10 @@ ONE_SIDED_PRIORS = [
 def test_theorem1_kernel_on_one_sided_priors_and_atoms_at_zero(monkeypatch):
     def edit(priors):
         values, weights = priors
-        weights[: len(ONE_SIDED_PRIORS)] = 0.0
+        weights[:, : len(ONE_SIDED_PRIORS)] = 0.0
         for r, (atoms, masses) in enumerate(ONE_SIDED_PRIORS):
-            values[r, : len(atoms)] = atoms
-            weights[r, : len(masses)] = masses
+            values[: len(atoms), r] = atoms
+            weights[: len(masses), r] = masses
 
     edited_draws(monkeypatch, "_draw_priors", edit)
     config = SearchConfig(seed=64, trials=300)
@@ -694,7 +712,7 @@ def test_theorem1_kernel_on_one_sided_priors_and_atoms_at_zero(monkeypatch):
     values, weights = search._draw_priors(config, 0)
     advantage, two_sided = search._theorem1_kernel(values, weights)
     for r in range(len(ONE_SIDED_PRIORS) + 20):
-        result = theorem1_check(search._discrete_prior(values[r], weights[r]))
+        result = theorem1_check(search._discrete_prior(values[:, r], weights[:, r]))
         assert two_sided[r] == result.strict_expected
         assert abs(advantage[r] - result.delta) <= CHECK_TOL / 2
     assert not two_sided[: len(ONE_SIDED_PRIORS)].any()
@@ -703,10 +721,10 @@ def test_theorem1_kernel_on_one_sided_priors_and_atoms_at_zero(monkeypatch):
 def test_check_rows_that_fail_the_dataclass_checks_reach_the_scalar_path(monkeypatch):
     # scaled rows leave each kernel's proof intact, so only the row checks keep them
     def scale_prior(block):
-        block.prior[5] *= 1.5
+        block.prior[:, 5] *= 1.5
 
     def scale_weights(priors):
-        priors[1][5] *= 1.5
+        priors[1][:, 5] *= 1.5
 
     edited_draws(monkeypatch, "_draw_block", scale_prior)
     with pytest.raises(ValueError, match="prior sums to"):
@@ -767,8 +785,8 @@ def test_a_theorem1_strictness_failure_reaches_the_scalar_path(monkeypatch):
     # mass on both sides of 0 with an advantage of 5e-14, below CHECK_TOL
     def edit(priors):
         values, weights = priors
-        values[7, :2] = (1e-13, -1.0)
-        weights[7] = (0.5, 0.5, 0.0, 0.0)
+        values[:2, 7] = (1e-13, -1.0)
+        weights[:, 7] = (0.5, 0.5, 0.0, 0.0)
 
     edited_draws(monkeypatch, "_draw_priors", edit)
     report = verify_theorem1(SearchConfig(seed=67, trials=20))
@@ -779,8 +797,8 @@ def test_good_sends_a_zero_marginal_to_the_scalar_path(monkeypatch):
     # the scalar path skips a signal that never occurs, and the kernel adds
     # exactly 0 for it, so the kernel decides the trial
     def edit(block):
-        block.likelihood[3, :, 0] = 0.0
-        block.likelihood[3, :, 1] = 1.0
+        block.likelihood[:, 0, 3] = 0.0
+        block.likelihood[:, 1, 3] = 1.0
 
     edited_draws(monkeypatch, "_draw_block", edit)
     config = SearchConfig(seed=68, trials=20)

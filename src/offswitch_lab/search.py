@@ -10,8 +10,9 @@ flat-Dirichlet priors (B, S), utilities uniform in ``UTILITY_RANGE``
 flat-Dirichlet rows (B, R, S): credal members, or custom posteriors in
 signal order. A ``check theorem1`` block draws atom counts of 1 to
 ``MAX_ATOMS`` (B,), atom values uniform in ``UTILITY_RANGE`` (B, MAX_ATOMS)
-and standard exponentials (B, MAX_ATOMS), which are scaled to flat-Dirichlet
-weights over each row's first count entries and are zero past them.
+and flat-Dirichlet weights (B, MAX_ATOMS) over each row's first count
+entries, zero past them. A flat-Dirichlet row is standard exponentials scaled
+by one over their row-order sum: numpy's ``dirichlet`` at alpha 1, to the bit.
 
 A full block is always drawn, then cut to the trials a run asks for, so
 trial i depends only on (seed, i): it is row i % BLOCK_TRIALS of block
@@ -38,15 +39,15 @@ from its rows into a ``DecisionProblem`` and ``SignalChannel`` and
 evaluated by the scalar ``evaluate_rule``, so every witness, every voi and
 every exception comes from the scalar path.
 
-A block has one layout, made once right after its draw: each array is cut
-and copied contiguous with the trial axis last, so trial r is column r of
-prior (S, n), utilities (A, S, n), likelihood (S, G, n), rule rows (R, S, n)
-or atoms (MAX_ATOMS, n). Each sum, max or choice runs over a short leading
-axis in one numpy call for all trials (a trailing axis costs a call per
-trial), and sums over states are added state by state in the scalar path's
-order, with no extra axis. A check values CHECK_BLOCKS blocks per call; a
-screen values one, as its intermediates grow with the call (the
-risk-weighted screen's to about 34 MiB per block at MAX_SIZE).
+A call draws a run of blocks, CHECK_BLOCKS for a check and one for a screen
+(a screen's intermediates grow with the call: the risk-weighted screen's to
+about 34 MiB per block at MAX_SIZE), into arrays allocated once per call and
+scaled once: trial r of the run is column r of the contiguous prior (S, n),
+utilities (A, S, n), likelihood (S, G, n), rule rows (R, S, n) or atoms
+(MAX_ATOMS, n). Each sum, max or choice runs over a short leading axis in one
+numpy call for all trials (a trailing axis costs a call per trial), and sums
+over states are added state by state in the scalar path's order, with no
+extra axis.
 
 The checks screen and confirm the same way. ``check good`` values trials
 by the expected-utility kernel that the faulty screen uses, and
@@ -61,15 +62,15 @@ every block, not only of every call, goes through the scalar path as well,
 and its value must agree with the kernel's within CHECK_TOL / 2, or the
 check raises AssertionError.
 
-The witness path. A possible witness is built from its rows through
-``tolist``, so the dataclasses receive plain floats, the same doubles as the
-arrays, and check them as they check any input. It is evaluated once; a
-witness is then encoded, written as JSON text, decoded by the strict decoder
-(every check again) and replayed through the voi module, and must reproduce
-its voi within ``REVERIFY_TOL`` (1e-10). The replay makes the same float
-operations in the same order, so it gives the voi exactly. The scalar
-kernels stay cheap without skipping a check: each checks a belief's length
-once and scores each act once per belief.
+The witness path. The scalar path's rows are gathered once per call, one
+``tolist`` per array, so the dataclasses receive plain floats, the same
+doubles as the arrays, and check them as they check any input. A possible
+witness is evaluated once; a witness is then encoded, written as JSON text,
+decoded by the strict decoder (every check again) and replayed through the
+voi module, and must reproduce its voi within ``REVERIFY_TOL`` (1e-10). The
+replay makes the same float operations in the same order, so it gives the
+voi exactly. The scalar kernels stay cheap without skipping a check: each
+checks a belief's length once and scores each act once per belief.
 
 This is the package's only numpy module. The scalar path it confirms with
 (``voi.evaluate_rule``, ``voi.replay_witness``) and the witness codec
@@ -214,7 +215,7 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class _Block:
-    """Trials ``start`` to ``start + n - 1``, copied once at draw time: trial ``start + r`` is column r."""
+    """Trials ``start`` to ``start + n - 1`` of a run of blocks: trial ``start + r`` is column r."""
 
     start: int
     prior: np.ndarray  # (S, n), C-contiguous like the others, with the trial axis last
@@ -232,33 +233,57 @@ def _block_rows(config: SearchConfig) -> list[tuple[int, int]]:
     return [(b, min(BLOCK_TRIALS, config.trials - b * BLOCK_TRIALS)) for b in range(-(-config.trials // BLOCK_TRIALS))]
 
 
-def _draw_block(config: SearchConfig, block: int, rule_rows: int, rows: int = BLOCK_TRIALS) -> _Block:
-    """The first ``rows`` trials of a block: flat-Dirichlet priors, uniform
-    utilities, flat-Dirichlet channel rows and ``rule_rows`` flat-Dirichlet
-    rows of rule data per trial, each drawn for the whole block and copied trials-last."""
-    rng = _trial_rng(config.seed, block)
-    n, s = BLOCK_TRIALS, config.state_count
-    prior = rng.dirichlet(np.ones(s), size=n)
-    utilities = rng.uniform(*UTILITY_RANGE, size=(n, config.act_count, s))
-    likelihood = rng.dirichlet(np.ones(config.signal_count), size=(n, s))
-    rule_data = rng.dirichlet(np.ones(s), size=(n, rule_rows)) if rule_rows else np.empty((n, 0, s))
-    drawn = (prior, utilities, likelihood, rule_data)
-    return _Block(block * n, *(a[:rows].transpose(*range(1, a.ndim), 0).copy() for a in drawn))
+def _draw_columns(config: SearchConfig, blocks: list[tuple[int, int]], draw) -> list[np.ndarray]:
+    """Arrays allocated once, trial axis last, whose columns hold the first ``rows``
+    trials of what ``draw(rng)`` draws, trials first, for each (block, rows) pair."""
+    n, end, columns = sum(rows for _, rows in blocks), 0, None
+    for b, rows in blocks:
+        drawn = draw(_trial_rng(config.seed, b))
+        columns = columns or [np.empty(a.shape[1:] + (n,), a.dtype) for a in drawn]
+        start, end = end, end + rows
+        for column, a in zip(columns, drawn):
+            column[..., start:end] = a[:rows].transpose(*range(1, a.ndim), 0)
+    return columns
 
 
-def _draw_instance(config: SearchConfig, block: _Block, r: int) -> tuple[DecisionProblem, SignalChannel]:
-    """The (problem, channel) pair of trial ``block.start + r``, built from its
-    rows as plain floats (``tolist`` gives the same doubles as the arrays)."""
-    problem = DecisionProblem(
-        states=tuple(f"state{i}" for i in range(config.state_count)),
-        prior=block.prior[:, r].tolist(),
-        acts=tuple([Act(f"act{k}", utilities) for k, utilities in enumerate(block.utilities[..., r].tolist())]),
-    )
-    channel = SignalChannel(
-        signals=tuple(f"signal{j}" for j in range(config.signal_count)),
-        likelihood=block.likelihood[..., r].tolist(),
-    )
-    return problem, channel
+def _scale_rows(*simplices: np.ndarray) -> None:
+    """Scale standard exponentials in place to flat-Dirichlet rows along each array's
+    first axis: by one over their sum, added in row order, silently as numpy does."""
+    with np.errstate(all="ignore"):
+        for parts in simplices:
+            parts *= 1.0 / sum(parts[1:], parts[0])
+
+
+def _draw_block(config: SearchConfig, blocks: list[tuple[int, int]], rule_rows: int) -> _Block:
+    """The trials a run takes from consecutive (block, rows) pairs, with
+    ``rule_rows`` flat-Dirichlet rows of rule data per trial."""
+    n, s, a, g = BLOCK_TRIALS, config.state_count, config.act_count, config.signal_count
+    block = _Block(blocks[0][0] * n, *_draw_columns(config, blocks, lambda rng: (
+        rng.standard_exponential((n, s)),
+        rng.uniform(*UTILITY_RANGE, size=(n, a, s)),
+        rng.standard_exponential((n, s, g)),
+        rng.standard_exponential((n, rule_rows, s)) if rule_rows else np.empty((n, 0, s)),
+    )))
+    _scale_rows(block.prior, block.likelihood.swapaxes(0, 1), block.rule_rows.swapaxes(0, 1))
+    return block
+
+
+def _draw_instance(config: SearchConfig, block: _Block, rows) -> list[tuple[DecisionProblem, SignalChannel]]:
+    """The (problem, channel) pairs of trials ``block.start + r`` for r in
+    ``rows``, built from plain floats gathered by one ``tolist`` per array."""
+    states = tuple(f"state{i}" for i in range(config.state_count))
+    acts = [f"act{k}" for k in range(config.act_count)]
+    signals = tuple(f"signal{j}" for j in range(config.signal_count))
+    gathered = zip(*(_per_trial(a, rows) for a in (block.prior, block.utilities, block.likelihood)))
+    return [
+        (DecisionProblem(states, prior, tuple(map(Act, acts, utilities))), SignalChannel(signals, likelihood))
+        for prior, utilities, likelihood in gathered
+    ]
+
+
+def _per_trial(a: np.ndarray, rows) -> list:
+    """Columns ``rows`` of a trials-last array as plain floats, one list per trial, by one ``tolist``."""
+    return a[..., rows].transpose(-1, *range(a.ndim - 1)).tolist()
 
 
 def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionProblem, SignalChannel]:
@@ -266,31 +291,29 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
 
     Priors and channel rows come from the flat Dirichlet (symmetric simplex)
     distribution; utilities are uniform in ``UTILITY_RANGE``. Each call draws
-    the trial's whole block of ``BLOCK_TRIALS`` trials and keeps one, so a
-    caller that wants many trials should walk the blocks (``_draw_block`` and
-    ``_draw_instance``) instead.
+    the trial's whole block; to sample many trials, draw the blocks instead.
     """
-    block = _draw_block(config, trial_index // BLOCK_TRIALS, 0)
-    return _draw_instance(config, block, trial_index % BLOCK_TRIALS)
+    block = _draw_block(config, [(trial_index // BLOCK_TRIALS, BLOCK_TRIALS)], 0)
+    return _draw_instance(config, block, [trial_index % BLOCK_TRIALS])[0]
 
 
-def _draw_priors(config: SearchConfig, block: int, rows: int = BLOCK_TRIALS) -> tuple[np.ndarray, np.ndarray]:
-    """Atom values and weights (MAX_ATOMS, rows) of the first ``rows`` discrete
-    priors of a block: per prior 1 to MAX_ATOMS atoms with uniform values and
-    flat-Dirichlet weights, and zero weights past its count, copied trials-last."""
-    rng = _trial_rng(config.seed, block)
+def _draw_priors(config: SearchConfig, blocks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Atom values and weights (MAX_ATOMS, n) of the priors a run takes from
+    consecutive (block, rows) pairs, with zero weights past each atom count."""
     n = BLOCK_TRIALS
-    counts = rng.integers(1, MAX_ATOMS + 1, size=n)
-    values = rng.uniform(*UTILITY_RANGE, size=(n, MAX_ATOMS))
-    draws = np.where(np.arange(MAX_ATOMS) < counts[:, None], rng.standard_exponential((n, MAX_ATOMS)), 0.0)
-    # scaled by one over their running sum, as numpy's dirichlet scales its draws
-    weights = draws * (1.0 / np.cumsum(draws, axis=-1)[:, -1:])
-    return values[:rows].T.copy(), weights[:rows].T.copy()
+    counts, values, weights = _draw_columns(config, blocks, lambda rng: (
+        rng.integers(1, MAX_ATOMS + 1, size=n),
+        rng.uniform(*UTILITY_RANGE, size=(n, MAX_ATOMS)),
+        rng.standard_exponential((n, MAX_ATOMS)),
+    ))
+    weights[np.arange(MAX_ATOMS)[:, None] >= counts] = 0.0
+    _scale_rows(weights)
+    return values, weights
 
 
-def _discrete_prior(values: np.ndarray, weights: np.ndarray) -> Discrete:
-    """The prior of one column of a block of priors."""
-    return Discrete(tuple((float(v), float(w)) for v, w in zip(values, weights) if w > 0.0))
+def _discrete_prior(values: list[float], weights: list[float]) -> Discrete:
+    """The prior of one column of a block of priors, gathered as plain floats."""
+    return Discrete(tuple((v, w) for v, w in zip(values, weights) if w > 0.0))
 
 
 def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
@@ -298,13 +321,11 @@ def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
 
     Values are uniform in ``UTILITY_RANGE`` and weights come from
     the flat Dirichlet, so one-sided supports occur regularly in the stream.
-    Each call draws the trial's whole block of ``BLOCK_TRIALS`` priors and
-    keeps one, so a caller that wants many priors should draw the blocks
-    (``_draw_priors``) instead.
+    Each call draws the trial's whole block; to sample many, draw the blocks.
     """
-    values, weights = _draw_priors(config, trial_index // BLOCK_TRIALS)
+    values, weights = _draw_priors(config, [(trial_index // BLOCK_TRIALS, BLOCK_TRIALS)])
     r = trial_index % BLOCK_TRIALS
-    return _discrete_prior(values[:, r], weights[:, r])
+    return _discrete_prior(values[:, r].tolist(), weights[:, r].tolist())
 
 
 def _chunks(config: SearchConfig) -> list[list[tuple[int, int]]]:
@@ -333,18 +354,16 @@ def verify_good(config: SearchConfig) -> CheckReport:
         raise ValueError("the learning inequality is only guaranteed under plain expected utility")
     violations = []
     for chunk in _chunks(config):
-        drawn = [_draw_block(config, b, 0, rows) for b, rows in chunk]
-        arrays = zip(*((d.prior, d.utilities, d.likelihood, d.rule_rows) for d in drawn))
-        block = _Block(drawn[0].start, *(np.concatenate(a, axis=-1) for a in arrays))
+        block = _draw_block(config, chunk, 0)
         with np.errstate(all="ignore"):
             kernel_voi, proven = _good_kernel(block)
-        for r in _cross_checked(proven):
-            problem, channel = _draw_instance(config, block, r)
+        rows = _cross_checked(proven)
+        for r, (problem, channel) in zip(rows.tolist(), _draw_instance(config, block, rows)):
             voi = value_of_learning_eu(problem, problem.prior, channel).voi
             if r % BLOCK_TRIALS == 0:
-                _agree(block.start + int(r), kernel_voi[r], voi)
+                _agree(block.start + r, kernel_voi[r], voi)
             if voi < -CHECK_TOL:
-                violations.append(CheckViolation(block.start + int(r), "negative value of learning", voi))
+                violations.append(CheckViolation(block.start + r, "negative value of learning", voi))
     return CheckReport(config.trials, tuple(violations))
 
 
@@ -352,8 +371,7 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
     """Run the deference inequality on random discrete priors; expect no violations."""
     violations = []
     for chunk in _chunks(config):
-        drawn = zip(*(_draw_priors(config, b, rows) for b, rows in chunk))
-        values, weights = (np.concatenate(a, axis=-1) for a in drawn)
+        values, weights = _draw_priors(config, chunk)
         with np.errstate(all="ignore"):
             advantage, two_sided = _theorem1_kernel(values, weights)
             proven = (
@@ -361,9 +379,10 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
                 & (~two_sided | (advantage > 1.5 * CHECK_TOL))
                 & ~_unchecked_priors(values, weights)
             )
-        for r in _cross_checked(proven):
-            i = chunk[0][0] * BLOCK_TRIALS + int(r)
-            result = theorem1_check(_discrete_prior(values[:, r], weights[:, r]))
+        rows = _cross_checked(proven)
+        for r, atoms, masses in zip(rows.tolist(), _per_trial(values, rows), _per_trial(weights, rows)):
+            i = chunk[0][0] * BLOCK_TRIALS + r
+            result = theorem1_check(_discrete_prior(atoms, masses))
             if r % BLOCK_TRIALS == 0:
                 _agree(i, advantage[r], result.delta)
             if not result.nonneg:
@@ -573,14 +592,14 @@ def _screen_for(config: SearchConfig):
 # ------------------------------------------------------ the scalar path
 
 
-def _concrete_rule(search_rule: SearchRule, rows: np.ndarray, channel: SignalChannel) -> DecisionRule | Updater:
-    """Materialize a trial's rule from its rows of rule data."""
+def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: SignalChannel) -> DecisionRule | Updater:
+    """Materialize a trial's rule from its rows of rule data, as plain floats."""
     if isinstance(search_rule, CredalSearch):
-        return GammaMaximinRule(CredalSet(rows.tolist()))
+        return GammaMaximinRule(CredalSet(rows))
     if isinstance(search_rule, FaultySearch):
         mode = MISUPDATE_MODES[search_rule.kind]
         if mode is CustomPosterior:
-            return Faulty(search_rule.q, CustomPosterior(dict(zip(channel.signals, rows.tolist()))))
+            return Faulty(search_rule.q, CustomPosterior(dict(zip(channel.signals, rows))))
         return Faulty(search_rule.q, mode())
     return search_rule
 
@@ -608,11 +627,12 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
     screen, rule_rows = _screen_for(config)
     witnesses = []
     for b, rows in _block_rows(config):
-        block = _draw_block(config, b, rule_rows, rows)
-        for r in _possible_witnesses(config, screen, block):
-            i = block.start + int(r)
-            problem, channel = _draw_instance(config, block, r)
-            rule = _concrete_rule(config.rule, block.rule_rows[..., r], channel)
+        block = _draw_block(config, [(b, rows)], rule_rows)
+        possible = _possible_witnesses(config, screen, block)
+        data = _per_trial(block.rule_rows, possible)
+        for r, (problem, channel), rule_data in zip(possible.tolist(), _draw_instance(config, block, possible), data):
+            i = block.start + r
+            rule = _concrete_rule(config.rule, rule_data, channel)
             report = evaluate_rule(problem, channel, rule)
             if report.voi < -config.aversion_tolerance:
                 witness = Witness(problem, channel, rule, report.voi, i)

@@ -327,8 +327,8 @@ def block_search(config, block, rows=None) -> dict:
     found = {}
     for r in range(block.prior.shape[-1]) if rows is None else map(int, rows):
         try:
-            problem, channel = search._draw_instance(config, block, r)
-            rule = search._concrete_rule(config.rule, block.rule_rows[..., r], channel)
+            [(problem, channel)] = search._draw_instance(config, block, [r])
+            rule = search._concrete_rule(config.rule, block.rule_rows[..., r].tolist(), channel)
             voi = search.evaluate_rule(problem, channel, rule).voi
             if voi < -config.aversion_tolerance:
                 found[r] = voi.hex()

@@ -45,3 +45,44 @@ def package_imports():
 def test_every_name_the_benchmark_imports_exists(module, name):
     owner = importlib.import_module(module)
     assert hasattr(owner, name) or importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+REACHED_BY_SEARCH = ("_trial_rng", "_draw_instance", "_concrete_rule", "evaluate_rule", "_reverifies", "replay_witness")
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Calls of each of ``search``'s traced functions, counted from here on."""
+    from offswitch_lab import search
+
+    calls = {}
+    for owner, attr, _ in load_layertrace()._targets():
+        if owner is search:
+            calls[attr] = 0
+
+            def counted(*args, _attr=attr, _call=getattr(search, attr), **kwargs):
+                calls[_attr] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(search, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rule", ["reu:power:2", "gamma:2", "faulty:complement:0.5", "faulty:custom:0.5"])
+def test_a_search_reaches_every_traced_search_layer(search_calls, rule):
+    # a refactor that routes around one of these would zero its layer in a
+    # traced run (perfbench/run.py --trace 1) without failing anything else
+    from offswitch_lab import cli, search
+
+    config = search.SearchConfig(seed=3, trials=300, rule=cli.parse_rule(rule))
+    assert search.find_information_aversion(config)
+    for name in REACHED_BY_SEARCH:
+        assert search_calls[name] > 0, f"a {rule} search never calls search.{name}"
+
+
+@pytest.mark.parametrize("check", ["verify_good", "verify_theorem1"])
+def test_a_check_reaches_the_traced_rng_layer(search_calls, check):
+    from offswitch_lab import search
+
+    getattr(search, check)(search.SearchConfig(seed=3, trials=300))
+    assert search_calls["_trial_rng"] == 2

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import tracemalloc
 
@@ -312,31 +313,54 @@ def test_search_config_trial_bound_at_the_limit_and_past_it():
         SearchConfig(seed=2, trials=MAX_TRIALS + 1)
 
 
-@pytest.mark.parametrize("sizes", [(3, 3, 2), (1, 1, 1), (MAX_SIZE, 2, 3)])
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (1, 1, 1), (MAX_SIZE, 2, 3), (MAX_SIZE, MAX_SIZE, MAX_SIZE)])
 def test_block_rows_are_numpys_own_draws(sizes):
     # the oracle scales raw variates by their running sum, as numpy's dirichlet does;
     # at 16 states numpy's pairwise sum (np.sum) would part from it. Every array
-    # of a partial and of a full block is contiguous with the trial axis last,
-    # and column r is trial r's draw
+    # of a partial block, of a full block and of a run of blocks drawn in one
+    # call (600 trials: 256 + 256 + 88 rows) is contiguous with the trial axis
+    # last, and column i is the draw of the run's trial i
     states, acts, signals = sizes
     config = SearchConfig(seed=21, trials=600, state_count=states, act_count=acts, signal_count=signals)
-    draws, priors = block_draws(config, 1, 4), prior_draws(config, 1)
-    for n in (200, BLOCK_TRIALS):
-        block = search._draw_block(config, 1, 4, n)
-        values, weights = search._draw_priors(config, 1, n)
-        assert block.start == BLOCK_TRIALS
+    oracle = {b: (block_draws(config, b, 4), prior_draws(config, b)) for b in range(3)}
+    atoms = (search.MAX_ATOMS,)
+    shapes = ((states,), (acts, states), (states, signals), (4, states), atoms, atoms)
+    for pairs in ([(1, 200)], [(1, BLOCK_TRIALS)], search._block_rows(config)):
+        block = search._draw_block(config, pairs, 4)
+        values, weights = search._draw_priors(config, pairs)
+        assert block.start == pairs[0][0] * BLOCK_TRIALS
         arrays = (block.prior, block.utilities, block.likelihood, block.rule_rows, values, weights)
-        shapes = ((states,), (acts, states), (states, signals), (4, states), (search.MAX_ATOMS,), (search.MAX_ATOMS,))
         for array, shape in zip(arrays, shapes):
-            assert array.shape == shape + (n,) and array.flags.c_contiguous
-        for r in range(n):
-            prior, utilities, rows, rule_rows = draws[r]
-            assert np.array_equal(block.prior[:, r], prior)
-            assert np.array_equal(block.utilities[..., r], utilities)
-            assert np.array_equal(block.likelihood[..., r], rows)
-            assert np.array_equal(block.rule_rows[..., r], rule_rows)
-            assert search._discrete_prior(values[:, r], weights[:, r]) == priors[r]
-            assert random_instance(config, BLOCK_TRIALS + r) == search._draw_instance(config, block, r)
+            assert array.shape == shape + (sum(rows for _, rows in pairs),) and array.flags.c_contiguous
+        i = 0
+        for b, rows in pairs:
+            draws, priors = oracle[b]
+            for r in range(rows):
+                prior, utilities, likelihood, rule_rows = draws[r]
+                assert np.array_equal(block.prior[:, i], prior)
+                assert np.array_equal(block.utilities[..., i], utilities)
+                assert np.array_equal(block.likelihood[..., i], likelihood)
+                assert np.array_equal(block.rule_rows[..., i], rule_rows)
+                assert search._discrete_prior(values[:, i].tolist(), weights[:, i].tolist()) == priors[r]
+                assert not weights[len(priors[r].atoms) :, i].any()
+                assert random_instance(config, b * BLOCK_TRIALS + r) == search._draw_instance(config, block, [i])[0]
+                i += 1
+
+
+@pytest.mark.parametrize("size", [(256,), (256, 3), (256, 16)])
+def test_scaled_exponentials_are_numpys_flat_dirichlet(size):
+    # the draws take a flat Dirichlet as standard exponentials scaled by one
+    # over their row-order sum; against the installed numpy that gives its
+    # dirichlet bit for bit and leaves the generator in the same state, so the
+    # stream is the same
+    for k in range(1, MAX_SIZE + 1):
+        for seed in (1, 7919, 2**63 + 5):
+            by_dirichlet, by_exponentials = search._trial_rng(seed, k), search._trial_rng(seed, k)
+            expected = by_dirichlet.dirichlet(np.ones(k), size)
+            drawn = by_exponentials.standard_exponential(size + (k,))
+            search._scale_rows(np.moveaxis(drawn, -1, 0))
+            assert drawn.tobytes() == expected.tobytes(), (k, seed)
+            assert by_exponentials.bit_generator.state == by_dirichlet.bit_generator.state
 
 
 EQUIVALENCE_RULES = {
@@ -401,7 +425,7 @@ def screened_rows(config, edit=None):
     """Rows the screen keeps in a block of 64 trials, and after ``edit(block, r)``
     of a row r that it dropped, that row and the rows it keeps then."""
     screen, rule_rows = search._screen_for(config)
-    block = search._draw_block(config, 0, rule_rows, 64)
+    block = search._draw_block(config, [(0, 64)], rule_rows)
     before = set(search._possible_witnesses(config, screen, block).tolist())
     if edit is None:
         return before
@@ -421,7 +445,7 @@ def screen_is_exact_after(config, edit) -> bool:
     """Whether, after ``edit(block, r)`` of the first row r the screen drops in a
     block of 64 trials, the screened search equals the scalar loop over it."""
     screen, rule_rows = search._screen_for(config)
-    block = search._draw_block(config, 0, rule_rows, 64)
+    block = search._draw_block(config, [(0, 64)], rule_rows)
     edit(block, min(set(range(64)) - set(search._possible_witnesses(config, screen, block).tolist())))
     return screened_search(config, block) == block_search(config, block)
 
@@ -490,7 +514,7 @@ def test_screen_keeps_a_trial_whose_complement_marginal_is_zero():
     # and where it is 1 - 2**-53 the complement's marginal is about 1e-16
     for name in ("faulty:complement:0.5", "faulty:custom:0.3"):
         config = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES[name])
-        block = search._draw_block(config, 0, search._screen_for(config)[1], 64)
+        block = search._draw_block(config, [(0, 64)], search._screen_for(config)[1])
         assert screened_search(config, block) == block_search(config, block)
     custom = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES["faulty:custom:0.3"])
     assert len(screened_rows(custom)) < 64
@@ -541,7 +565,7 @@ def apply_edit(block, r, edit):
 def test_screened_search_equals_the_scalar_loop_on_edited_blocks(name, seed, edits):
     config = SearchConfig(seed=seed, trials=64, rule=EQUIVALENCE_RULES[name])
     _, rule_rows = search._screen_for(config)
-    block = search._draw_block(config, 0, rule_rows, 64)
+    block = search._draw_block(config, [(0, 64)], rule_rows)
     # edits that leave a vector's other entries zero or subnormal give NaN or
     # inf there, a row the dataclass checks reject
     with np.errstate(all="ignore"):
@@ -575,7 +599,7 @@ def test_screened_search_equals_the_scalar_loop_where_a_marginal_is_subnormal(na
     # products by the same sums as the scalar path's
     config = SearchConfig(seed=46, trials=64, signal_count=3, rule=EQUIVALENCE_RULES[name])
     _, rule_rows = search._screen_for(config)
-    block = search._draw_block(config, 0, rule_rows, 64)
+    block = search._draw_block(config, [(0, 64)], rule_rows)
     for r in range(64):
         subnormal_marginal_edit(block, r, mass)
     marginals = (block.prior[:, None] * block.likelihood).sum(axis=0)
@@ -611,19 +635,34 @@ def test_random_instance_is_the_searched_instance_of_its_trial(name):
     for w in witnesses:
         assert (w.problem, w.channel) == random_instance(config, w.trial_index)
     _, rule_rows = search._screen_for(config)
-    block = search._draw_block(config, 2, rule_rows, 600 - 2 * BLOCK_TRIALS)
+    block = search._draw_block(config, [(2, 600 - 2 * BLOCK_TRIALS)], rule_rows)
     for r in range(block.prior.shape[-1]):
-        assert search._draw_instance(config, block, r) == random_instance(config, 2 * BLOCK_TRIALS + r)
+        assert search._draw_instance(config, block, [r])[0] == random_instance(config, 2 * BLOCK_TRIALS + r)
+
+
+def test_draw_instance_gathers_any_rows_of_a_block():
+    # no row, one row, and every row of a partial block or of a run of blocks:
+    # each pair equals its one-row build and random_instance
+    config = SearchConfig(seed=55, trials=600, state_count=4, act_count=3, signal_count=2)
+    block = search._draw_block(config, [(2, 88)], 0)
+    assert search._draw_instance(config, block, np.array([], dtype=np.intp)) == []
+    assert search._draw_instance(config, block, [5]) == [random_instance(config, 2 * BLOCK_TRIALS + 5)]
+    every = search._draw_instance(config, block, np.arange(88))
+    assert every == [search._draw_instance(config, block, [r])[0] for r in range(88)]
+    assert every == [random_instance(config, 2 * BLOCK_TRIALS + r) for r in range(88)]
+    run = search._draw_block(config, search._block_rows(config), 0)
+    rows = np.arange(0, 600, 7)
+    assert search._draw_instance(config, run, rows) == [random_instance(config, int(i)) for i in rows]
 
 
 def test_random_discrete_prior_is_a_row_of_its_block():
     config = SearchConfig(seed=53, trials=1)
     for block in range(3):
-        values, weights = search._draw_priors(config, block)
+        values, weights = search._draw_priors(config, [(block, BLOCK_TRIALS)])
         reference = prior_draws(config, block)
         for r in range(0, BLOCK_TRIALS, 5):
             prior = random_discrete_prior(config, block * BLOCK_TRIALS + r)
-            assert prior == reference[r] == search._discrete_prior(values[:, r], weights[:, r])
+            assert prior == reference[r] == search._discrete_prior(values[:, r].tolist(), weights[:, r].tolist())
 
 
 def test_each_run_draws_one_generator_per_block(monkeypatch):
@@ -664,27 +703,35 @@ def test_check_reports_equal_the_per_trial_reference_around_kernel_calls(trials)
     assert verify_theorem1(config) == per_trial_theorem1(config)
 
 
+@contextlib.contextmanager
 def edited_draws(monkeypatch, name, edit):
-    """Have ``search.<name>`` hand out its draws after ``edit`` changes them."""
-    draw = getattr(search, name)
+    """Have ``search.<name>`` hand out its draws after ``edit`` changes them,
+    and fail unless the code run in the ``with`` block called it: an edit that
+    never reaches the check proves nothing. The edit stays in place after."""
+    draw, calls = getattr(search, name), []
 
     def edited(*args):
+        calls.append(args)
         drawn = draw(*args)
         edit(drawn)
         return drawn
 
     monkeypatch.setattr(search, name, edited)
+    yield
+    assert calls, f"search.{name} was never called, so its edit never reached the check"
 
 
 def test_good_decides_identical_likelihood_rows(monkeypatch):
     # a channel whose rows are equal says nothing, so its voi is exactly 0
+    # edited at row 0 to 7 of each block, so trial 256, row 0 of block 1, is cross-checked
     def edit(block):
-        block.likelihood[..., :8] = block.likelihood[:1, :, :8]
+        for s in range(0, block.prior.shape[-1], BLOCK_TRIALS):
+            block.likelihood[..., s : s + 8] = block.likelihood[:1, :, s : s + 8]
 
-    edited_draws(monkeypatch, "_draw_block", edit)
     config = SearchConfig(seed=63, trials=300)
-    assert verify_good(config).ok
-    block = search._draw_block(config, 0, 0)
+    with edited_draws(monkeypatch, "_draw_block", edit):
+        assert verify_good(config).ok
+    block = search._draw_block(config, [(0, BLOCK_TRIALS)], 0)
     voi, proven = search._good_kernel(block)
     assert np.abs(voi[:8]).max() <= 1e-14
     assert proven[:8].all()
@@ -699,20 +746,22 @@ ONE_SIDED_PRIORS = [
 
 
 def test_theorem1_kernel_on_one_sided_priors_and_atoms_at_zero(monkeypatch):
+    # edited at row 0 to 3 of each block, so trial 256, row 0 of block 1, is cross-checked
     def edit(priors):
         values, weights = priors
-        weights[:, : len(ONE_SIDED_PRIORS)] = 0.0
-        for r, (atoms, masses) in enumerate(ONE_SIDED_PRIORS):
-            values[: len(atoms), r] = atoms
-            weights[: len(masses), r] = masses
+        for s in range(0, weights.shape[-1], BLOCK_TRIALS):
+            weights[:, s : s + len(ONE_SIDED_PRIORS)] = 0.0
+            for r, (atoms, masses) in enumerate(ONE_SIDED_PRIORS):
+                values[: len(atoms), s + r] = atoms
+                weights[: len(masses), s + r] = masses
 
-    edited_draws(monkeypatch, "_draw_priors", edit)
     config = SearchConfig(seed=64, trials=300)
-    assert verify_theorem1(config).ok
-    values, weights = search._draw_priors(config, 0)
+    with edited_draws(monkeypatch, "_draw_priors", edit):
+        assert verify_theorem1(config).ok
+    values, weights = search._draw_priors(config, [(0, BLOCK_TRIALS)])
     advantage, two_sided = search._theorem1_kernel(values, weights)
     for r in range(len(ONE_SIDED_PRIORS) + 20):
-        result = theorem1_check(search._discrete_prior(values[:, r], weights[:, r]))
+        result = theorem1_check(search._discrete_prior(values[:, r].tolist(), weights[:, r].tolist()))
         assert two_sided[r] == result.strict_expected
         assert abs(advantage[r] - result.delta) <= CHECK_TOL / 2
     assert not two_sided[: len(ONE_SIDED_PRIORS)].any()
@@ -726,12 +775,12 @@ def test_check_rows_that_fail_the_dataclass_checks_reach_the_scalar_path(monkeyp
     def scale_weights(priors):
         priors[1][:, 5] *= 1.5
 
-    edited_draws(monkeypatch, "_draw_block", scale_prior)
-    with pytest.raises(ValueError, match="prior sums to"):
-        verify_good(SearchConfig(seed=65, trials=20))
-    edited_draws(monkeypatch, "_draw_priors", scale_weights)
-    with pytest.raises(ValueError, match="atom weights sum to"):
-        verify_theorem1(SearchConfig(seed=65, trials=20))
+    with edited_draws(monkeypatch, "_draw_block", scale_prior):
+        with pytest.raises(ValueError, match="prior sums to"):
+            verify_good(SearchConfig(seed=65, trials=20))
+    with edited_draws(monkeypatch, "_draw_priors", scale_weights):
+        with pytest.raises(ValueError, match="atom weights sum to"):
+            verify_theorem1(SearchConfig(seed=65, trials=20))
 
 
 def test_a_shifted_check_kernel_fails_the_cross_check(monkeypatch):
@@ -788,8 +837,8 @@ def test_a_theorem1_strictness_failure_reaches_the_scalar_path(monkeypatch):
         values[:2, 7] = (1e-13, -1.0)
         weights[:, 7] = (0.5, 0.5, 0.0, 0.0)
 
-    edited_draws(monkeypatch, "_draw_priors", edit)
-    report = verify_theorem1(SearchConfig(seed=67, trials=20))
+    with edited_draws(monkeypatch, "_draw_priors", edit):
+        report = verify_theorem1(SearchConfig(seed=67, trials=20))
     assert [(v.trial_index, v.detail) for v in report.violations] == [(7, "strictness clause failed")]
 
 
@@ -800,14 +849,53 @@ def test_good_sends_a_zero_marginal_to_the_scalar_path(monkeypatch):
         block.likelihood[:, 0, 3] = 0.0
         block.likelihood[:, 1, 3] = 1.0
 
-    edited_draws(monkeypatch, "_draw_block", edit)
     config = SearchConfig(seed=68, trials=20)
-    assert verify_good(config).ok
-    block = search._draw_block(config, 0, 0, 20)
+    with edited_draws(monkeypatch, "_draw_block", edit):
+        assert verify_good(config).ok
+    block = search._draw_block(config, [(0, 20)], 0)
     voi, proven = search._good_kernel(block)
-    problem, channel = search._draw_instance(config, block, 3)
+    problem, channel = search._draw_instance(config, block, [3])[0]
     assert proven[3]
     assert abs(voi[3] - value_of_learning_eu(problem, problem.prior, channel).voi) <= CHECK_TOL / 2
+
+
+def test_checks_send_row_0_of_every_block_and_every_unproven_row_to_the_scalar_path(monkeypatch):
+    # kernels that give NaN at four trials leave those unproven; 1300 trials
+    # take two kernel calls, of four blocks and of two
+    config = SearchConfig(seed=71, trials=1300)
+    unproven = {3, 300, 1100, 1299}
+    expected = sorted(unproven | set(range(0, 1300, BLOCK_TRIALS)))
+    eu_kernel, theorem1_kernel, draw_instance = search._eu_kernel, search._theorem1_kernel, search._draw_instance
+    seen, built, checked = [0], [], []
+
+    def shifted_eu(block):
+        now, values = eu_kernel(block)
+        for i in unproven & set(range(block.start, block.start + len(now))):
+            now[i - block.start] = np.nan
+        return now, values
+
+    def shifted_theorem1(values, weights):
+        advantage, two_sided = theorem1_kernel(values, weights)
+        for i in unproven & set(range(seen[0], seen[0] + len(advantage))):
+            advantage[i - seen[0]] = np.nan
+        seen[0] += len(advantage)
+        return advantage, two_sided
+
+    def recorded_instances(config, block, rows):
+        built.extend(block.start + int(r) for r in rows)
+        return draw_instance(config, block, rows)
+
+    def recorded_theorem1(prior):
+        checked.append(prior)
+        return theorem1_check(prior)
+
+    monkeypatch.setattr(search, "_eu_kernel", shifted_eu)
+    monkeypatch.setattr(search, "_theorem1_kernel", shifted_theorem1)
+    monkeypatch.setattr(search, "_draw_instance", recorded_instances)
+    monkeypatch.setattr(search, "theorem1_check", recorded_theorem1)
+    assert verify_good(config).ok and verify_theorem1(config).ok
+    assert built == expected
+    assert checked == [random_discrete_prior(config, i) for i in expected]
 
 
 @pytest.mark.parametrize(
@@ -831,7 +919,7 @@ def test_block_kernels_hold_no_extra_size_axis_at_the_size_limit(rule):
     else:
         config = SearchConfig(seed=70, trials=BLOCK_TRIALS, rule=rule, **sizes)
         screen, rule_rows = search._screen_for(config)
-        block = search._draw_block(config, 0, rule_rows)
+        block = search._draw_block(config, [(0, BLOCK_TRIALS)], rule_rows)
         run = lambda: search._possible_witnesses(config, screen, block)  # noqa: E731
     tracemalloc.start()
     try:

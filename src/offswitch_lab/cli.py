@@ -133,26 +133,12 @@ def cmd_scenario(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    report = payload["report"]
-    rows = [
-        ("scenario", payload["label"]),
-        ("prior", _describe_prior(scenario)),
-        ("epsilon", _fmt(payload["epsilon"])),
-        ("eu_act", _fmt(report["eu_act"])),
-        ("eu_nothing", _fmt(report["eu_nothing"])),
-        ("eu_defer", _fmt(report["eu_defer"])),
-        ("eu_learn", _fmt(report["eu_learn"])),
-        ("delta", _fmt(report["delta"])),
-        ("best", report["best"]),
-        ("threshold", _fmt(report["threshold_epsilon"])),
-    ]
-    for key, analysis in (("rule", "rule_analysis"), ("updater", "updater_analysis")):
-        if analysis in payload:
-            sub = payload[analysis]
-            rows.append((f"{key}_rule", sub["rule"]))
-            rows.append((f"{key}_value_now", _fmt(sub["value_now"])))
-            rows.append((f"{key}_value_learning", _fmt(sub["value_learning"])))
-            rows.append((f"{key}_voi", _fmt(sub["voi"])))
+    rows = [("scenario", payload["label"]), ("prior", _describe_prior(scenario)), ("epsilon", _fmt(payload["epsilon"]))]
+    rows += [(name.removesuffix("_epsilon"), _fmt(value)) for name, value in payload["report"].items()]
+    for key in ("rule", "updater"):
+        if f"{key}_analysis" in payload:
+            sub = payload[f"{key}_analysis"]
+            rows += [(f"{key}_{field}", _fmt(sub[field])) for field in ("rule", "value_now", "value_learning", "voi")]
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
         print(f"{key:<{width}}  {value}")
@@ -296,11 +282,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    path = Path(args.file)
-    if not path.is_file():
-        return _usage_error(f"witness file {args.file!r} is not readable")
     try:
-        obj = _read_json(path, "witness file")
+        obj = _read_json(Path(args.file), "witness file")
     except ValueError as exc:
         return _usage_error(str(exc))
     try:
@@ -347,10 +330,7 @@ def cmd_report(_args) -> int:
             f"| {_fmt(computed)} | {'pass' if ok else 'FAIL'} |"
         )
     lines.append("")
-    lines.append(
-        f"{sum(1 for _ in REFERENCE_ROWS)} rows, "
-        + ("all pass." if all_pass else "some FAILED.")
-    )
+    lines.append(f"{len(REFERENCE_ROWS)} rows, " + ("all pass." if all_pass else "some FAILED."))
     print("\n".join(lines))
     return 0 if all_pass else 1
 

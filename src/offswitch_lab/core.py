@@ -252,6 +252,14 @@ class CustomPosterior:
                 return vec
         raise MissingRuleData(f"custom posterior table has no entry for signal {signal!r}")
 
+    def check_signals(self, signals, state_count: int) -> None:
+        """ValueError naming a signal unless the table maps exactly ``signals`` to ``state_count`` entries."""
+        for signal in signals:
+            check_length(self.posterior_for(signal), state_count, f"custom posterior for {signal!r}")
+        unknown = sorted({signal for signal, _ in self.table} - set(signals))
+        if unknown:
+            raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
+
 
 MisupdateKind = StayAtPrior | ComplementConditionalization | CustomPosterior
 
@@ -294,11 +302,9 @@ class RiskWeightedRule:
     risk: RiskFunction
 
     def __post_init__(self) -> None:
-        if self.risk is None:
-            raise MissingRuleData("risk-weighted rule needs a risk function")
-        if not isinstance(self.risk, RiskFunction):
+        if not isinstance(self.risk, RiskFunction):  # None fails it too
             names = ", ".join(kind.__name__ for kind in RiskFunction.__args__)
-            raise ValueError(f"risk must be an instance of {names}, got {self.risk!r}")
+            raise MissingRuleData(f"risk must be an instance of {names}, got {self.risk!r}")
 
 
 @dataclass(frozen=True)
@@ -308,10 +314,8 @@ class GammaMaximinRule:
     credal: CredalSet
 
     def __post_init__(self) -> None:
-        if self.credal is None:
-            raise MissingRuleData("gamma-maximin rule needs a credal set")
-        if not isinstance(self.credal, CredalSet):
-            raise ValueError(f"credal must be an instance of CredalSet, got {self.credal!r}")
+        if not isinstance(self.credal, CredalSet):  # None fails it too
+            raise MissingRuleData(f"credal must be an instance of CredalSet, got {self.credal!r}")
 
 
 DecisionRule = ExpectedUtilityRule | RiskWeightedRule | GammaMaximinRule

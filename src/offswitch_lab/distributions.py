@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .core import PROB_TOL
 from .errors import ConditioningOnNull
 
 if TYPE_CHECKING:
     import numpy as np
-
-WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class Discrete:
 
     Atoms are canonicalized at construction: sorted by value, duplicate
     values merged, weights rescaled to sum to exactly 1. Input weights must
-    be strictly positive and sum to 1 within ``WEIGHT_TOL``.
+    be strictly positive and sum to 1 within ``PROB_TOL``.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -46,8 +45,8 @@ class Discrete:
                 raise ValueError(f"atom weight must be strictly positive, got {weight!r}")
             merged[value] = merged.get(value, 0.0) + weight
             total += weight
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"atom weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValueError(f"atom weights sum to {total!r}, expected 1 within {PROB_TOL}")
         object.__setattr__(self, "atoms", tuple((v, merged[v] / total) for v in sorted(merged)))
 
 

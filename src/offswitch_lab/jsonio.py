@@ -35,7 +35,6 @@ from .core import (
     SignalChannel,
     TableRisk,
     Updater,
-    check_length,
 )
 from .distributions import Discrete, Uniform, UtilityDistribution
 from .offswitch import OffSwitchScenario
@@ -291,12 +290,7 @@ def witness_from_jsonable(obj) -> Witness:
     rule = decode_rule(obj["rule"])
     if isinstance(rule, Faulty) and isinstance(rule.kind, CustomPosterior):
         # checked here, so a bad table is an input error rather than a failure partway through replay
-        for signal in channel.signals:
-            what = f"custom posterior for {signal!r}"
-            check_length(rule.kind.posterior_for(signal), len(problem.states), what)
-        unknown = sorted({signal for signal, _ in rule.kind.table} - set(channel.signals))
-        if unknown:
-            raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
+        rule.kind.check_signals(channel.signals, len(problem.states))
     return Witness(
         problem=problem,
         channel=channel,

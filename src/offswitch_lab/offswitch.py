@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CHECK_TOL, Act, DecisionProblem, DecisionRule, SignalChannel, Updater, unit_interval
+from .core import CHECK_TOL, Act, CustomPosterior, DecisionProblem, DecisionRule, SignalChannel, Updater, unit_interval
 from .distributions import UtilityDistribution, mean, prob_gt, zero_split
 
 PREFER = "prefer"
@@ -38,6 +38,9 @@ class OffSwitchScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", unit_interval(self.epsilon, "epsilon"))
+        # a faulty updater's table is checked against the game's fixed channel before any evaluation
+        if isinstance(getattr(self.updater, "kind", None), CustomPosterior):
+            self.updater.kind.check_signals((APPROVE, REJECT), 2)
 
 
 @dataclass(frozen=True)

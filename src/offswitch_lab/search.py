@@ -21,23 +21,24 @@ rule (whose rows come last). ``random_instance`` and
 ``random_discrete_prior`` return that trial. Changing ``BLOCK_TRIALS``, or the
 order or shapes of the draws, changes the stream.
 
-The search screens, then confirms. A numpy kernel per search rule values
-the whole block, and a trial is dropped only when the screen proves it is
-not a witness: its screened voi is at least ``-aversion_tolerance +
-SCREEN_MARGIN``, every act choice the voi depends on leads the runner-up by
-more than the margin, and its rows pass the checks that the dataclasses
-make. No condition is put on the marginals a screen divides by: a zero
-marginal gives NaN, which fails every lead test and so keeps the trial, and
-a positive one, however small, gives the posterior the scalar path computes,
-as both divide the same products by the same sums. The margin is derived
-from ``UTILITY_RANGE``, because float error in a voi scales with the
-utilities; at this range the screen and the scalar path agree to about
-1e-14. A risk-weighted screen brackets each risk weight between its values
-at tail -/+ margin, so a steep risk function widens the bracket instead of
-breaking the proof. Every other trial is a possible witness: it is built
-from its rows into a ``DecisionProblem`` and ``SignalChannel`` and
-evaluated by the scalar ``evaluate_rule``, so every witness, every voi and
-every exception comes from the scalar path.
+The search screens, then confirms. A numpy kernel per search rule values the
+whole block, returning each trial's screened voi (a lower bound on it for a
+risk-weighted rule) and the lead of every act choice the voi depends on over
+its runner-up, and ``_possible_witnesses`` makes the proof once: a trial is
+dropped only when its screened voi is at least ``-aversion_tolerance +
+SCREEN_MARGIN``, every lead exceeds the margin, and its rows pass the checks
+that the dataclasses make. No condition is put on the marginals a screen
+divides by: a zero marginal gives NaN, which fails every lead test and so
+keeps the trial, and a positive one, however small, gives the posterior the
+scalar path computes, as both divide the same products by the same sums. The
+margin is derived from ``UTILITY_RANGE``, because float error in a voi scales
+with the utilities; at this range the screen and the scalar path agree to
+about 1e-14. A risk-weighted screen brackets each risk weight between its
+values at tail -/+ margin, so a steep risk function widens the bracket instead
+of breaking the proof. Every other trial is a possible witness: it is built
+from its rows into a ``DecisionProblem`` and ``SignalChannel`` and evaluated
+by the scalar ``evaluate_rule``, so every witness, every voi and every
+exception comes from the scalar path.
 
 A call draws a run of blocks, CHECK_BLOCKS for a check and one for a screen
 (a screen's intermediates grow with the call: the risk-weighted screen's to
@@ -105,7 +106,7 @@ from .core import (
     is_identity_risk,
     unit_interval,
 )
-from .distributions import WEIGHT_TOL, Discrete
+from .distributions import Discrete
 from .errors import RuleCannotBeAverse
 from .jsonio import Witness, witness_from_jsonable, witness_to_jsonable
 from .offswitch import theorem1_check
@@ -454,10 +455,10 @@ def _rank_brackets(rule: RiskWeightedRule, utilities: np.ndarray, probabilities:
     return low, high
 
 
-def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarray:
-    """Possible witnesses of a risk-weighted rule: per signal the act with the
-    best posterior value, then the plan's joint (state, signal) prospect valued
-    globally, as the voi module fixes."""
+def _screen_reu(rule: RiskWeightedRule, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """A lower bound on a risk-weighted rule's voi and the leads of its choices:
+    per signal the act with the best posterior value, then the plan's joint
+    (state, signal) prospect valued globally, as the voi module fixes."""
     prior, utilities, likelihood = block.prior, block.utilities, block.likelihood
     by_state = utilities.swapaxes(0, 1)  # (S, A, n)
     order = by_state.argsort(axis=0)
@@ -473,13 +474,13 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block, floor: float) -> np.ndarr
         rule, np.take_along_axis(planned, joint_order, 0), np.take_along_axis(joint, joint_order, 0)
     )
     _, now = _rank_brackets(rule, ranked, np.take_along_axis(prior[:, None], order, 0))
-    return ~((learning - now.max(axis=0) >= floor) & (lead > SCREEN_MARGIN).all(axis=0))
+    return learning - now.max(axis=0), lead
 
 
-def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray:
-    """Possible witnesses of gamma-maximin: the plan is the maximin act per
-    signal at the member-wise posteriors, and the learning value is the worst
-    member's score of that plan."""
+def _screen_gamma(rule: CredalSearch, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma-maximin's voi and the leads of its choices: the plan is the maximin
+    act per signal at the member-wise posteriors, and the learning value is the
+    worst member's score of that plan."""
     utilities, likelihood = block.utilities, block.likelihood
     members = block.rule_rows.swapaxes(0, 1)  # (S, M, n)
     now = _expectations(members, utilities).min(axis=1).max(axis=0)
@@ -487,7 +488,7 @@ def _screen_gamma(rule: CredalSearch, block: _Block, floor: float) -> np.ndarray
     values = _expectations(posteriors, utilities)  # (A, G, M, n)
     plan, lead = _lead(values.min(axis=2))
     learning = (marginals * np.take_along_axis(values, plan[None, :, None], 0)[0]).sum(axis=0).min(axis=0)
-    return ~((learning - now >= floor) & (lead > SCREEN_MARGIN).all(axis=0))
+    return learning - now, lead
 
 
 def _eu_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
@@ -519,12 +520,12 @@ def _theorem1_kernel(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
     return advantage, two_sided
 
 
-def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarray:
-    """Possible witnesses of a faulty updater: the act best at the posterior
-    blended with the act best at the misupdated belief, both scored at the true
-    posterior. The posterior-best act enters only through its value, a max, so
-    only the misupdated choice needs a lead. A complement posterior needs no
-    condition on its marginal, for the reason the module docstring gives."""
+def _screen_faulty(rule: FaultySearch, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """A faulty updater's voi and the leads of its choices: the act best at the
+    posterior blended with the act best at the misupdated belief, both scored
+    at the true posterior. The posterior-best act enters only through its
+    value, a max, so only the misupdated choice needs a lead. A complement
+    posterior needs no condition on its marginal, as the module docstring says."""
     now, values = _eu_kernel(block)
     if rule.kind == MISUPDATE_CUSTOM:
         wrong = block.rule_rows.swapaxes(0, 1)  # (S, G, n)
@@ -533,7 +534,7 @@ def _screen_faulty(rule: FaultySearch, block: _Block, floor: float) -> np.ndarra
     wrong_choice, lead = _lead(_expectations(wrong, block.utilities))
     misfired = np.take_along_axis(values, wrong_choice[None], 0)[0]
     learning = ((1.0 - rule.q) * values.max(axis=0) + rule.q * misfired).sum(axis=0)
-    return ~((learning - now >= floor) & (lead > SCREEN_MARGIN).all(axis=0))
+    return learning - now, lead
 
 
 def _unchecked_rows(block: _Block) -> np.ndarray:
@@ -551,10 +552,10 @@ def _unchecked_rows(block: _Block) -> np.ndarray:
 
 def _unchecked_priors(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Priors whose atoms might fail the checks ``Discrete`` makes: finite
-    values, and finite non-negative weights that sum to 1 within WEIGHT_TOL,
+    values, and finite non-negative weights that sum to 1 within PROB_TOL,
     held to half of it for the reason ``_unchecked_rows`` gives."""
     ok = np.isfinite(values).all(axis=0) & (weights >= 0.0).all(axis=0)
-    return ~(ok & (np.abs(weights.sum(axis=0) - 1.0) <= WEIGHT_TOL / 2))
+    return ~(ok & (np.abs(weights.sum(axis=0) - 1.0) <= PROB_TOL / 2))
 
 
 def _screen_for(config: SearchConfig):
@@ -611,10 +612,11 @@ def _reverifies(witness: Witness) -> bool:
 
 def _possible_witnesses(config: SearchConfig, screen, block: _Block) -> np.ndarray:
     """Row numbers in the block of the trials the screen cannot rule out."""
-    # a zero marginal gives NaN, and each screen's conditions keep a trial on NaN
+    # a zero marginal gives NaN, which fails both tests and so keeps the trial
     with np.errstate(all="ignore"):
-        possible = screen(config.rule, block, -config.aversion_tolerance + SCREEN_MARGIN)
-        return np.flatnonzero(possible | _unchecked_rows(block))
+        voi, lead = screen(config.rule, block)
+        proven = (voi >= -config.aversion_tolerance + SCREEN_MARGIN) & (lead > SCREEN_MARGIN).all(axis=0)
+        return np.flatnonzero(~proven | _unchecked_rows(block))
 
 
 def find_information_aversion(config: SearchConfig) -> list[Witness]:

@@ -405,6 +405,32 @@ def test_scenario_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda t: t.update(aprove=[0.5, 0.5]), "signals not in the channel: ['aprove']"),
+        (lambda t: t.pop("reject"), "no entry for signal 'reject'"),
+        (lambda t: t["approve"].append(0.0), "custom posterior for 'approve' has 3 entries for 2 states"),
+    ],
+    ids=["extra-signal", "missing-signal", "wrong-length"],
+)
+def test_scenario_table_that_does_not_fit_the_game_exits_2_naming_the_signal(edit, message, tmp_path, capsys):
+    # the game's signals are approve and reject; a table is checked against them when the file is decoded
+    obj = json.loads(json.dumps(RULEFUL_SCENARIO))
+    edit(obj["updater"]["table"])
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    commands = [
+        ("scenario", str(path)),
+        ("scenario", str(path), "--epsilon", "0.3"),
+        ("sweep", str(path), "--lo", "0", "--hi", "1", "--steps", "3"),
+    ]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+@pytest.mark.parametrize(
     "path,bad",
     [
         (("voi",), "-0.5"),

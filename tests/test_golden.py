@@ -49,6 +49,15 @@ SCENARIO_BLOCKS = {
     ),
 }
 
+# the scenario command's table for the built-ins and the files of SCENARIO_BLOCKS
+SCENARIO_TABLE_DIGESTS = {
+    "alice-basic": "ea53b6ea91efceefd9322957754ae0f2df8a634617523233b15d2f146a2bbd64",
+    "alice-confident": "ec3a4f3e9e4645c254558b1a1fc6649352541fd2cdd5c347b48c4a7bcb484fae",
+    "alice-noisy": "b7aa273e34eb2b2ec157e34cd7d1fc796e5a127a47cd7dc48ac40798f77e140e",
+    "gamma+faulty-complement": "314a2df6ccad02bd0b254cdcbe07e3a002d94c4740b42b0cf48142100c3450ff",
+    "reu-table+faulty-custom": "c58e6cf9e4cce91fb5c6fc555d1350d85a37a3919c4660ddc6cd6570a1f83182",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -82,15 +91,27 @@ def test_command_stdout(argv, digest, capsys):
     assert sha256(capsys.readouterr().out.encode("utf-8")) == digest
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIO_BLOCKS))
-def test_scenario_file_json_with_rule_blocks(name, tmp_path, capsys):
-    rule, updater, digest = SCENARIO_BLOCKS[name]
+def scenario_file(name, tmp_path) -> str:
+    """The path of a scenario file holding the rule and updater blocks of ``name``."""
+    rule, updater, _ = SCENARIO_BLOCKS[name]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(
         {"label": "ruleful", "prior": SCENARIO_PRIOR, "epsilon": 0.1, "rule": rule, "updater": updater}
     ))
-    assert cli.main(["scenario", str(path), "--json"]) == 0
-    assert sha256(capsys.readouterr().out.encode("utf-8")) == digest
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BLOCKS))
+def test_scenario_file_json_with_rule_blocks(name, tmp_path, capsys):
+    assert cli.main(["scenario", scenario_file(name, tmp_path), "--json"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == SCENARIO_BLOCKS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_TABLE_DIGESTS))
+def test_scenario_table(name, tmp_path, capsys):
+    scenario = scenario_file(name, tmp_path) if name in SCENARIO_BLOCKS else name
+    assert cli.main(["scenario", scenario]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == SCENARIO_TABLE_DIGESTS[name]
 
 
 # one-sided priors: an empty prefer or disprefer cell, or mass exactly at zero

@@ -72,6 +72,19 @@ def test_verify_witness_does_not_import_numpy(tmp_path, capsys):
     assert not numpy_loaded(RUN_CLI, "verify-witness", str(path))
 
 
+# every module of the package, as a fresh interpreter imports it
+MODULES = sorted(
+    "offswitch_lab" if path.stem == "__init__" else f"offswitch_lab.{path.stem}"
+    for path in (SRC / "offswitch_lab").glob("*.py")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own_and_only_search_loads_numpy(module):
+    # a fresh interpreter per module, so an import cycle or a stray numpy import in any one of them shows
+    assert numpy_loaded(f"import sys, {module}; print('numpy' in sys.modules)") == (module == "offswitch_lab.search")
+
+
 def test_the_sampling_commands_do_import_numpy():
     # the cases above would pass vacuously if the check could not see numpy
     assert numpy_loaded(RUN_CLI, "check", "theorem1", "--trials", "10")

@@ -1,9 +1,14 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from offswitch_lab import offswitch
+from offswitch_lab.core import ComplementConditionalization, CustomPosterior, Faulty
 from offswitch_lab.distributions import Discrete, Uniform, cond_mean_ge, expected_positive_part, mean
 from offswitch_lab.offswitch import (
+    OffSwitchScenario,
     best_option,
     defer_threshold,
     delta,
@@ -32,6 +37,25 @@ def test_reduce_confident_prior_matches_tree_payoffs():
     assert game.problem.acts[1].utilities == (0.0, 0.0)
     assert game.degenerate == frozenset()
     assert game.channel.likelihood == ((1 - 0.37, 0.37), (0.37, 1 - 0.37))
+
+
+def test_scenario_checks_a_custom_posterior_table_against_the_games_signals():
+    fits = {"approve": (0.2, 0.8), "reject": (0.9, 0.1)}
+    scenario = OffSwitchScenario(Uniform(-10, 90), 0.1, "fits", updater=Faulty(0.5, CustomPosterior(fits)))
+    assert dataclasses.replace(scenario, epsilon=0.3).epsilon == 0.3
+    misfits = [
+        ({**fits, "aprove": (0.5, 0.5)}, "signals not in the channel: ['aprove']"),
+        ({"approve": (0.2, 0.8)}, "no entry for signal 'reject'"),
+        ({**fits, "reject": (0.9, 0.05, 0.05)}, "custom posterior for 'reject' has 3 entries for 2 states"),
+    ]
+    for table, message in misfits:
+        updater = Faulty(0.5, CustomPosterior(table))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OffSwitchScenario(Uniform(-10, 90), 0.1, "misfits", updater=updater)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(scenario, updater=updater)
+    # a table-free misupdate has nothing to check
+    OffSwitchScenario(Uniform(-10, 90), 0.1, "complement", updater=Faulty(0.5, ComplementConditionalization()))
 
 
 def test_reduce_basic_prior_noiseless_partition():

@@ -520,6 +520,41 @@ def test_screen_keeps_a_trial_whose_complement_marginal_is_zero():
     assert len(screened_rows(custom)) < 64
 
 
+SCREEN_VALUE_RULES = {
+    "reu:power:2": ReuSearch(PowerRisk(2)),
+    "gamma:2": CredalSearch(2),
+    "faulty:complement:0.5": FaultySearch(0.5, "complement-conditionalization"),
+    "faulty:custom:0.5": FaultySearch(0.5, "custom-posterior"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("size", [(3, 3, 2), (2, 2, 2)], ids=lambda size: "x".join(map(str, size)))
+@pytest.mark.parametrize("name", sorted(SCREEN_VALUE_RULES))
+def test_screened_voi_is_the_scalar_voi_where_every_lead_clears_the_margin(name, size, seed):
+    # the proof rests on these values: where every choice leads by more than
+    # the margin, a screen's voi is the scalar path's, and a risk-weighted
+    # screen's, whose risk weights are bracketed, is a lower bound on it
+    states, acts, signals = size
+    config = SearchConfig(
+        seed=seed, trials=4 * BLOCK_TRIALS, state_count=states, act_count=acts, signal_count=signals,
+        rule=SCREEN_VALUE_RULES[name],
+    )
+    screen, rule_rows = search._screen_for(config)
+    block = search._draw_block(config, search._block_rows(config), rule_rows)
+    with np.errstate(all="ignore"):
+        voi, lead = screen(config.rule, block)
+    checked = np.flatnonzero((lead > search.SCREEN_MARGIN).all(axis=0) & np.isfinite(voi))
+    assert len(checked) > config.trials // 2
+    instances = search._draw_instance(config, block, checked)
+    for r, (problem, channel), data in zip(checked.tolist(), instances, search._per_trial(block.rule_rows, checked)):
+        scalar = search.evaluate_rule(problem, channel, search._concrete_rule(config.rule, data, channel)).voi
+        if isinstance(config.rule, ReuSearch):
+            assert voi[r] <= scalar + 1e-12, r
+        else:
+            assert abs(voi[r] - scalar) <= 1e-12, r
+
+
 # masses of a thin tail, and of a likelihood column: zero, subnormal and tiny
 THIN_MASSES = [1e-19, 1e-17, 1e-15, 1e-12, 1e-9, 1e-7]
 COLUMN_MASSES = [0.0, 5e-324, 1e-310, 1e-15, 1e-12]

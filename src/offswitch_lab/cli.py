@@ -261,10 +261,13 @@ def cmd_search(args) -> int:
             return _cannot_write(args.out, exc)
     try:
         witnesses = search.find_information_aversion(config)
-    except ValueError as exc:  # RuleCannotBeAverse among them
+    except (ValueError, AssertionError) as exc:
         if args.out and created:
             os.remove(args.out)
-        return _usage_error(str(exc))
+        if isinstance(exc, AssertionError):  # a witness did not reproduce its voi
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        return _usage_error(str(exc))  # RuleCannotBeAverse among them
     text = json.dumps([jsonio.witness_to_jsonable(w) for w in witnesses], indent=2)
     summary = (
         f"witnesses={len(witnesses)} trials={args.trials} seed={args.seed} rule={args.rule}"

@@ -21,15 +21,22 @@ CHECK_TOL = 1e-12  # how far below 0 the property checks let a voi or deference 
 def as_probability_vector(vec, what: str = "probability vector") -> tuple[float, ...]:
     """Coerce to a tuple of floats and validate non-negativity and unit sum."""
     out = tuple(map(float, vec))
+    if _is_distribution(out):
+        return out
     if not out:
         raise ValueError(f"{what} must be non-empty")
     # min(out) is negative or NaN whenever an entry is negative; -0.0 passes
     if not (min(out) >= 0.0 and all(map(math.isfinite, out))):
         raise ValueError(f"{what} has negative or non-finite entries: {out!r}")
-    total = sum(out)
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValueError(f"{what} sums to {total!r}, expected 1 within {PROB_TOL}")
-    return out
+    # the sum is the one test left to fail
+    raise ValueError(f"{what} sums to {sum(out)!r}, expected 1 within {PROB_TOL}")
+
+
+def _is_distribution(out: tuple[float, ...]) -> bool:
+    """True when the floats pass every check of ``as_probability_vector``: they
+    are non-empty and non-negative and sum to 1 within PROB_TOL. Such floats are
+    finite, as a NaN or an infinity among them makes the sum test false."""
+    return bool(out) and min(out) >= 0.0 and abs(sum(out) - 1.0) <= PROB_TOL
 
 
 def check_length(vec, n: int, what: str, per: str = "states") -> tuple:
@@ -88,7 +95,8 @@ class DecisionProblem:
         if not acts:
             raise ValueError("decision problem needs at least one act")
         for act in acts:
-            check_length(act.utilities, len(states), f"act {act.name!r} utilities")
+            if len(act.utilities) != len(states):  # the message is formatted only for a mismatch
+                check_length(act.utilities, len(states), f"act {act.name!r} utilities")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "acts", acts)
@@ -116,8 +124,12 @@ class SignalChannel:
             raise ValueError("channel needs at least one state row")
         checked = []
         for i, row in enumerate(rows):
-            what = f"likelihood row {i}"
-            checked.append(as_probability_vector(check_length(row, len(signals), what, "signals"), what))
+            row = tuple(row)
+            # a row that fails is checked again in full, its length first, for the message
+            if not (len(row) == len(signals) and _is_distribution(out := tuple(map(float, row)))):
+                what = f"likelihood row {i}"
+                out = as_probability_vector(check_length(row, len(signals), what, "signals"), what)
+            checked.append(out)
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "likelihood", tuple(checked))
 
@@ -238,13 +250,15 @@ class CustomPosterior:
         items = sorted(raw.items()) if isinstance(raw, Mapping) else list(raw)
         if not items:
             raise ValueError("custom posterior table must not be empty")
-        canon = tuple(
-            (str(signal), as_probability_vector(vec, f"custom posterior for {signal!r}"))
-            for signal, vec in items
-        )
+        canon = []
+        for signal, vec in items:
+            name, out = str(signal), tuple(map(float, vec))
+            if not _is_distribution(out):  # checked again in full, for the message
+                out = as_probability_vector(out, f"custom posterior for {signal!r}")
+            canon.append((name, out))
         # a signal is looked up by its first entry, and a JSON object keeps its last
         _reject_repeated_signals([signal for signal, _ in canon], "custom posterior table")
-        object.__setattr__(self, "table", canon)
+        object.__setattr__(self, "table", tuple(canon))
 
     def posterior_for(self, signal: str) -> tuple[float, ...]:
         for name, vec in self.table:
@@ -255,9 +269,12 @@ class CustomPosterior:
     def check_signals(self, signals, state_count: int) -> None:
         """ValueError naming a signal unless the table maps exactly ``signals`` to ``state_count`` entries."""
         for signal in signals:
-            check_length(self.posterior_for(signal), state_count, f"custom posterior for {signal!r}")
-        unknown = sorted({signal for signal, _ in self.table} - set(signals))
-        if unknown:
+            if len(vec := self.posterior_for(signal)) != state_count:
+                check_length(vec, state_count, f"custom posterior for {signal!r}")
+        # every signal has an entry and the table's names are distinct, so it has
+        # an entry for another signal exactly when it has more entries
+        if len(self.table) > len(set(signals)):
+            unknown = sorted({signal for signal, _ in self.table} - set(signals))
             raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
 
 
@@ -281,9 +298,8 @@ class Faulty:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", unit_interval(self.q, "misupdate probability"))
-        kinds = tuple(MISUPDATE_MODES.values())
-        if not isinstance(self.kind, kinds):
-            names = ", ".join(kind.__name__ for kind in kinds)
+        if not isinstance(self.kind, MisupdateKind):
+            names = ", ".join(kind.__name__ for kind in MisupdateKind.__args__)
             raise ValueError(f"misupdate kind must be an instance of {names}, got {self.kind!r}")
 
 
@@ -415,4 +431,7 @@ def _misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind)
         if marg <= 0.0:
             raise ZeroMarginal(f"complement of signal {signal!r} has zero marginal probability")
         return tuple([x / marg for x in comp])
-    return check_length(kind.posterior_for(signal), len(belief), f"custom posterior for {signal!r}")
+    posterior = kind.posterior_for(signal)
+    if len(posterior) != len(belief):
+        check_length(posterior, len(belief), f"custom posterior for {signal!r}")
+    return posterior

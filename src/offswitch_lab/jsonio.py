@@ -69,16 +69,19 @@ def _list(values, field: str) -> list:
 
 def _numbers(values, field: str) -> tuple:
     """A JSON list of finite JSON numbers as a tuple."""
+    if not _are_numbers(values):
+        for value in _list(values, field):
+            number(value, field)
+    return tuple(values)
+
+
+def _are_numbers(values) -> bool:
+    """True when ``values`` is a JSON list of finite JSON numbers."""
     # one test of the list type, one pass over the types and one over
     # finiteness in C; witness decoding is on the replay hot path (a huge
     # integer here raises OverflowError, an input error just as float() of it
     # would be)
-    if not (
-        type(values) is list and _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
-    ):
-        for value in _list(values, field):
-            number(value, field)
-    return tuple(values)
+    return type(values) is list and _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
 
 
 def _string(value, field: str) -> str:
@@ -98,8 +101,10 @@ def check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...]
     """ValueError unless ``obj`` is an object with all required fields and no unknown ones."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    # the usual case: exactly the required keys, which are distinct
-    if len(obj) == len(required) and all(map(obj.__contains__, required)):
+    # the usual case: every required key and, besides them, only optional keys
+    # (the two tuples are disjoint and their keys distinct)
+    extra = len(obj) - len(required)
+    if (extra == 0 or extra == sum(map(obj.__contains__, optional))) and all(map(obj.__contains__, required)):
         return
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
@@ -244,8 +249,9 @@ def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: 
         raise ValueError("custom-posterior updater needs a 'table' field")
     if not isinstance(obj["table"], dict):
         raise ValueError(f"custom-posterior table must be a JSON object, got {type(obj['table']).__name__}")
+    # a field name is formatted only for a vector that fails
     table = {
-        signal: _numbers(vec, f"custom posterior for {signal!r}")
+        signal: tuple(vec) if _are_numbers(vec) else _numbers(vec, f"custom posterior for {signal!r}")
         for signal, vec in obj["table"].items()
     }
     return Faulty(q, CustomPosterior(table))

@@ -66,12 +66,17 @@ check raises AssertionError.
 The witness path. The scalar path's rows are gathered once per call, one
 ``tolist`` per array, so the dataclasses receive plain floats, the same
 doubles as the arrays, and check them as they check any input. A possible
-witness is evaluated once; a witness is then encoded, written as JSON text,
-decoded by the strict decoder (every check again) and replayed through the
-voi module, and must reproduce its voi within ``REVERIFY_TOL`` (1e-10). The
-replay makes the same float operations in the same order, so it gives the
-voi exactly. The scalar kernels stay cheap without skipping a check: each
-checks a belief's length once and scores each act once per belief.
+witness is evaluated once. A block's witnesses are then re-verified together
+(``_reverifies``): they are encoded in trial order as one JSON list, written
+as one JSON text and read back, and each entry is decoded by the strict
+decoder (every check again) and replayed through the voi module, and must
+reproduce its voi within ``REVERIFY_TOL`` (1e-10); the first that does not
+stops the search with AssertionError naming its trial. Only one block's
+document is held at a time. The replay makes the same float operations in
+the same order, so it gives the voi exactly. The scalar kernels stay cheap
+without skipping a check: each checks a belief's length once and scores each
+act once per belief, and the constructors a witness goes through format an
+error message only for a value that fails.
 
 This is the package's only numpy module. The scalar path it confirms with
 (``voi.evaluate_rule``, ``voi.replay_witness``) and the witness codec
@@ -605,9 +610,16 @@ def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: Si
     return search_rule
 
 
-def _reverifies(witness: Witness) -> bool:
-    round_tripped = witness_from_jsonable(json.loads(json.dumps(witness_to_jsonable(witness))))
-    return reproduces(replay_witness(round_tripped), witness.voi)
+def _reverifies(witnesses: list[Witness]) -> None:
+    """Write a block's witnesses as one JSON document, read it back, and decode
+    and replay each entry; AssertionError naming the first trial whose replay
+    does not reproduce its stored voi."""
+    entries = json.loads(json.dumps([witness_to_jsonable(w) for w in witnesses]))
+    for witness, entry in zip(witnesses, entries):
+        if not reproduces(replay_witness(witness_from_jsonable(entry)), witness.voi):
+            raise AssertionError(
+                f"witness at trial {witness.trial_index} did not reproduce its voi on re-evaluation"
+            )
 
 
 def _possible_witnesses(config: SearchConfig, screen, block: _Block) -> np.ndarray:
@@ -632,16 +644,14 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
         block = _draw_block(config, [(b, rows)], rule_rows)
         possible = _possible_witnesses(config, screen, block)
         data = _per_trial(block.rule_rows, possible)
+        found = []
         for r, (problem, channel), rule_data in zip(possible.tolist(), _draw_instance(config, block, possible), data):
-            i = block.start + r
             rule = _concrete_rule(config.rule, rule_data, channel)
             report = evaluate_rule(problem, channel, rule)
             if report.voi < -config.aversion_tolerance:
-                witness = Witness(problem, channel, rule, report.voi, i)
-                if not _reverifies(witness):
-                    raise AssertionError(
-                        f"witness at trial {i} did not reproduce its voi on re-evaluation"
-                    )
-                witnesses.append(witness)
+                found.append(Witness(problem, channel, rule, report.voi, block.start + r))
+        if found:
+            _reverifies(found)
+            witnesses.extend(found)
     witnesses.sort(key=lambda w: (w.voi, w.trial_index))
     return witnesses

@@ -10,6 +10,7 @@ here. The benchmark's files are only read.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,25 @@ def test_a_check_reaches_the_traced_rng_layer(search_calls, check):
 
     getattr(search, check)(search.SearchConfig(seed=3, trials=300))
     assert search_calls["_trial_rng"] == 2
+
+
+def test_a_search_round_trips_each_block_through_one_json_document(search_calls, monkeypatch):
+    # the traced search.reverify layer times one block per call; every witness
+    # is still encoded and strictly decoded on its own
+    from offswitch_lab import cli, search
+
+    json_calls = {"dumps": 0, "loads": 0}
+    for name in json_calls:
+
+        def counted(*args, _name=name, _call=getattr(json, name), **kwargs):
+            json_calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(json, name, counted)
+    config = search.SearchConfig(seed=3, trials=1000, rule=cli.parse_rule("faulty:custom:0.5"))
+    witnesses = search.find_information_aversion(config)
+    blocks = len({w.trial_index // search.BLOCK_TRIALS for w in witnesses})
+    assert blocks > 1
+    assert json_calls == {"dumps": blocks, "loads": blocks}
+    assert search_calls["_reverifies"] == blocks
+    assert search_calls["witness_to_jsonable"] == search_calls["witness_from_jsonable"] == len(witnesses)

@@ -544,6 +544,23 @@ def test_search_usage_errors_leave_the_out_file_as_it_was(rule, tmp_path, capsys
     assert not fresh.exists()
 
 
+def test_search_whose_witness_fails_re_verification_exits_1_naming_the_trial(tmp_path, capsys, monkeypatch):
+    argv = ["search", "--rule", "faulty:complement:0.5", "--trials", "300"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    first = min(entry["trial_index"] for entry in json.loads(out))
+    monkeypatch.setattr(search, "replay_witness", lambda witness: witness.voi + 1.0)
+    existing = tmp_path / "kept.json"
+    existing.write_text("earlier witnesses\n")
+    fresh = tmp_path / "fresh.json"
+    for path in (existing, fresh):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: witness at trial {first} did not reproduce its voi on re-evaluation\n"
+    assert existing.read_text() == "earlier witnesses\n"
+    assert not fresh.exists()
+
+
 def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, capsys):
     code, _, err = run(capsys, "search", "--rule", "gamma:2", "--trials", "20", "--seed", "1", "--out", str(tmp_path))
     assert code == 2

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from offswitch_lab.core import (
+    PROB_TOL,
     Act,
     ComplementConditionalization,
     Conditionalization,
@@ -469,6 +472,64 @@ def test_probability_vector_errors_are_unchanged(vec, message):
     assert raised(as_probability_vector, vec, "prior") == (ValueError, message)
 
 
+def checked_in_three_passes(vec, what: str) -> tuple[float, ...]:
+    """The probability-vector checks one after another, each with its message."""
+    out = tuple(map(float, vec))
+    if not out:
+        raise ValueError(f"{what} must be non-empty")
+    if not (min(out) >= 0.0 and all(map(math.isfinite, out))):
+        raise ValueError(f"{what} has negative or non-finite entries: {out!r}")
+    total = sum(out)
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"{what} sums to {total!r}, expected 1 within {PROB_TOL}")
+    return out
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("error", type, message) of ``fn(*args)``."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+SPECIAL_ENTRIES = (NAN, INF, -INF, -0.0, -5e-324, -0.25)
+SUM_OFFSETS = (0.0, 0.5, 0.999, 1.001, 2.0)  # in units of PROB_TOL, added or subtracted
+
+
+@st.composite
+def near_probability_vectors(draw) -> list[float]:
+    """1 to 16 entries: weights summing to about 1, one of them moved by a
+    multiple of PROB_TOL either way, with up to three entries inserted anywhere
+    among them, each a NaN, an infinity, a negative or -0.0."""
+    specials = draw(st.lists(st.sampled_from(SPECIAL_ENTRIES), max_size=3))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16 - len(specials)))
+    total = sum(weights)
+    vec = [w / total for w in weights] if total > 0.0 else [1.0 / len(weights)] * len(weights)
+    offset = draw(st.sampled_from(SUM_OFFSETS)) * draw(st.sampled_from((1.0, -1.0))) * PROB_TOL
+    vec[draw(st.integers(0, len(vec) - 1))] += offset
+    for special in specials:
+        vec.insert(draw(st.integers(0, len(vec))), special)
+    return vec
+
+
+@given(near_probability_vectors())
+def test_probability_vectors_are_accepted_and_rejected_as_by_the_three_passes(vec):
+    accepted = all(map(math.isfinite, vec)) and min(vec) >= 0.0 and abs(sum(vec) - 1.0) <= PROB_TOL
+    signals = tuple(f"s{j}" for j in range(len(vec)))
+    # every path that checks a probability vector: the function itself, a
+    # channel row and a custom posterior, which only format a message on failure
+    paths = [
+        ("prior", lambda: as_probability_vector(vec, "prior")),
+        ("likelihood row 0", lambda: SignalChannel(signals, (vec,)).likelihood[0]),
+        ("custom posterior for 's'", lambda: CustomPosterior({"s": vec}).table[0][1]),
+    ]
+    for what, check in paths:
+        expected = outcome(checked_in_three_passes, vec, what)
+        assert outcome(check) == expected
+        assert (expected[0] == "ok") == accepted
+
+
 def test_negative_zero_is_a_probability():
     assert as_probability_vector((-0.0, 1.0)) == (-0.0, 1.0)
     assert SignalChannel(("x", "y"), ((-0.0, 1.0), (1.0, 0.0))).likelihood[0] == (0.0, 1.0)
@@ -502,6 +563,18 @@ def test_check_fields_errors_are_unchanged():
         ValueError, "block is missing fields: ['rule']"
     )
     assert check_fields({"kind": 1, "rule": 2, "extra": 3}, required, ("extra",), "block") is None
+    # an optional field present, absent, misspelled, or standing in for a missing required one
+    optional = ("table", "note")
+    for extra in ((), ("table",), ("note",), ("table", "note")):
+        assert check_fields(dict.fromkeys(required + extra), required, optional, "block") is None
+    for keys, message in [
+        (("kind", "rule", "tabel"), "block has unknown fields: ['tabel']"),
+        (("kind", "rule", "table", "tabel"), "block has unknown fields: ['tabel']"),
+        (("kind", "table"), "block is missing fields: ['rule']"),
+        (("kind", "table", "tabel"), "block has unknown fields: ['tabel']"),
+        (("table", "note"), "block is missing fields: ['kind', 'rule']"),
+    ]:
+        assert raised(check_fields, dict.fromkeys(keys), required, optional, "block") == (ValueError, message)
     assert raised(check_fields, [("kind", 1)], required, (), "block") == (
         ValueError, "block must be a JSON object, got list"
     )

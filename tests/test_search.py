@@ -180,6 +180,35 @@ def test_reproduces_within_the_tolerance_and_never_for_nan():
     assert not reproduces(float("nan"), -1.0)
 
 
+def drop_rule(witness):
+    """The witness's JSON object without its rule field."""
+    obj = witness_to_jsonable(witness)
+    del obj["rule"]
+    return obj
+
+
+NOT_REPRODUCED = "witness at trial {first} did not reproduce its voi on re-evaluation"
+
+
+@pytest.mark.parametrize(
+    "attr,fake,error,message",
+    [
+        ("replay_witness", lambda witness: witness.voi + 1.0, AssertionError, NOT_REPRODUCED),
+        ("replay_witness", lambda witness: float("nan"), AssertionError, NOT_REPRODUCED),
+        ("witness_to_jsonable", drop_rule, ValueError, "witness is missing fields: ['rule']"),
+    ],
+    ids=["replay-off-by-one", "replay-nan", "encoder-drops-the-rule"],
+)
+def test_a_witness_that_fails_re_verification_stops_the_search(monkeypatch, attr, fake, error, message):
+    config = SearchConfig(seed=17, trials=300, rule=FaultySearch(0.5, "complement-conditionalization"))
+    first = min(w.trial_index for w in find_information_aversion(config))
+    monkeypatch.setattr(search, attr, fake)
+    with pytest.raises(error) as info:
+        find_information_aversion(config)
+    # the first witness of the first block that holds one
+    assert str(info.value) == message.format(first=first)
+
+
 def test_faulty_search_finds_verified_witnesses():
     config = SearchConfig(
         seed=13, trials=1000, rule=FaultySearch(0.5, "complement-conditionalization")

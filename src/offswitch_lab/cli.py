@@ -21,8 +21,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import jsonio, voi
-from .core import MISUPDATE_MODES, ExpectedUtilityRule, IdentityRisk, PowerRisk, RiskWeightedRule
+from .core import MISUPDATE_MODES, ExpectedUtilityRule, PowerRisk, RiskWeightedRule
 from .distributions import Uniform
+from .errors import RuleCannotBeAverse
 from .offswitch import OffSwitchScenario, best_option, reduce_to_two_state
 
 if TYPE_CHECKING:
@@ -117,10 +118,10 @@ def _scenario_payload(scenario: OffSwitchScenario) -> dict:
         "report": asdict(report),
     }
     if scenario.rule is not None or scenario.updater is not None:
-        game = reduce_to_two_state(scenario.prior, scenario.epsilon)
+        problem, channel = reduce_to_two_state(scenario.prior, scenario.epsilon)
         for key, rule in (("rule_analysis", scenario.rule), ("updater_analysis", scenario.updater)):
             if rule is not None:
-                payload[key] = asdict(voi.evaluate_rule(game.problem, game.channel, rule))
+                payload[key] = asdict(voi.evaluate_rule(problem, channel, rule))
     return payload
 
 
@@ -214,7 +215,7 @@ def parse_rule(text: str) -> SearchRule:
     if head == "reu":
         usage = "reu:identity or reu:power:K"
         if parts[1:] == ["identity"]:
-            return RiskWeightedRule(IdentityRisk())
+            return RiskWeightedRule(PowerRisk(1.0))
         if len(parts) == 3 and parts[1] == "power":
             return RiskWeightedRule(PowerRisk(_rule_number(float, parts[2], text, "risk-weighted", usage)))
         raise ValueError(f"cannot parse risk-weighted rule {text!r}; use {usage}")
@@ -264,10 +265,11 @@ def cmd_search(args) -> int:
     except (ValueError, AssertionError) as exc:
         if args.out and created:
             os.remove(args.out)
-        if isinstance(exc, AssertionError):  # a witness did not reproduce its voi
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return _usage_error(str(exc))  # RuleCannotBeAverse among them
+        if isinstance(exc, RuleCannotBeAverse):
+            return _usage_error(str(exc))
+        # a witness failed re-verification: its strict decode or its replay
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     text = json.dumps([jsonio.witness_to_jsonable(w) for w in witnesses], indent=2)
     summary = (
         f"witnesses={len(witnesses)} trials={args.trials} seed={args.seed} rule={args.rule}"

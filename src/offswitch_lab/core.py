@@ -158,16 +158,9 @@ class CredalSet:
 
 
 @dataclass(frozen=True)
-class IdentityRisk:
-    """r(p) = p; recovers plain expected utility."""
-
-    def weight(self, p: float) -> float:
-        return p
-
-
-@dataclass(frozen=True)
 class PowerRisk:
-    """r(p) = p ** k with k > 0; k > 1 underweights good tails (worst-case caution)."""
+    """r(p) = p ** k with k > 0; k > 1 underweights good tails (worst-case caution),
+    and k = 1 is the identity, which recovers plain expected utility."""
 
     k: float
 
@@ -212,21 +205,14 @@ class TableRisk:
         return 1.0
 
 
-RiskFunction = IdentityRisk | PowerRisk | TableRisk
+RiskFunction = PowerRisk | TableRisk
 
 
 def is_identity_risk(risk: RiskFunction) -> bool:
     """True when the risk function is the identity map, however it is spelled."""
-    if isinstance(risk, IdentityRisk):
-        return True
     if isinstance(risk, PowerRisk):
         return risk.k == 1.0
     return all(p == r for p, r in risk.knots)
-
-
-@dataclass(frozen=True)
-class Conditionalization:
-    """Certain Bayesian updating."""
 
 
 @dataclass(frozen=True)
@@ -301,9 +287,6 @@ class Faulty:
         if not isinstance(self.kind, MisupdateKind):
             names = ", ".join(kind.__name__ for kind in MisupdateKind.__args__)
             raise ValueError(f"misupdate kind must be an instance of {names}, got {self.kind!r}")
-
-
-Updater = Conditionalization | Faulty
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .core import (
     MISUPDATE_MODES,
     Act,
-    Conditionalization,
     CredalSet,
     CustomPosterior,
     DecisionProblem,
@@ -28,13 +27,11 @@ from .core import (
     ExpectedUtilityRule,
     Faulty,
     GammaMaximinRule,
-    IdentityRisk,
     PowerRisk,
     RiskFunction,
     RiskWeightedRule,
     SignalChannel,
     TableRisk,
-    Updater,
 )
 from .distributions import Discrete, Uniform, UtilityDistribution
 from .offswitch import OffSwitchScenario
@@ -174,18 +171,17 @@ def decode_channel(obj) -> SignalChannel:
 
 
 def encode_risk(risk: RiskFunction) -> dict:
-    if isinstance(risk, IdentityRisk):
-        return {"kind": "identity"}
     if isinstance(risk, PowerRisk):
         return {"kind": "power", "k": risk.k}
     return {"kind": "table", "knots": [[p, r] for p, r in risk.knots]}
 
 
 def decode_risk(obj) -> RiskFunction:
+    """Decode a risk function; the kind ``identity`` is power k = 1."""
     kind = _kind(obj, "risk function")
     if kind == "identity":
         check_fields(obj, ("kind",), (), "identity risk")
-        return IdentityRisk()
+        return PowerRisk(1.0)
     if kind == "power":
         check_fields(obj, ("kind", "k"), (), "power risk")
         return PowerRisk(number(obj["k"], "power risk k"))
@@ -204,7 +200,7 @@ def decode_credal(obj) -> CredalSet:
     return CredalSet(tuple(_numbers(m, "credal member") for m in _list(obj["members"], "credal set members")))
 
 
-def encode_rule(rule: DecisionRule | Updater) -> dict:
+def encode_rule(rule: DecisionRule | Faulty) -> dict:
     if isinstance(rule, RiskWeightedRule):
         return {"kind": "reu", "risk": encode_risk(rule.risk)}
     if isinstance(rule, GammaMaximinRule):
@@ -215,13 +211,12 @@ def encode_rule(rule: DecisionRule | Updater) -> dict:
         if isinstance(rule.kind, CustomPosterior):
             out["table"] = {signal: list(vec) for signal, vec in rule.kind.table}
         return out
-    if isinstance(rule, Conditionalization):
-        return {"kind": "conditionalization"}
     return {"kind": "eu"}
 
 
 def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: str = "rule"):
-    """Decode any of the five rule and updater kinds that ``kinds`` allows."""
+    """Decode any of the five rule and updater kinds that ``kinds`` allows; the
+    updater kind ``conditionalization`` is the ``eu`` rule."""
     kind = _kind(obj, what)
     if kind not in kinds:
         raise ValueError(f"{what} kind must be one of {', '.join(map(repr, kinds))}, got {kind!r}")
@@ -233,7 +228,7 @@ def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: 
         return GammaMaximinRule(decode_credal(obj["credal"]))
     if kind != "faulty":
         check_fields(obj, ("kind",), (), f"{kind} {what}")
-        return ExpectedUtilityRule() if kind == "eu" else Conditionalization()
+        return ExpectedUtilityRule()
     check_fields(obj, ("kind", "q", "mode"), ("table",), "faulty updater")
     q = number(obj["q"], "faulty updater q")
     mode = obj["mode"]
@@ -274,7 +269,7 @@ class Witness:
 
     problem: DecisionProblem
     channel: SignalChannel
-    rule: DecisionRule | Updater
+    rule: DecisionRule | Faulty
     voi: float
     trial_index: int
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CHECK_TOL, Act, CustomPosterior, DecisionProblem, DecisionRule, SignalChannel, Updater, unit_interval
+from .core import CHECK_TOL, Act, CustomPosterior, DecisionProblem, DecisionRule, Faulty, SignalChannel, unit_interval
 from .distributions import UtilityDistribution, mean, prob_gt, zero_split
 
 PREFER = "prefer"
@@ -34,7 +34,7 @@ class OffSwitchScenario:
     epsilon: float
     label: str
     rule: DecisionRule | None = None
-    updater: Updater | None = None
+    updater: DecisionRule | Faulty | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", unit_interval(self.epsilon, "epsilon"))
@@ -61,27 +61,15 @@ class OffSwitchReport:
     threshold_epsilon: float | None
 
 
-@dataclass(frozen=True)
-class TwoStateGame:
-    """Two-state embedding of a game: prefer/disprefer states, approve/reject signals.
-
-    ``degenerate`` names the states whose conditional mean did not exist
-    (empty cell); their utility entries are zero placeholders.
-    """
-
-    problem: DecisionProblem
-    channel: SignalChannel
-    degenerate: frozenset[str]
-
-
-def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> TwoStateGame:
+def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> tuple[DecisionProblem, SignalChannel]:
     """Collapse the game to latent states prefer (U >= 0) and disprefer (U < 0).
 
-    The act's payoff in each state is the conditional mean utility there;
-    the channel flips the matching approve/reject signal with probability
-    epsilon. One-sided priors produce a zero-probability state whose payoff
-    entry is a flagged zero placeholder rather than an error, so a rule or
-    updater analysis of any prior never aborts.
+    Returns the two-state problem, with acts ``act`` and ``nothing``, and the
+    approve/reject channel. The act's payoff in each state is the conditional
+    mean utility there; the channel flips the matching approve/reject signal
+    with probability epsilon. One-sided priors produce a zero-probability
+    state whose payoff entry is a zero placeholder rather than an error, so a
+    rule or updater analysis of any prior never aborts.
     """
     epsilon = unit_interval(epsilon, "epsilon")
     p_good, p_bad, m_good, m_bad = zero_split(prior)
@@ -90,22 +78,16 @@ def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> TwoStateG
         prior=(p_good, p_bad),
         acts=(Act("act", (m_good, m_bad)), Act("nothing", (0.0, 0.0))),
     )
-    degenerate = frozenset(s for s, p in zip(problem.states, problem.prior) if p <= 0.0)
     channel = SignalChannel(
         signals=(APPROVE, REJECT),
         likelihood=((1.0 - epsilon, epsilon), (epsilon, 1.0 - epsilon)),
     )
-    return TwoStateGame(problem, channel, degenerate)
+    return problem, channel
 
 
 def _advantage(split, eu_act: float) -> float:
     # E[max(U, 0)] is the prefer cell's mass times its mean; an empty cell gives 0 * 0
     return split[0] * split[2] - max(eu_act, 0.0)
-
-
-def delta(prior: UtilityDistribution) -> float:
-    """Deference advantage: E[max(U, 0)] minus the best immediate option."""
-    return _advantage(zero_split(prior), mean(prior))
 
 
 @dataclass(frozen=True)
@@ -130,24 +112,6 @@ def theorem1_check(prior: UtilityDistribution) -> Theorem1Check:
         strict_expected=prob_gt(prior, 0.0) > 0.0 and split[1] > 0.0,
         strict_observed=d > CHECK_TOL,
     )
-
-
-def noisy_defer_value(prior: UtilityDistribution, epsilon: float) -> float:
-    """Expected utility of deferring when the signal flips with probability epsilon.
-
-    Approve triggers the act, reject pays zero, so only two joint cells pay:
-    a preferring human heard correctly, and a dispreferring human heard
-    wrongly.
-    """
-    return best_option(prior, epsilon).eu_defer
-
-
-def noisy_learn_value(prior: UtilityDistribution, epsilon: float) -> float:
-    """Expected utility of observing the signal and then choosing freely.
-
-    Never below the defer value, and never below the best immediate option.
-    """
-    return best_option(prior, epsilon).eu_learn
 
 
 def defer_threshold(prior: UtilityDistribution) -> float | None:

@@ -107,7 +107,6 @@ from .core import (
     RiskWeightedRule,
     SignalChannel,
     TableRisk,
-    Updater,
     is_identity_risk,
     unit_interval,
 )
@@ -132,7 +131,6 @@ MAX_TRIALS = 10**6  # every witness is held in memory and written as one JSON do
 MISUPDATE_STAY, MISUPDATE_COMPLEMENT, MISUPDATE_CUSTOM = MISUPDATE_MODES  # its keys, in order
 
 # Rules without per-trial data are searched as they are.
-EuSearch = ExpectedUtilityRule
 ReuSearch = RiskWeightedRule
 
 
@@ -598,7 +596,7 @@ def _screen_for(config: SearchConfig):
 # ------------------------------------------------------ the scalar path
 
 
-def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: SignalChannel) -> DecisionRule | Updater:
+def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: SignalChannel) -> DecisionRule | Faulty:
     """Materialize a trial's rule from its rows of rule data, as plain floats."""
     if isinstance(search_rule, CredalSearch):
         return GammaMaximinRule(CredalSet(rows))

@@ -40,7 +40,6 @@ from .core import (
     GammaMaximinRule,
     RiskWeightedRule,
     SignalChannel,
-    Updater,
     _act_values,
     _argmax,
     _maximin,
@@ -195,7 +194,7 @@ def value_of_learning_rule(
 
 
 def value_of_learning_faulty(
-    problem: DecisionProblem, belief, channel: SignalChannel, updater: Updater
+    problem: DecisionProblem, belief, channel: SignalChannel, updater: Faulty
 ) -> VoiReport:
     """Learn-then-choose value for an agent that may fail to conditionalize.
 
@@ -214,7 +213,7 @@ def value_of_learning_faulty(
 def evaluate_rule(
     problem: DecisionProblem,
     channel: SignalChannel,
-    rule: DecisionRule | Updater,
+    rule: DecisionRule | Faulty,
 ) -> VoiReport:
     """The voi report of any rule or updater at the problem's prior."""
     if isinstance(rule, Faulty):

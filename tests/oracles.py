@@ -26,7 +26,7 @@ from offswitch_lab.core import (
     StayAtPrior,
 )
 from offswitch_lab.distributions import Discrete, UtilityDistribution, expected_positive_part, mean
-from offswitch_lab.offswitch import OffSwitchReport, noisy_defer_value, reduce_to_two_state, theorem1_check
+from offswitch_lab.offswitch import OffSwitchReport, best_option, reduce_to_two_state, theorem1_check
 from offswitch_lab.voi import value_of_learning_eu
 
 
@@ -156,7 +156,7 @@ def bisect_defer_threshold(prior: UtilityDistribution, tol: float = 1e-12) -> fl
     target = max(mean(prior), 0.0)
 
     def gap(eps: float) -> float:
-        return noisy_defer_value(prior, eps) - target
+        return best_option(prior, eps).eu_defer - target
 
     if gap(1.0) > 0.0:
         return None
@@ -180,13 +180,13 @@ def embedded_report(prior: UtilityDistribution, epsilon: float) -> OffSwitchRepo
     crossover come from ``expected_positive_part`` and the embedding's cells.
     The package computes every number from one zero split instead.
     """
-    game = reduce_to_two_state(prior, epsilon)
-    p_good, p_bad = game.problem.prior
-    m_good, m_bad = game.problem.acts[0].utilities
-    (approve_good, _), (approve_bad, _) = game.channel.likelihood
+    problem, channel = reduce_to_two_state(prior, epsilon)
+    p_good, p_bad = problem.prior
+    m_good, m_bad = problem.acts[0].utilities
+    (approve_good, _), (approve_bad, _) = channel.likelihood
     eu_act = mean(prior)
     eu_defer = p_good * approve_good * m_good + p_bad * approve_bad * m_bad
-    eu_learn = value_of_learning_eu(game.problem, game.problem.prior, game.channel).value_learning
+    eu_learn = value_of_learning_eu(problem, problem.prior, channel).value_learning
     advantage = expected_positive_part(prior) - max(eu_act, 0.0)
     denom = p_good * m_good - p_bad * m_bad
     threshold = None if denom <= 0.0 else max(0.0, advantage) / denom

@@ -16,6 +16,7 @@ import pytest
 from offswitch_lab import cli
 from offswitch_lab.core import (
     CredalSet,
+    ExpectedUtilityRule,
     Faulty,
     PowerRisk,
     RiskWeightedRule,
@@ -25,10 +26,9 @@ from offswitch_lab.core import (
 )
 from offswitch_lab.distributions import Discrete, Uniform, mean, sample_array
 from offswitch_lab.errors import RuleCannotBeAverse
-from offswitch_lab.offswitch import best_option, defer_threshold, noisy_defer_value, noisy_learn_value
+from offswitch_lab.offswitch import best_option, defer_threshold
 from offswitch_lab.search import (
     CredalSearch,
-    EuSearch,
     FaultySearch,
     ReuSearch,
     SearchConfig,
@@ -135,8 +135,9 @@ def test_criterion_07_learning_dominates_deference_wedge():
             lo = float(rng.uniform(-60, 59))
             prior = Uniform(lo, lo + float(rng.uniform(0.5, 80)))
         eps = float(rng.uniform(0.0, 1.0))
-        learn = noisy_learn_value(prior, eps)
-        if learn < noisy_defer_value(prior, eps) - 1e-12:
+        report = best_option(prior, eps)
+        learn = report.eu_learn
+        if learn < report.eu_defer - 1e-12:
             failures.append(f"pair {i}: learn < defer")
         if learn < max(mean(prior), 0.0) - 1e-12:
             failures.append(f"pair {i}: learn < choose-now")
@@ -195,7 +196,7 @@ def test_criterion_08c_faulty_witness_exists():
 def test_criterion_09_impossibility_guards():
     failures = []
     with pytest.raises(RuleCannotBeAverse):
-        find_information_aversion(SearchConfig(seed=1, trials=10, rule=EuSearch()))
+        find_information_aversion(SearchConfig(seed=1, trials=10, rule=ExpectedUtilityRule()))
     with pytest.raises(RuleCannotBeAverse):
         find_information_aversion(
             SearchConfig(seed=1, trials=10, rule=FaultySearch(0.5, "stay-at-prior"))

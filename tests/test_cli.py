@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from offswitch_lab import SearchConfig, cli, search
+from offswitch_lab import SearchConfig, cli, jsonio, search
 
 
 def run(capsys, *argv):
@@ -240,6 +240,12 @@ def test_search_eu_rejected_with_explanation(capsys):
 def test_search_stay_at_prior_rejected(capsys):
     code, _, err = run(capsys, "search", "--rule", "faulty:stay:0.5", "--trials", "10")
     assert code == 2
+
+
+def test_search_identity_risk_rejected_with_explanation(capsys):
+    code, _, err = run(capsys, "search", "--rule", "reu:identity", "--trials", "10")
+    assert code == 2
+    assert "an identity risk function reduces risk-weighted utility to expected utility" in err
 
 
 def test_search_bad_rule_string_exits_2(capsys):
@@ -532,7 +538,7 @@ def test_search_out_that_cannot_be_written_exits_2_before_the_first_trial(where,
     assert err.startswith(f"error: cannot write {str(path)!r}: ")
 
 
-@pytest.mark.parametrize("rule", ["bogus", "eu", "gamma:1"])
+@pytest.mark.parametrize("rule", ["bogus", "eu", "gamma:1", "reu:identity", "faulty:stay:0.5"])
 def test_search_usage_errors_leave_the_out_file_as_it_was(rule, tmp_path, capsys):
     existing = tmp_path / "kept.json"
     existing.write_text("earlier witnesses\n")
@@ -549,16 +555,31 @@ def test_search_whose_witness_fails_re_verification_exits_1_naming_the_trial(tmp
     code, out, _ = run(capsys, *argv)
     assert code == 0
     first = min(entry["trial_index"] for entry in json.loads(out))
-    monkeypatch.setattr(search, "replay_witness", lambda witness: witness.voi + 1.0)
-    existing = tmp_path / "kept.json"
-    existing.write_text("earlier witnesses\n")
-    fresh = tmp_path / "fresh.json"
-    for path in (existing, fresh):
-        code, out, err = run(capsys, *argv, "--out", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"error: witness at trial {first} did not reproduce its voi on re-evaluation\n"
-    assert existing.read_text() == "earlier witnesses\n"
-    assert not fresh.exists()
+
+    def without_rule(witness):
+        obj = jsonio.witness_to_jsonable(witness)
+        del obj["rule"]
+        return obj
+
+    # a replay that misses its voi, and a witness the strict decoder refuses: both
+    # fail verification, neither is a usage error
+    failures = [
+        ("replay_witness", lambda witness: witness.voi + 1.0,
+         f"witness at trial {first} did not reproduce its voi on re-evaluation"),
+        ("witness_to_jsonable", without_rule, "witness is missing fields: ['rule']"),
+    ]
+    for name, patched, message in failures:
+        with monkeypatch.context() as patch:
+            patch.setattr(search, name, patched)
+            existing = tmp_path / "kept.json"
+            existing.write_text("earlier witnesses\n")
+            fresh = tmp_path / "fresh.json"
+            for path in (existing, fresh):
+                code, out, err = run(capsys, *argv, "--out", str(path))
+                assert (code, out) == (1, "")
+                assert err == f"error: {message}\n"
+            assert existing.read_text() == "earlier witnesses\n"
+            assert not fresh.exists()
 
 
 def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, capsys):

@@ -9,13 +9,12 @@ from offswitch_lab.core import (
     PROB_TOL,
     Act,
     ComplementConditionalization,
-    Conditionalization,
     CredalSet,
     CustomPosterior,
     DecisionProblem,
+    ExpectedUtilityRule,
     Faulty,
     GammaMaximinRule,
-    IdentityRisk,
     PowerRisk,
     RiskWeightedRule,
     SignalChannel,
@@ -198,13 +197,13 @@ def small_problems(draw):
 @given(small_problems())
 def test_identity_risk_recovers_expected_utility(problem):
     for i in range(len(problem.acts)):
-        reu = risk_weighted_eu(problem, i, problem.prior, IdentityRisk())
+        reu = risk_weighted_eu(problem, i, problem.prior, PowerRisk(1.0))
         assert reu == pytest.approx(expected_utility(problem, i, problem.prior), abs=1e-10)
 
 
 def test_constant_act_has_its_constant_value_under_any_risk():
     problem = two_state_problem([("flat", (3.0, 3.0))])
-    for risk in (IdentityRisk(), PowerRisk(2), PowerRisk(0.5), TableRisk(((0, 0), (0.3, 0.1), (1, 1)))):
+    for risk in (PowerRisk(1.0), PowerRisk(2), PowerRisk(0.5), TableRisk(((0, 0), (0.3, 0.1), (1, 1)))):
         assert risk_weighted_eu(problem, 0, (0.25, 0.75), risk) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -301,7 +300,7 @@ def test_power_risk_requires_positive_exponent():
 
 
 def test_is_identity_risk_spellings():
-    assert is_identity_risk(IdentityRisk())
+    assert is_identity_risk(PowerRisk(1))
     assert is_identity_risk(PowerRisk(1.0))
     assert is_identity_risk(TableRisk(((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))))
     assert not is_identity_risk(PowerRisk(2.0))
@@ -417,7 +416,7 @@ def test_custom_posterior_rejects_repeated_signal_names():
 
 @pytest.mark.parametrize(
     "kind",
-    ["complement-conditionalization", ComplementConditionalization, Conditionalization()],
+    ["complement-conditionalization", ComplementConditionalization, ExpectedUtilityRule()],
     ids=["mode-name", "class", "conditionalization"],
 )
 def test_faulty_rejects_a_kind_that_is_not_a_misupdate(kind):
@@ -440,7 +439,7 @@ def test_rules_reject_rule_data_of_the_wrong_type(make, field):
     # in voi.evaluate_rule and jsonio.encode_rule
     with pytest.raises(ValueError, match=f"^{field} must be an instance of"):
         make()
-    for risk in (IdentityRisk(), PowerRisk(2), TableRisk(((0.0, 0.0), (1.0, 1.0)))):
+    for risk in (PowerRisk(1.0), PowerRisk(2), TableRisk(((0.0, 0.0), (1.0, 1.0)))):
         assert RiskWeightedRule(risk).risk == risk
     assert GammaMaximinRule(CredalSet(((1.0, 0.0),))).credal == CredalSet(((1.0, 0.0),))
 

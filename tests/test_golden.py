@@ -47,6 +47,22 @@ SCENARIO_BLOCKS = {
         {"kind": "faulty", "q": 0.5, "mode": "complement-conditionalization"},
         "c7664c7014bf19140c0fba4c9eeb1930c6a843edd3f638e07c183b355f1cfe45",
     ),
+    # the second spellings of power k = 1 and of the eu rule, and a rule block alone
+    "reu-identity+conditionalization": (
+        {"kind": "reu", "risk": {"kind": "identity"}},
+        {"kind": "conditionalization"},
+        "c8b0ae190ec9d245112f5ad71c57ae5a4df6685f1d24991924a4d05fd9a8e49a",
+    ),
+    "eu+faulty-stay": (
+        {"kind": "eu"},
+        {"kind": "faulty", "q": 0.5, "mode": "stay-at-prior"},
+        "3ab7eab8182d93cc5348e2555bf4938aa89b6360960d9a64e74e971c22c15765",
+    ),
+    "reu-power-2": (
+        {"kind": "reu", "risk": {"kind": "power", "k": 2}},
+        None,
+        "6ead03e8abff42e8f943b9a5d33f00ecf926ed97ca5af24e09b7cac9fdf50ab8",
+    ),
 }
 
 # the scenario command's table for the built-ins and the files of SCENARIO_BLOCKS
@@ -56,6 +72,9 @@ SCENARIO_TABLE_DIGESTS = {
     "alice-noisy": "b7aa273e34eb2b2ec157e34cd7d1fc796e5a127a47cd7dc48ac40798f77e140e",
     "gamma+faulty-complement": "314a2df6ccad02bd0b254cdcbe07e3a002d94c4740b42b0cf48142100c3450ff",
     "reu-table+faulty-custom": "c58e6cf9e4cce91fb5c6fc555d1350d85a37a3919c4660ddc6cd6570a1f83182",
+    "reu-identity+conditionalization": "7a1f1b80476aa8c8d6530de077be7896ebeccb22352a935452be96df61445986",
+    "eu+faulty-stay": "4007f09eb1285fc8a5d729d2a94f5fe60e34c62e9dc73f45ed600b0e32ab59a5",
+    "reu-power-2": "51c2287aec6aece070af23b7fa3c0d085f670ce1c95f71499aaf30a3802ea54e",
 }
 
 
@@ -92,12 +111,11 @@ def test_command_stdout(argv, digest, capsys):
 
 
 def scenario_file(name, tmp_path) -> str:
-    """The path of a scenario file holding the rule and updater blocks of ``name``."""
+    """The path of a scenario file holding the rule and updater blocks of ``name``; a None block is left out."""
     rule, updater, _ = SCENARIO_BLOCKS[name]
+    blocks = {key: block for key, block in (("rule", rule), ("updater", updater)) if block is not None}
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(
-        {"label": "ruleful", "prior": SCENARIO_PRIOR, "epsilon": 0.1, "rule": rule, "updater": updater}
-    ))
+    path.write_text(json.dumps({"label": "ruleful", "prior": SCENARIO_PRIOR, "epsilon": 0.1, **blocks}))
     return str(path)
 
 

@@ -130,3 +130,36 @@ def test_the_package_reads_search_names_from_the_module_on_each_use(monkeypatch)
     assert offswitch_lab.find_information_aversion(None) == "wrapped"
     monkeypatch.undo()
     assert offswitch_lab.find_information_aversion is original
+
+
+def top_level_names(tree: ast.Module):
+    """(name, first line, last line) of each public name a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno, node.end_lineno
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public name that only the tests mention is a second spelling or dead code
+    files = [*sorted((SRC / "offswitch_lab").glob("*.py")), ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))]
+    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in files}
+    unused = []
+    for path in sorted((SRC / "offswitch_lab").glob("*.py")):
+        for name, first, last in top_level_names(ast.parse("\n".join(lines[path]))):
+            if name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{name}\b")
+            if not any(
+                word.search(line)
+                for other, text in lines.items()
+                for number, line in enumerate(text, 1)
+                if not (other == path and first <= number <= last)
+            ):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

@@ -11,9 +11,6 @@ from offswitch_lab.offswitch import (
     OffSwitchScenario,
     best_option,
     defer_threshold,
-    delta,
-    noisy_defer_value,
-    noisy_learn_value,
     reduce_to_two_state,
     theorem1_check,
 )
@@ -31,12 +28,11 @@ def random_prior(rng):
 
 
 def test_reduce_confident_prior_matches_tree_payoffs():
-    game = reduce_to_two_state(Uniform(-10, 90), 0.37)
-    assert game.problem.prior == pytest.approx((0.9, 0.1), abs=1e-12)
-    assert game.problem.acts[0].utilities == pytest.approx((45.0, -5.0), abs=1e-12)
-    assert game.problem.acts[1].utilities == (0.0, 0.0)
-    assert game.degenerate == frozenset()
-    assert game.channel.likelihood == ((1 - 0.37, 0.37), (0.37, 1 - 0.37))
+    problem, channel = reduce_to_two_state(Uniform(-10, 90), 0.37)
+    assert problem.prior == pytest.approx((0.9, 0.1), abs=1e-12)
+    assert problem.acts[0].utilities == pytest.approx((45.0, -5.0), abs=1e-12)
+    assert problem.acts[1].utilities == (0.0, 0.0)
+    assert channel.likelihood == ((1 - 0.37, 0.37), (0.37, 1 - 0.37))
 
 
 def test_scenario_checks_a_custom_posterior_table_against_the_games_signals():
@@ -59,28 +55,27 @@ def test_scenario_checks_a_custom_posterior_table_against_the_games_signals():
 
 
 def test_reduce_basic_prior_noiseless_partition():
-    game = reduce_to_two_state(Uniform(-40, 60), 0.0)
-    assert game.problem.prior == pytest.approx((0.6, 0.4), abs=1e-12)
+    problem, channel = reduce_to_two_state(Uniform(-40, 60), 0.0)
+    assert problem.prior == pytest.approx((0.6, 0.4), abs=1e-12)
     # disprefer-cell mean checked against the negated-distribution identity:
     # E[U | U < 0] = -E[-U | -U >= 0] and -U ~ Uniform(-60, 40)
     oracle_bad = -cond_mean_ge(Uniform(-60, 40), 0.0)
-    assert game.problem.acts[0].utilities[0] == pytest.approx(30.0, abs=1e-12)
-    assert game.problem.acts[0].utilities[1] == pytest.approx(oracle_bad, abs=1e-12)
-    assert game.problem.acts[0].utilities[1] == pytest.approx(-20.0, abs=1e-12)
-    assert game.channel.likelihood == ((1.0, 0.0), (0.0, 1.0))
+    assert problem.acts[0].utilities[0] == pytest.approx(30.0, abs=1e-12)
+    assert problem.acts[0].utilities[1] == pytest.approx(oracle_bad, abs=1e-12)
+    assert problem.acts[0].utilities[1] == pytest.approx(-20.0, abs=1e-12)
+    assert channel.likelihood == ((1.0, 0.0), (0.0, 1.0))
 
 
-def test_reduce_all_positive_prior_flags_degenerate_cell():
-    game = reduce_to_two_state(Uniform(1, 3), 0.1)
-    assert game.problem.prior == (1.0, 0.0)
-    assert game.degenerate == frozenset({"disprefer"})
-    assert game.problem.acts[0].utilities[1] == 0.0
+def test_reduce_all_positive_prior_zeroes_the_empty_cell():
+    problem, channel = reduce_to_two_state(Uniform(1, 3), 0.1)
+    assert problem.prior == (1.0, 0.0)
+    assert problem.acts[0].utilities[1] == 0.0
 
 
 def test_delta_examples():
-    assert delta(Uniform(-40, 60)) == pytest.approx(8.0, abs=1e-12)
-    assert delta(Uniform(-10, 90)) == pytest.approx(0.5, abs=1e-12)
-    assert delta(Uniform(1, 3)) == 0.0
+    assert best_option(Uniform(-40, 60), 0.0).delta == pytest.approx(8.0, abs=1e-12)
+    assert best_option(Uniform(-10, 90), 0.0).delta == pytest.approx(0.5, abs=1e-12)
+    assert best_option(Uniform(1, 3), 0.0).delta == 0.0
 
 
 def test_theorem1_check_two_sided_prior():
@@ -114,9 +109,9 @@ def test_theorem1_random_uniform_priors():
 
 
 def test_noisy_defer_examples():
-    assert noisy_defer_value(Uniform(-10, 90), 0.0) == pytest.approx(40.5, abs=1e-12)
-    assert noisy_defer_value(Uniform(-10, 90), 0.02) == pytest.approx(39.68, abs=1e-9)
-    assert noisy_defer_value(Uniform(-40, 60), 0.0) == pytest.approx(18.0, abs=1e-12)
+    assert best_option(Uniform(-10, 90), 0.0).eu_defer == pytest.approx(40.5, abs=1e-12)
+    assert best_option(Uniform(-10, 90), 0.02).eu_defer == pytest.approx(39.68, abs=1e-9)
+    assert best_option(Uniform(-40, 60), 0.0).eu_defer == pytest.approx(18.0, abs=1e-12)
 
 
 def test_noisy_defer_matches_posterior_arithmetic():
@@ -124,38 +119,38 @@ def test_noisy_defer_matches_posterior_arithmetic():
     # (approve -> act, reject -> nothing) by explicit joint enumeration
     prior = Uniform(-10, 90)
     for eps in (0.0, 0.02, 0.3, 0.5, 1.0):
-        game = reduce_to_two_state(prior, eps)
+        problem, channel = reduce_to_two_state(prior, eps)
         plan = {0: 0, 1: 1}
-        assert noisy_defer_value(prior, eps) == pytest.approx(
-            plan_value_eu(game.problem, game.channel, plan), abs=1e-12
+        assert best_option(prior, eps).eu_defer == pytest.approx(
+            plan_value_eu(problem, channel, plan), abs=1e-12
         )
 
 
 def test_noisy_defer_uninformative_point_is_half_mean():
     for prior in (Uniform(-40, 60), Uniform(-10, 90), Discrete(((-2.0, 0.25), (6.0, 0.75)))):
-        assert noisy_defer_value(prior, 0.5) == pytest.approx(mean(prior) / 2.0, abs=1e-12)
+        assert best_option(prior, 0.5).eu_defer == pytest.approx(mean(prior) / 2.0, abs=1e-12)
 
 
 def test_noisy_defer_affine_and_nonincreasing_in_epsilon():
     rng = np.random.default_rng(911)
     for _ in range(200):
         prior = random_prior(rng)
-        v0, v_half, v1 = (noisy_defer_value(prior, e) for e in (0.0, 0.5, 1.0))
+        v0, v_half, v1 = (best_option(prior, e).eu_defer for e in (0.0, 0.5, 1.0))
         assert v_half == pytest.approx(0.5 * (v0 + v1), abs=1e-10)
         assert v0 >= v_half - 1e-12 >= v1 - 2e-12
         assert v0 == pytest.approx(expected_positive_part(prior), abs=1e-12)
 
 
 def test_noisy_learn_examples():
-    assert noisy_learn_value(Uniform(-10, 90), 0.02) == pytest.approx(40.0, abs=1e-9)
-    assert noisy_learn_value(Uniform(-40, 60), 0.0) == pytest.approx(18.0, abs=1e-12)
+    assert best_option(Uniform(-10, 90), 0.02).eu_learn == pytest.approx(40.0, abs=1e-9)
+    assert best_option(Uniform(-40, 60), 0.0).eu_learn == pytest.approx(18.0, abs=1e-12)
 
 
 def test_noisy_learn_noiseless_limit_equals_positive_part():
     rng = np.random.default_rng(912)
     for _ in range(200):
         prior = random_prior(rng)
-        assert noisy_learn_value(prior, 0.0) == pytest.approx(
+        assert best_option(prior, 0.0).eu_learn == pytest.approx(
             expected_positive_part(prior), abs=1e-10
         )
 
@@ -165,8 +160,9 @@ def test_learning_dominates_deference_and_choosing_now():
     for _ in range(500):
         prior = random_prior(rng)
         eps = float(rng.uniform(0, 1))
-        learn = noisy_learn_value(prior, eps)
-        assert learn >= noisy_defer_value(prior, eps) - 1e-12
+        report = best_option(prior, eps)
+        learn = report.eu_learn
+        assert learn >= report.eu_defer - 1e-12
         assert learn >= max(mean(prior), 0.0) - 1e-12
 
 
@@ -230,7 +226,7 @@ def test_best_option_tie_order_act_over_nothing():
 
 def test_epsilon_validation():
     with pytest.raises(ValueError):
-        noisy_defer_value(Uniform(-1, 1), 1.5)
+        best_option(Uniform(-1, 1), 1.5)
     with pytest.raises(ValueError):
         reduce_to_two_state(Uniform(-1, 1), -0.1)
 
@@ -270,9 +266,9 @@ def test_report_numbers_equal_the_embedding_reference():
         for eps in (end, SWEEP_GOLDEN_GRID[i % 51], float(rng.random())):
             reference = embedded_report(prior, eps)
             same(best_option(prior, eps), reference)
-            same(noisy_defer_value(prior, eps), reference.eu_defer)
-            same(noisy_learn_value(prior, eps), reference.eu_learn)
-        same(delta(prior), reference.delta)
+            same(best_option(prior, eps).eu_defer, reference.eu_defer)
+            same(best_option(prior, eps).eu_learn, reference.eu_learn)
+        same(best_option(prior, 0.0).delta, reference.delta)
         same(defer_threshold(prior), reference.threshold_epsilon)
 
 

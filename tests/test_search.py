@@ -13,8 +13,8 @@ from offswitch_lab.core import (
     ComplementConditionalization,
     CredalSet,
     Faulty,
+    ExpectedUtilityRule,
     GammaMaximinRule,
-    IdentityRisk,
     PowerRisk,
     RiskWeightedRule,
     TableRisk,
@@ -29,7 +29,6 @@ from offswitch_lab.search import (
     MAX_TRIALS,
     REVERIFY_TOL,
     CredalSearch,
-    EuSearch,
     FaultySearch,
     ReuSearch,
     SearchConfig,
@@ -120,10 +119,10 @@ def test_verify_theorem1_reports_zero_violations():
 
 def test_search_rejects_rules_that_cannot_be_averse():
     with pytest.raises(RuleCannotBeAverse):
-        find_information_aversion(SearchConfig(seed=1, trials=10, rule=EuSearch()))
+        find_information_aversion(SearchConfig(seed=1, trials=10, rule=ExpectedUtilityRule()))
     with pytest.raises(RuleCannotBeAverse):
         find_information_aversion(
-            SearchConfig(seed=1, trials=10, rule=ReuSearch(IdentityRisk()))
+            SearchConfig(seed=1, trials=10, rule=ReuSearch(PowerRisk(1)))
         )
     with pytest.raises(RuleCannotBeAverse):
         find_information_aversion(

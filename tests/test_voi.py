@@ -4,14 +4,12 @@ import pytest
 from offswitch_lab.core import (
     Act,
     ComplementConditionalization,
-    Conditionalization,
     CredalSet,
     CustomPosterior,
     DecisionProblem,
     ExpectedUtilityRule,
     Faulty,
     GammaMaximinRule,
-    IdentityRisk,
     PowerRisk,
     RiskWeightedRule,
     SignalChannel,
@@ -50,8 +48,8 @@ UNINFORMATIVE = SignalChannel(("only",), ((1.0,), (1.0,)))
 
 def test_value_now_on_basic_embedding_equals_prior_mean():
     prior = Uniform(-40, 60)
-    game = reduce_to_two_state(prior, 0.0)
-    report = value_of_learning_rule(game.problem, game.problem.prior, game.channel, ExpectedUtilityRule())
+    problem, channel = reduce_to_two_state(prior, 0.0)
+    report = value_of_learning_rule(problem, problem.prior, channel, ExpectedUtilityRule())
     assert report.value_now == pytest.approx(mean(prior), abs=1e-12)
     assert report.value_now == pytest.approx(10.0, abs=1e-12)
 
@@ -78,8 +76,8 @@ def test_value_now_missing_rule_data():
 
 
 def test_learning_eu_confident_embedding_books_after_both_signals():
-    game = reduce_to_two_state(Uniform(-10, 90), 0.02)
-    report = value_of_learning_eu(game.problem, game.problem.prior, game.channel)
+    problem, channel = reduce_to_two_state(Uniform(-10, 90), 0.02)
+    report = value_of_learning_eu(problem, problem.prior, channel)
     assert report.value_learning == pytest.approx(40.0, abs=1e-9)
     assert report.value_now == pytest.approx(40.0, abs=1e-9)
     assert report.voi == pytest.approx(0.0, abs=1e-9)
@@ -143,7 +141,7 @@ def test_rule_identity_risk_matches_plain_learning():
         problem, channel = random_problem_and_channel(rng)
         eu = value_of_learning_eu(problem, problem.prior, channel)
         reu = value_of_learning_rule(
-            problem, problem.prior, channel, RiskWeightedRule(IdentityRisk())
+            problem, problem.prior, channel, RiskWeightedRule(PowerRisk(1.0))
         )
         assert reu.value_learning == pytest.approx(eu.value_learning, abs=1e-10)
         assert reu.value_now == pytest.approx(eu.value_now, abs=1e-10)
@@ -289,7 +287,7 @@ def test_faulty_requires_faulty_updater():
     problem = DecisionProblem(("a", "b"), (0.5, 0.5), (Act("x", (1.0, 2.0)),))
     channel = SignalChannel(("u", "v"), ((0.5, 0.5), (0.5, 0.5)))
     with pytest.raises(MissingRuleData):
-        value_of_learning_faulty(problem, problem.prior, channel, Conditionalization())
+        value_of_learning_faulty(problem, problem.prior, channel, ExpectedUtilityRule())
 
 
 def test_faulty_null_complement_propagates_zero_marginal():

@@ -52,9 +52,6 @@ REFERENCE_ROWS = (
 REPORT_TOL = 1e-9
 MAX_SWEEP_STEPS = 10_000  # the whole grid's CSV is built in memory before it is written
 
-# what decoding a malformed input file raises; float() of a huge JSON integer overflows
-INPUT_ERRORS = (ValueError, TypeError, KeyError, OverflowError)
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -129,7 +126,7 @@ def cmd_scenario(args) -> int:
     try:
         scenario = _load_scenario(args.scenario, args.epsilon)
         payload = _scenario_payload(scenario)
-    except INPUT_ERRORS as exc:
+    except ValueError as exc:
         return _usage_error(str(exc))
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -157,7 +154,7 @@ def _describe_prior(scenario: OffSwitchScenario) -> str:
 def cmd_sweep(args) -> int:
     try:
         scenario = _load_scenario(args.scenario, None)
-    except INPUT_ERRORS as exc:
+    except ValueError as exc:
         return _usage_error(str(exc))
     if not (0.0 <= args.lo < args.hi <= 1.0):
         return _usage_error(f"epsilon grid needs 0 <= lo < hi <= 1, got [{args.lo}, {args.hi}]")
@@ -280,6 +277,8 @@ def cmd_search(args) -> int:
         print(text)
         print(summary, file=sys.stderr)
     elif _write_out(args.out, text + "\n"):
+        if created:
+            os.remove(args.out)
         return 2
     else:
         print(summary)
@@ -294,13 +293,13 @@ def cmd_verify_witness(args) -> int:
     try:
         entries = obj if isinstance(obj, list) else [obj]
         witnesses = [jsonio.witness_from_jsonable(entry) for entry in entries]
-    except INPUT_ERRORS as exc:
+    except ValueError as exc:
         return _usage_error(f"cannot parse witness file: {exc}")
     failures = 0
     for witness in witnesses:
         try:
             replayed = voi.replay_witness(witness)
-        except INPUT_ERRORS as exc:
+        except ValueError as exc:
             # sizes that disagree across the problem, channel and rule data surface only here
             return _usage_error(f"cannot replay the witness of trial {witness.trial_index}: {exc}")
         if not voi.reproduces(replayed, witness.voi):

@@ -367,16 +367,15 @@ def risk_weighted_value(prospect, risk: RiskFunction) -> float:
     risk-transformed probability of doing at least that well. Zero-probability
     atoms are dropped; they cannot change the value.
     """
-    pairs = sorted([(float(u), float(p)) for u, p in prospect if p > 0.0])
+    pairs = sorted([pair for pair in prospect if pair[1] > 0.0])
     if not pairs:
         raise ValueError("prospect needs at least one positive-probability atom")
     value = pairs[0][0]
     tail = sum([p for _, p in pairs])
     for (u_prev, p_prev), (u, _) in zip(pairs, pairs[1:]):
         tail -= p_prev
-        if tail < 0.0:  # the subtraction can round below 0 on a thin top tail
-            tail = 0.0
-        value += risk.weight(tail) * (u - u_prev)
+        # rounding moves a thin top tail below 0, and masses summing past 1 a tail above 1
+        value += risk.weight(0.0 if tail < 0.0 else 1.0 if tail > 1.0 else tail) * (u - u_prev)
     return value
 
 
@@ -400,21 +399,21 @@ def _maximin(problem: DecisionProblem, members) -> tuple[int, float]:
 
 def misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) -> tuple[float, ...]:
     """Belief produced by a failed conditionalization on the observed signal."""
-    return _misupdate(check_length(belief, len(channel.likelihood), "belief"), channel, signal, kind)
+    belief = check_length(belief, len(channel.likelihood), "belief")
+    return _misupdate(belief, channel, channel.signal_index(signal), kind)
 
 
-def _misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) -> tuple[float, ...]:
-    """``misupdate`` of a belief already checked to have one entry per channel row."""
+def _misupdate(belief, channel: SignalChannel, j: int, kind: MisupdateKind) -> tuple[float, ...]:
+    """``misupdate`` on signal ``j`` of a belief already checked to have one entry per channel row."""
     if isinstance(kind, StayAtPrior):
         return belief
     if isinstance(kind, ComplementConditionalization):
-        j = channel.signal_index(signal)
         comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
         marg = sum(comp)
         if marg <= 0.0:
-            raise ZeroMarginal(f"complement of signal {signal!r} has zero marginal probability")
+            raise ZeroMarginal(f"complement of signal {channel.signals[j]!r} has zero marginal probability")
         return tuple([x / marg for x in comp])
-    posterior = kind.posterior_for(signal)
+    posterior = kind.posterior_for(channel.signals[j])
     if len(posterior) != len(belief):
-        check_length(posterior, len(belief), f"custom posterior for {signal!r}")
+        check_length(posterior, len(belief), f"custom posterior for {channel.signals[j]!r}")
     return posterior

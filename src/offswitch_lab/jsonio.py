@@ -47,14 +47,16 @@ def number(value, field: str, types=_NUMBER_TYPES):
     """``value`` itself when it is a finite JSON number of one of ``types``.
 
     ``bool`` is a subclass of ``int`` but not a number here, numeric strings
-    are not converted, and the ``NaN`` and ``Infinity`` literals that
-    ``json.loads`` accepts are not JSON numbers: each raises ValueError
-    naming the field. The comparison, unlike ``math.isfinite``, cannot
-    overflow on a huge integer.
+    are not converted, and neither the ``NaN`` and ``Infinity`` literals that
+    ``json.loads`` accepts nor an integer too large for a float is taken:
+    each raises ValueError naming the field.
     """
-    if type(value) not in types or not -math.inf < value < math.inf:
-        raise ValueError(f"{field} must be a JSON number, got {value!r}")
-    return value
+    try:
+        if type(value) in types and math.isfinite(value):
+            return value
+    except OverflowError:  # math.isfinite converts an integer to a float
+        raise ValueError(f"{field} is an integer too large for a float") from None
+    raise ValueError(f"{field} must be a JSON number, got {value!r}")
 
 
 def _list(values, field: str) -> list:
@@ -73,12 +75,13 @@ def _numbers(values, field: str) -> tuple:
 
 
 def _are_numbers(values) -> bool:
-    """True when ``values`` is a JSON list of finite JSON numbers."""
+    """True when ``values`` is a JSON list of finite JSON numbers that fit in a float."""
     # one test of the list type, one pass over the types and one over
-    # finiteness in C; witness decoding is on the replay hot path (a huge
-    # integer here raises OverflowError, an input error just as float() of it
-    # would be)
-    return type(values) is list and _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
+    # finiteness in C; witness decoding is on the replay hot path
+    try:
+        return type(values) is list and _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
+    except OverflowError:  # an integer too large for a float, which ``number`` names
+        return False
 
 
 def _string(value, field: str) -> str:
@@ -131,9 +134,7 @@ def decode_distribution(obj) -> UtilityDistribution:
     if kind == "discrete":
         check_fields(obj, ("kind", "atoms"), (), "discrete prior")
         atoms = obj["atoms"]
-        if not isinstance(atoms, list) or not all(
-            isinstance(a, list) and len(a) == 2 for a in atoms
-        ):
+        if not isinstance(atoms, list) or not all(isinstance(a, list) and len(a) == 2 for a in atoms):
             raise ValueError("discrete prior atoms must be a list of [value, weight] pairs")
         return Discrete(tuple(_numbers(atom, "discrete prior atom") for atom in atoms))
     raise ValueError(f"prior kind must be 'uniform' or 'discrete', got {kind!r}")
@@ -231,11 +232,9 @@ def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: 
         return ExpectedUtilityRule()
     check_fields(obj, ("kind", "q", "mode"), ("table",), "faulty updater")
     q = number(obj["q"], "faulty updater q")
-    mode = obj["mode"]
+    mode = _string(obj["mode"], "faulty updater mode")
     if mode not in MISUPDATE_MODES:
-        raise ValueError(
-            f"updater mode must be one of {', '.join(map(repr, MISUPDATE_MODES))}, got {mode!r}"
-        )
+        raise ValueError(f"updater mode must be one of {', '.join(map(repr, MISUPDATE_MODES))}, got {mode!r}")
     if MISUPDATE_MODES[mode] is not CustomPosterior:
         if "table" in obj:
             raise ValueError(f"{mode} updater takes no 'table' field; only custom-posterior has one")

@@ -441,21 +441,19 @@ def _risk_weights(rule: RiskWeightedRule, tails: np.ndarray) -> np.ndarray:
     return rule.risk.weight(tails)  # a power is elementwise on arrays
 
 
-def _rank_brackets(rule: RiskWeightedRule, utilities: np.ndarray, probabilities: np.ndarray):
-    """Lower and upper bounds of the rank-dependent value of prospects whose
-    utilities ascend along the first axis.
+def _rank_bound(rule: RiskWeightedRule, utilities: np.ndarray, probabilities: np.ndarray, margin: float):
+    """The lower (``margin`` -SCREEN_MARGIN) or upper (+SCREEN_MARGIN) bound of the
+    rank-dependent value of prospects whose utilities ascend along the first axis.
 
     The scalar path finds its tails (the mass above an outcome) by subtraction
-    and clamps them at 0, so they differ from these by rounding; as a risk
+    and clamps them to [0, 1], so they differ from these by rounding; as a risk
     function is non-decreasing, its values at tail -/+ margin bound the weight
     the scalar path gives each step, a thin tail's included."""
     tails = probabilities[1:].copy()
     for k in range(len(tails) - 2, -1, -1):  # numpy's cumsum makes a call per prospect
         tails[k] += tails[k + 1]
-    steps = np.diff(utilities, axis=0)
-    low = utilities[0] + (_risk_weights(rule, np.clip(tails - SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=0)
-    high = utilities[0] + (_risk_weights(rule, np.clip(tails + SCREEN_MARGIN, 0.0, 1.0)) * steps).sum(axis=0)
-    return low, high
+    weights = _risk_weights(rule, np.clip(tails + margin, 0.0, 1.0))
+    return utilities[0] + (weights * np.diff(utilities, axis=0)).sum(axis=0)
 
 
 def _screen_reu(rule: RiskWeightedRule, block: _Block) -> tuple[np.ndarray, np.ndarray]:
@@ -468,15 +466,15 @@ def _screen_reu(rule: RiskWeightedRule, block: _Block) -> tuple[np.ndarray, np.n
     ranked = np.take_along_axis(by_state, order, axis=0)
     _, posteriors = _bayes(prior, likelihood)  # (S, G, n)
     ranked_posteriors = np.take_along_axis(posteriors[:, None], order[:, :, None], axis=0)  # (S, A, G, n)
-    low, high = _rank_brackets(rule, ranked[:, :, None], ranked_posteriors)
-    choice, lead = _lead(low, high)
+    brackets = [_rank_bound(rule, ranked[:, :, None], ranked_posteriors, m) for m in (-SCREEN_MARGIN, SCREEN_MARGIN)]
+    choice, lead = _lead(*brackets)
     planned = np.take_along_axis(utilities[:, :, None], choice[None, None], 0)[0].reshape(-1, prior.shape[-1])
     joint = (prior[:, None] * likelihood).reshape(planned.shape)
     joint_order = planned.argsort(axis=0)
-    learning, _ = _rank_brackets(
-        rule, np.take_along_axis(planned, joint_order, 0), np.take_along_axis(joint, joint_order, 0)
+    learning = _rank_bound(
+        rule, np.take_along_axis(planned, joint_order, 0), np.take_along_axis(joint, joint_order, 0), -SCREEN_MARGIN
     )
-    _, now = _rank_brackets(rule, ranked, np.take_along_axis(prior[:, None], order, 0))
+    now = _rank_bound(rule, ranked, np.take_along_axis(prior[:, None], order, 0), SCREEN_MARGIN)
     return learning - now.max(axis=0), lead
 
 

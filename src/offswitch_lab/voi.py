@@ -22,8 +22,8 @@ Evaluation conventions, fixed once here:
   only the agent's handling of it may fail.
 - Signals with zero marginal probability are skipped and contribute zero.
 
-``evaluate_rule`` dispatches any rule or updater to its entry point; search,
-witness replay and the scenario command all evaluate through it.
+``evaluate_rule`` is the one switch over rules and updaters; any other object
+is a ValueError. Search, witness replay and the scenario command evaluate through it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .core import (
     CredalSet,
     DecisionProblem,
     DecisionRule,
+    ExpectedUtilityRule,
     Faulty,
     GammaMaximinRule,
     RiskWeightedRule,
@@ -89,13 +90,12 @@ def _checked_belief(problem: DecisionProblem, belief, channel: SignalChannel) ->
 
 
 def _learn_by_eu_choice(problem, belief, channel, updater: Faulty | None) -> VoiReport:
-    """The one learn-then-choose loop of ``value_of_learning_eu`` and ``value_of_learning_faulty``.
+    """The one learn-then-choose loop of the expected-utility and faulty learning values.
 
-    The belief's length is checked once; the posterior and the misupdated
-    belief have that length by construction. Each act is scored once at each
-    posterior, and the misfired act's value is read from those scores.
+    The caller has checked the belief (``_checked_belief``); the posterior and
+    the misupdated belief have its length by construction. Each act is scored
+    once at each posterior, and the misfired act's value is read from those scores.
     """
-    belief = _checked_belief(problem, belief, channel)
     q = 0.0 if updater is None else updater.q
     _, now = _argmax(_act_values(problem, belief))
     rows = []
@@ -107,7 +107,7 @@ def _learn_by_eu_choice(problem, belief, channel, updater: Faulty | None) -> Voi
         values = _act_values(problem, post)
         idx, val = _argmax(values)
         if q > 0.0:
-            wrong_index, _ = _argmax(_act_values(problem, _misupdate(belief, channel, signal, updater.kind)))
+            wrong_index, _ = _argmax(_act_values(problem, _misupdate(belief, channel, j, updater.kind)))
             val = (1.0 - q) * val + q * values[wrong_index]
         rows.append(SignalOutcome(signal, marg, idx, val))
         total += marg * val
@@ -120,7 +120,7 @@ def value_of_learning_eu(problem: DecisionProblem, belief, channel: SignalChanne
     Averages, over signals, the best posterior expected utility. The
     resulting voi is non-negative up to float noise for every valid input.
     """
-    return _learn_by_eu_choice(problem, belief, channel, None)
+    return _learn_by_eu_choice(problem, _checked_belief(problem, belief, channel), channel, None)
 
 
 def _learning_reu(problem, belief, channel, risk) -> VoiReport:
@@ -132,11 +132,8 @@ def _learning_reu(problem, belief, channel, risk) -> VoiReport:
             continue
         best_index, best_value = _argmax([risk_weighted_value(zip(act.utilities, post), risk) for act in problem.acts])
         rows.append(SignalOutcome(signal, marg, best_index, best_value))
-        utilities = problem.acts[best_index].utilities
-        for w, (b, row) in enumerate(zip(belief, channel.likelihood)):
-            p = b * row[j]
-            if p > 0.0:
-                joint.append((utilities[w], p))
+        # risk_weighted_value drops the atoms with zero mass
+        joint += zip(problem.acts[best_index].utilities, [b * row[j] for b, row in zip(belief, channel.likelihood)])
     learning = risk_weighted_value(joint, risk)
     now = max([risk_weighted_value(zip(act.utilities, belief), risk) for act in problem.acts])
     return VoiReport(now, learning, learning - now, "reu", tuple(rows))
@@ -148,12 +145,11 @@ def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
     steps = [[bayes_step(member, channel, j) for j in range(len(channel.signals))] for member in credal.members]
 
     # Plan: per signal, the maximin act at the member-wise conditioned credal set.
-    plan: dict[int, int] = {}
+    plan: dict[int, int] = {}  # in signal order
     for j in range(len(channel.signals)):
-        post_members = tuple(member_steps[j][1] for member_steps in steps if member_steps[j][1] is not None)
-        if not post_members:
-            continue
-        plan[j] = _maximin(problem, CredalSet(post_members).members)[0]
+        post_members = [member_steps[j][1] for member_steps in steps if member_steps[j][1] is not None]
+        if post_members:
+            plan[j] = _maximin(problem, post_members)[0]
 
     # Each member scores the whole plan with its own marginals and posteriors;
     # the learning value is the worst of those scores.
@@ -162,7 +158,7 @@ def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
     for member_steps in steps:
         member_total = 0.0
         member_rows = []
-        for j, act_index in sorted(plan.items()):
+        for j, act_index in plan.items():
             marg, post = member_steps[j]
             if post is None:
                 continue
@@ -190,7 +186,9 @@ def value_of_learning_rule(
         return _learning_reu(problem, belief, channel, rule.risk)
     if isinstance(rule, GammaMaximinRule):
         return _learning_gamma(problem, channel, rule.credal)
-    return value_of_learning_eu(problem, belief, channel)
+    if isinstance(rule, ExpectedUtilityRule):
+        return _learn_by_eu_choice(problem, belief, channel, None)
+    raise ValueError(f"rule must be an ExpectedUtilityRule, RiskWeightedRule or GammaMaximinRule, got {rule!r}")
 
 
 def value_of_learning_faulty(
@@ -207,7 +205,7 @@ def value_of_learning_faulty(
     """
     if not isinstance(updater, Faulty):
         raise MissingRuleData("faulty learning value needs a Faulty updater")
-    return _learn_by_eu_choice(problem, belief, channel, updater)
+    return _learn_by_eu_choice(problem, _checked_belief(problem, belief, channel), channel, updater)
 
 
 def evaluate_rule(
@@ -215,12 +213,11 @@ def evaluate_rule(
     channel: SignalChannel,
     rule: DecisionRule | Faulty,
 ) -> VoiReport:
-    """The voi report of any rule or updater at the problem's prior."""
+    """The voi report of any rule or updater at the problem's prior; ValueError
+    naming any other object."""
     if isinstance(rule, Faulty):
         return value_of_learning_faulty(problem, problem.prior, channel, rule)
-    if isinstance(rule, (RiskWeightedRule, GammaMaximinRule)):
-        return value_of_learning_rule(problem, problem.prior, channel, rule)
-    return value_of_learning_eu(problem, problem.prior, channel)
+    return value_of_learning_rule(problem, problem.prior, channel, rule)
 
 
 def replay_witness(witness: Witness) -> float:

@@ -258,10 +258,14 @@ def test_search_bad_rule_string_exits_2(capsys):
         ("reu:power:abc", "risk-weighted", "reu:identity or reu:power:K"),
         ("reu:power:", "risk-weighted", "reu:identity or reu:power:K"),
         ("faulty:complement:abc", "faulty", "faulty:KIND:Q"),
+        ("gamma:1:2", "credal", "gamma or gamma:M"),
     ]:
         code, _, err = run(capsys, "search", "--rule", rule, "--trials", "10")
         assert code == 2
         assert err == f"error: cannot parse {kind} rule {rule!r}; use {usage}\n"
+    code, _, err = run(capsys, "search", "--rule", "faulty:bogus:0.5", "--trials", "10")
+    assert code == 2
+    assert err == "error: unknown misupdate kind 'bogus'; use stay, complement or custom\n"
 
 
 def test_search_writes_witnesses_and_verify_witness_replays(tmp_path, capsys):
@@ -437,6 +441,41 @@ def test_scenario_table_that_does_not_fit_the_game_exits_2_naming_the_signal(edi
 
 
 @pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda s: s.update(prior=5), "prior must be an object with a 'kind' field"),
+        (lambda s: s["prior"].update(atoms=[[-1.0, 0.5, 2.0]]),
+         "discrete prior atoms must be a list of [value, weight] pairs"),
+        (lambda s: s["prior"].update(atoms=[-1.0, 0.5]),
+         "discrete prior atoms must be a list of [value, weight] pairs"),
+        (lambda s: s.update(prior={"kind": "normal"}), "prior kind must be 'uniform' or 'discrete', got 'normal'"),
+        (lambda s: s.update(rule=[]), "rule must be an object with a 'kind' field"),
+        (lambda s: s["rule"].update(risk={"kind": "cubic"}),
+         "risk kind must be 'identity', 'power' or 'table', got 'cubic'"),
+        (lambda s: s.update(rule={"kind": "bogus"}),
+         "rule kind must be one of 'eu', 'reu', 'gamma-maximin', got 'bogus'"),
+        (lambda s: s.update(rule={"kind": "faulty", "q": 0.5, "mode": "stay-at-prior"}),
+         "rule kind must be one of 'eu', 'reu', 'gamma-maximin', got 'faulty'"),
+        (lambda s: s.update(updater={"kind": "reu"}),
+         "updater kind must be one of 'conditionalization', 'faulty', got 'reu'"),
+        (lambda s: s["updater"].update(mode={}), "faulty updater mode must be a JSON string, got {}"),
+        (lambda s: s["updater"].update(mode="bogus"), "updater mode must be one of 'stay-at-prior', "),
+        (lambda s: s["updater"].pop("table"), "custom-posterior updater needs a 'table' field"),
+    ],
+    ids=["prior-int", "atom-triple", "atoms-flat", "prior-kind-unknown", "rule-list", "risk-kind-unknown",
+         "rule-kind-unknown", "rule-faulty", "updater-reu", "mode-object", "mode-unknown", "custom-without-table"],
+)
+def test_malformed_scenario_exits_2_naming_the_field(edit, message, tmp_path, capsys):
+    obj = json.loads(json.dumps(RULEFUL_SCENARIO))
+    edit(obj)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "path,bad",
     [
         (("voi",), "-0.5"),
@@ -504,12 +543,23 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
          "table risk knots must be a JSON list, got 5"),
         (lambda w: w["rule"].update(mode="complement-conditionalization"),
          "complement-conditionalization updater takes no 'table' field"),
+        (lambda w: w["rule"].update(mode=[]), "faulty updater mode must be a JSON string, got []"),
+        (lambda w: w["rule"].update(mode="bogus"), "updater mode must be one of 'stay-at-prior', "),
+        (lambda w: w["rule"].pop("table"), "custom-posterior updater needs a 'table' field"),
+        (lambda w: w.update(rule=5), "rule must be an object with a 'kind' field"),
+        (lambda w: w.update(rule={"q": 0.5}), "rule must be an object with a 'kind' field"),
+        (lambda w: w.update(rule={"kind": "bogus"}),
+         "rule kind must be one of 'eu', 'reu', 'gamma-maximin', 'conditionalization', 'faulty', got 'bogus'"),
+        (lambda w: w.update(rule={"kind": "reu", "risk": 2}), "risk function must be an object with a 'kind' field"),
+        (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "cubic"}}),
+         "risk kind must be 'identity', 'power' or 'table', got 'cubic'"),
     ],
     ids=["table-missing-signal", "table-wrong-length", "table-list", "table-extra-signal",
          "states-string", "states-int", "signals-string", "act-name-int", "credal-member-size", "likelihood-rows",
          "prior-int", "prior-string", "acts-int", "utilities-float", "likelihood-int", "likelihood-row-int",
          "table-entry-string", "credal-members-int", "credal-member-int", "table-knot-int", "table-knots-int",
-         "table-on-complement"],
+         "table-on-complement", "mode-list", "mode-unknown", "custom-without-table", "rule-int", "rule-without-kind",
+         "rule-kind-unknown", "risk-int", "risk-kind-unknown"],
 )
 def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, capsys):
     out_path = tmp_path / "w.json"
@@ -582,6 +632,22 @@ def test_search_whose_witness_fails_re_verification_exits_1_naming_the_trial(tmp
             assert not fresh.exists()
 
 
+def test_search_whose_final_write_fails_removes_only_the_out_file_it_created(tmp_path, capsys, monkeypatch):
+    def full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    existing = tmp_path / "kept.json"
+    existing.write_text("earlier witnesses\n")
+    fresh = tmp_path / "fresh.json"
+    monkeypatch.setattr(Path, "write_text", full)
+    for path in (existing, fresh):
+        code, out, err = run(capsys, "search", "--rule", "faulty:complement:0.5", "--trials", "300", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(path)!r}: No space left on device\n"
+    assert existing.read_text() == "earlier witnesses\n"
+    assert not fresh.exists()
+
+
 def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, capsys):
     code, _, err = run(capsys, "search", "--rule", "gamma:2", "--trials", "20", "--seed", "1", "--out", str(tmp_path))
     assert code == 2
@@ -621,6 +687,22 @@ def test_verify_witness_fails_a_replay_to_nan(tmp_path, capsys):
     assert code == 1
     assert "re-evaluation gives nan" in out
     assert "verified 0 of 1" in out
+
+
+def test_verify_witness_replays_a_prior_whose_masses_sum_past_1(tmp_path, capsys):
+    # the prior sums to 1 within PROB_TOL and its lowest atom is thin, so the
+    # tail above it is past 1; unclamped, 1.0000000000005 ** 1e300 overflowed
+    witness = {
+        "trial_index": 0, "voi": 0.0, "rule": {"kind": "reu", "risk": {"kind": "power", "k": 1e300}},
+        "problem": {"states": ["s0", "s1"], "prior": [1e-13, 1.0000000000005],
+                    "acts": [{"name": "a", "utilities": [-1.0, 1.0]}]},
+        "channel": {"signals": ["x"], "likelihood": [[1.0], [1.0]]},
+    }
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps([witness]))
+    code, out, err = run(capsys, "verify-witness", str(path))
+    assert (code, err) == (0, "")
+    assert "verified 1 of 1" in out
 
 
 def test_verify_witness_rejects_repeated_signal_names(tmp_path, capsys):

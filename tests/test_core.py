@@ -238,6 +238,13 @@ def test_risk_weighted_value_is_real_on_a_thin_top_tail():
     assert 0.0 <= value <= 2.0
 
 
+def test_risk_weighted_value_stays_within_the_utilities_when_the_masses_sum_past_1():
+    # the masses sum to 1 within PROB_TOL, and the tail above the thin lowest
+    # atom is past 1; unclamped, the value was 1.0000000000020002
+    value = risk_weighted_value([(-1.0, 1e-13), (1.0, 1.0000000000005)], PowerRisk(2))
+    assert -1.0 <= value <= 1.0
+
+
 @given(
     st.lists(
         st.tuples(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from offswitch_lab.core import (
 from offswitch_lab.distributions import Uniform, mean
 from offswitch_lab.errors import MissingRuleData, ZeroMarginal
 from offswitch_lab.offswitch import reduce_to_two_state
+from offswitch_lab.search import CredalSearch
 from offswitch_lab.voi import (
     SignalOutcome,
+    evaluate_rule,
     value_of_learning_eu,
     value_of_learning_faulty,
     value_of_learning_rule,
@@ -305,3 +309,14 @@ def test_goods_inequality_on_random_instances():
         problem, channel = random_problem_and_channel(rng)
         report = value_of_learning_eu(problem, problem.prior, channel)
         assert report.voi >= -1e-12
+
+
+@pytest.mark.parametrize("rule", [CredalSearch(), None], ids=["search-rule", "none"])
+def test_evaluate_rule_rejects_what_is_neither_a_rule_nor_an_updater(rule):
+    # both used to be valued as expected utility: 7.1e-15 on this embedding
+    problem, channel = reduce_to_two_state(Uniform(-10, 90), 0.1)
+    named = re.escape(f"got {rule!r}") + "$"
+    with pytest.raises(ValueError, match=named):
+        evaluate_rule(problem, channel, rule)
+    with pytest.raises(ValueError, match=named):
+        value_of_learning_rule(problem, problem.prior, channel, rule)

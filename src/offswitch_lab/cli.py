@@ -11,11 +11,14 @@ precision. Only ``check`` and ``search`` sample, and only they import
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
+import stat
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -82,9 +85,33 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 
 def _write_out(path: str, text: str) -> int:
-    """Write a command's output file: exit 0, or 2 naming the path when it cannot be written."""
+    """Write a command's output file: exit 0, or 2 naming the path when it cannot be written.
+
+    A regular file, or one a symlink names, is replaced whole or not at all:
+    the text goes to a temporary file in its directory, which gets the file's
+    mode (or the mode a new file gets) and is then renamed onto it. Anything
+    else, such as a device, is written in place."""
+    target = os.path.realpath(path)
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if os.path.lexists(target) and not os.path.isfile(target):
+            Path(target).write_text(text, encoding="utf-8")
+            return 0
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        descriptor, temporary = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".offswitch-lab-")
+        os.close(descriptor)
+        try:
+            os.chmod(temporary, mode)
+            Path(temporary).write_text(text, encoding="utf-8")
+            os.replace(temporary, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+            raise
     except OSError as exc:
         return _cannot_write(path, exc)
     return 0

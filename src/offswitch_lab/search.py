@@ -40,15 +40,18 @@ from its rows into a ``DecisionProblem`` and ``SignalChannel`` and evaluated
 by the scalar ``evaluate_rule``, so every witness, every voi and every
 exception comes from the scalar path.
 
-A call draws a run of blocks, CHECK_BLOCKS for a check and one for a screen
-(a screen's intermediates grow with the call: the risk-weighted screen's to
-about 34 MiB per block at MAX_SIZE), into arrays allocated once per call and
-scaled once: trial r of the run is column r of the contiguous prior (S, n),
-utilities (A, S, n), likelihood (S, G, n), rule rows (R, S, n) or atoms
-(MAX_ATOMS, n). Each sum, max or choice runs over a short leading axis in one
-numpy call for all trials (a trailing axis costs a call per trial), and sums
-over states are added state by state in the scalar path's order, with no
-extra axis.
+A kernel call, of a search or a check, draws a run of KERNEL_BLOCKS
+consecutive blocks (``_chunks``), or fewer where S * A * G * M values per
+trial (M credal members, or 1) would pass BLOCK_TRIALS * MAX_SIZE**3 values
+per call, as a screen's intermediates grow with the call: the risk-weighted
+screen's reach about 34 MiB for one block at MAX_SIZE. So a call covers four
+blocks at 3 x 3 x 2 and one at 16 x 16 x 16. The run is drawn into arrays
+allocated once per call and scaled once: trial r of the run is column r of
+the contiguous prior (S, n), utilities (A, S, n), likelihood (S, G, n), rule
+rows (R, S, n) or atoms (MAX_ATOMS, n). Each sum, max or choice runs over a
+short leading axis in one numpy call for all trials (a trailing axis costs a
+call per trial), and sums over states are added state by state in the scalar
+path's order, with no extra axis.
 
 The checks screen and confirm the same way. ``check good`` values trials
 by the expected-utility kernel that the faulty screen uses, and
@@ -66,17 +69,18 @@ check raises AssertionError.
 The witness path. The scalar path's rows are gathered once per call, one
 ``tolist`` per array, so the dataclasses receive plain floats, the same
 doubles as the arrays, and check them as they check any input. A possible
-witness is evaluated once. A block's witnesses are then re-verified together
-(``_reverifies``): they are encoded in trial order as one JSON list, written
-as one JSON text and read back, and each entry is decoded by the strict
-decoder (every check again) and replayed through the voi module, and must
-reproduce its voi within ``REVERIFY_TOL`` (1e-10); the first that does not
-stops the search with AssertionError naming its trial. Only one block's
-document is held at a time. The replay makes the same float operations in
-the same order, so it gives the voi exactly. The scalar kernels stay cheap
-without skipping a check: each checks a belief's length once and scores each
-act once per belief, and the constructors a witness goes through format an
-error message only for a value that fails.
+witness is evaluated once, in trial order, and each block's witnesses are
+re-verified together (``_reverifies``) before a candidate of the next block is
+evaluated: they are encoded in trial order as one JSON list, written as one
+JSON text and read back, and each entry is decoded by the strict decoder
+(every check again) and replayed through the voi module, and must reproduce
+its voi within ``REVERIFY_TOL`` (1e-10); the first that does not stops the
+search with AssertionError naming its trial. Only one block's document is
+held at a time, however many blocks a call covers. The replay makes the same
+float operations in the same order, so it gives the voi exactly. The scalar
+kernels stay cheap without skipping a check: each checks a belief's length
+once and scores each act once per belief, and the constructors a witness goes
+through format an error message only for a value that fails.
 
 This is the package's only numpy module. The scalar path it confirms with
 (``voi.evaluate_rule``, ``voi.replay_witness``) and the witness codec
@@ -89,6 +93,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -122,7 +127,7 @@ SCREEN_MARGIN = 1e-10 * (UTILITY_RANGE[1] - UTILITY_RANGE[0])  # the screen's sl
 STREAM_VERSION = 2  # the block stream described above
 BLOCK_TRIALS = 256  # trials drawn from one generator and screened together
 MAX_ATOMS = 4  # a theorem-1 check prior has 1 to MAX_ATOMS atoms
-CHECK_BLOCKS = 4  # blocks a check values per kernel call; see above
+KERNEL_BLOCKS = 4  # the most blocks a search or check values per kernel call; see above
 # Upper bounds on the sizes a search or check accepts. With them no block
 # array holds more than BLOCK_TRIALS * 16**3 floats (8 MB).
 MAX_SIZE = 16  # states, acts, signals and credal members
@@ -333,9 +338,14 @@ def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
 
 
 def _chunks(config: SearchConfig) -> list[list[tuple[int, int]]]:
-    """The (block, rows) pairs of a check run, CHECK_BLOCKS to a kernel call."""
+    """The (block, rows) pairs of a run, grouped into kernel calls of KERNEL_BLOCKS
+    blocks, or fewer where S * A * G * M values per trial (M credal members, or
+    1) would pass BLOCK_TRIALS * MAX_SIZE**3 values per call."""
+    members = config.rule.members if isinstance(config.rule, CredalSearch) else 1
+    values = config.state_count * config.act_count * config.signal_count * members
+    size = max(1, min(KERNEL_BLOCKS, MAX_SIZE**3 // values))
     blocks = _block_rows(config)
-    return [blocks[i : i + CHECK_BLOCKS] for i in range(0, len(blocks), CHECK_BLOCKS)]
+    return [blocks[i : i + size] for i in range(0, len(blocks), size)]
 
 
 def _cross_checked(proven: np.ndarray) -> np.ndarray:
@@ -636,18 +646,20 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
     """
     screen, rule_rows = _screen_for(config)
     witnesses = []
-    for b, rows in _block_rows(config):
-        block = _draw_block(config, [(b, rows)], rule_rows)
+    for chunk in _chunks(config):
+        block = _draw_block(config, chunk, rule_rows)
         possible = _possible_witnesses(config, screen, block)
-        data = _per_trial(block.rule_rows, possible)
-        found = []
-        for r, (problem, channel), rule_data in zip(possible.tolist(), _draw_instance(config, block, possible), data):
-            rule = _concrete_rule(config.rule, rule_data, channel)
-            report = evaluate_rule(problem, channel, rule)
-            if report.voi < -config.aversion_tolerance:
-                found.append(Witness(problem, channel, rule, report.voi, block.start + r))
-        if found:
-            _reverifies(found)
-            witnesses.extend(found)
+        candidates = zip(possible.tolist(), _draw_instance(config, block, possible), _per_trial(block.rule_rows, possible))
+        # a block's witnesses are re-verified before the next block's first candidate is evaluated
+        for _, in_block in groupby(candidates, key=lambda candidate: candidate[0] // BLOCK_TRIALS):
+            found = []
+            for r, (problem, channel), rule_data in in_block:
+                rule = _concrete_rule(config.rule, rule_data, channel)
+                report = evaluate_rule(problem, channel, rule)
+                if report.voi < -config.aversion_tolerance:
+                    found.append(Witness(problem, channel, rule, report.voi, block.start + r))
+            if found:
+                _reverifies(found)
+                witnesses.extend(found)
     witnesses.sort(key=lambda w: (w.voi, w.trial_index))
     return witnesses

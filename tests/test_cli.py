@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -646,6 +648,74 @@ def test_search_whose_final_write_fails_removes_only_the_out_file_it_created(tmp
         assert err == f"error: cannot write {str(path)!r}: No space left on device\n"
     assert existing.read_text() == "earlier witnesses\n"
     assert not fresh.exists()
+
+
+SEARCH_ARGV = ("search", "--rule", "faulty:complement:0.5", "--trials", "300")
+SWEEP_ARGV = ("sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps", "11")
+
+
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
+def test_a_final_write_that_fails_part_way_leaves_an_existing_out_file_whole(argv, tmp_path, capsys, monkeypatch):
+    # a full disk or a file size limit after the first bytes: the earlier file
+    # stays byte for byte, and no temporary file is left beside it
+    write_text = Path.write_text
+
+    def half(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(27, "File too large")
+
+    existing = tmp_path / "kept.out"
+    existing.write_bytes(b"earlier output\n")
+    fresh = tmp_path / "fresh.out"
+    monkeypatch.setattr(Path, "write_text", half)
+    for path in (existing, fresh):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(path)!r}: File too large\n"
+    assert existing.read_bytes() == b"earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.out"]
+
+
+def test_an_out_file_keeps_its_mode_and_a_symlink_its_target(tmp_path, capsys):
+    existing = tmp_path / "kept.csv"
+    existing.write_text("earlier output\n")
+    existing.chmod(0o640)
+    target = tmp_path / "target.csv"
+    target.write_text("earlier output\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target.name)
+    fresh = tmp_path / "fresh.csv"
+    umask = os.umask(0o027)
+    try:
+        for path in (existing, link, fresh):
+            code, _, _ = run(capsys, *SWEEP_ARGV, "--out", str(path))
+            assert code == 0
+    finally:
+        os.umask(umask)
+    expected = fresh.read_text()
+    assert expected.startswith("epsilon,")
+    assert existing.read_text() == target.read_text() == expected
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o640  # 0o666 under the umask, as open() makes it
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "kept.csv", "link.csv", "target.csv"]
+
+
+def test_an_out_path_that_is_not_a_regular_file_is_written_in_place(tmp_path, capsys):
+    # a pipe or a device such as /dev/stdout is written to, not replaced by a file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run(capsys, *SWEEP_ARGV, "--out", str(fifo))
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0
+    _, expected, _ = run(capsys, *SWEEP_ARGV)
+    assert received.decode() == expected
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
 
 
 def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, capsys):

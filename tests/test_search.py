@@ -991,3 +991,91 @@ def test_block_kernels_hold_no_extra_size_axis_at_the_size_limit(rule):
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [ReuSearch(PowerRisk(2)), CredalSearch(MAX_SIZE), FaultySearch(0.5, "custom-posterior")],
+    ids=["reu", "gamma", "faulty-custom"],
+)
+def test_a_whole_search_at_the_size_limit_holds_one_block_per_kernel_call(rule):
+    # four blocks in one kernel call would hold about four times a block's
+    # intermediates: over 100 MiB for the risk-weighted and credal screens
+    sizes = dict(state_count=MAX_SIZE, act_count=MAX_SIZE, signal_count=MAX_SIZE)
+    config = SearchConfig(seed=70, trials=4 * BLOCK_TRIALS, rule=rule, **sizes)
+    tracemalloc.start()
+    try:
+        find_information_aversion(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+KERNEL_CASES = [((3, 3, 2), 1200), ((12, 12, 12), 600)]  # 5 blocks, and 3 blocks
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: "x".join(map(str, c[0])))
+@pytest.mark.parametrize("name", PREFIX_RULES)
+def test_blocks_per_kernel_call_change_nothing_observable(name, case, monkeypatch):
+    (states, acts, signals), trials = case
+    config = SearchConfig(
+        seed=71, trials=trials, state_count=states, act_count=acts, signal_count=signals,
+        rule=EQUIVALENCE_RULES[name],
+    )
+    cells = states * acts * signals * (3 if name == "gamma:3" else 1)
+    assert len(search._chunks(config)[0]) == min(search.KERNEL_BLOCKS, max(1, MAX_SIZE**3 // cells))
+    reverified = []
+    reverifies = search._reverifies
+
+    def recorded(witnesses):
+        reverified.append([w.trial_index for w in witnesses])
+        return reverifies(witnesses)
+
+    monkeypatch.setattr(search, "_reverifies", recorded)
+    witnesses = find_information_aversion(config)
+    by_call = reverified.copy()
+    reverified.clear()
+    # one call per block that holds a witness, in trial order, with that block's witnesses
+    blocks = sorted({w.trial_index // BLOCK_TRIALS for w in witnesses})
+    assert len(blocks) > 1
+    assert [{i // BLOCK_TRIALS for i in trials} for trials in by_call] == [{b} for b in blocks]
+    assert sum(by_call, []) == sorted(w.trial_index for w in witnesses)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "KERNEL_BLOCKS", 1)
+        assert len(search._chunks(config)[0]) == 1
+        assert find_information_aversion(config) == witnesses
+        assert reverified == by_call
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: "x".join(map(str, c[0])))
+@pytest.mark.parametrize("name", PREFIX_RULES)
+def test_a_re_verification_failure_stops_the_search_before_the_next_block(name, case, monkeypatch):
+    (states, acts, signals), trials = case
+    config = SearchConfig(
+        seed=71, trials=trials, state_count=states, act_count=acts, signal_count=signals,
+        rule=EQUIVALENCE_RULES[name],
+    )
+    # the first witness of the second block that holds one: inside a kernel
+    # call wherever a call holds more than one block
+    witnesses = sorted(find_information_aversion(config), key=lambda w: w.trial_index)
+    failing = next(w for w in witnesses if w.trial_index // BLOCK_TRIALS > witnesses[0].trial_index // BLOCK_TRIALS)
+    trial_of, evaluated = {}, []
+    draw_instance, evaluate_rule, reproduces_ = search._draw_instance, search.evaluate_rule, search.reproduces
+
+    def recorded_instances(config, block, rows):
+        pairs = draw_instance(config, block, rows)
+        trial_of.update((id(problem), block.start + int(r)) for r, (problem, _) in zip(rows, pairs))
+        return pairs
+
+    def recorded_evaluation(problem, channel, rule):
+        evaluated.append(trial_of[id(problem)])
+        return evaluate_rule(problem, channel, rule)
+
+    monkeypatch.setattr(search, "_draw_instance", recorded_instances)
+    monkeypatch.setattr(search, "evaluate_rule", recorded_evaluation)
+    monkeypatch.setattr(search, "reproduces", lambda value, voi: voi != failing.voi and reproduces_(value, voi))
+    with pytest.raises(AssertionError, match=f"^witness at trial {failing.trial_index} did not reproduce"):
+        find_information_aversion(config)
+    assert evaluated == sorted(evaluated)
+    assert max(evaluated) // BLOCK_TRIALS == failing.trial_index // BLOCK_TRIALS

@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 check/report/verification failure, 2 usage error,
 its arguments; tables round to 7 significant digits, JSON and CSV keep full
 precision. Only ``check`` and ``search`` sample, and only they import
 ``search`` and with it numpy; the other commands start without either.
+A pipe is opened only by the read or write that uses it, so ``/dev/stdin``,
+``/dev/stdout`` or a FIFO works as a scenario path or as ``--out``.
 """
 
 from __future__ import annotations
@@ -87,15 +89,16 @@ def _cannot_write(path: str, exc: OSError) -> int:
 def _write_out(path: str, text: str) -> int:
     """Write a command's output file: exit 0, or 2 naming the path when it cannot be written.
 
-    A regular file, or one a symlink names, is replaced whole or not at all:
-    the text goes to a temporary file in its directory, which gets the file's
-    mode (or the mode a new file gets) and is then renamed onto it. Anything
-    else, such as a device, is written in place."""
-    target = os.path.realpath(path)
+    A regular file or a new path, or one a symlink names, is replaced whole or
+    not at all: the text goes to a temporary file in its directory, which gets
+    the file's mode (or the mode a new file gets) and is renamed onto it. Any
+    other path, such as a device or a pipe (``/dev/stdout`` leads to the pipe
+    itself, not to a file), is written in place."""
     try:
-        if os.path.lexists(target) and not os.path.isfile(target):
-            Path(target).write_text(text, encoding="utf-8")
+        if os.path.exists(path) and not os.path.isfile(path):
+            Path(path).write_text(text, encoding="utf-8")
             return 0
+        target = os.path.realpath(path)
         try:
             mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
@@ -121,13 +124,11 @@ def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwit
     if name_or_path in BUILTIN_SCENARIOS:
         scenario = BUILTIN_SCENARIOS[name_or_path]
     else:
-        path = Path(name_or_path)
-        if not path.is_file():
-            raise ValueError(
-                f"unknown scenario {name_or_path!r}: not a built-in "
-                f"({', '.join(sorted(BUILTIN_SCENARIOS))}) and not a readable file"
-            )
-        scenario = jsonio.decode_scenario(_read_json(path, "scenario file"))
+        try:
+            obj = _read_json(Path(name_or_path), "scenario file")
+        except ValueError as exc:
+            raise ValueError(f"{exc} (built-in scenarios: {', '.join(sorted(BUILTIN_SCENARIOS))})") from exc
+        scenario = jsonio.decode_scenario(obj)
     if epsilon_override is not None:
         scenario = replace(scenario, epsilon=epsilon_override)
     return scenario
@@ -277,18 +278,18 @@ def cmd_search(args) -> int:
         )
     except ValueError as exc:
         return _usage_error(str(exc))
-    if args.out:
-        # fail before the first trial; appending leaves an existing file as it is
-        created = not os.path.lexists(args.out)
-        try:
+    try:
+        # fail before the first trial, creating nothing and opening no pipe: append
+        # to a file or a directory, or make an unnamed file beside a new path
+        if args.out and not os.path.exists(args.out):
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.realpath(args.out))).close()
+        elif args.out and (os.path.isfile(args.out) or os.path.isdir(args.out)):
             open(args.out, "a", encoding="utf-8").close()
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     try:
         witnesses = search.find_information_aversion(config)
     except (ValueError, AssertionError) as exc:
-        if args.out and created:
-            os.remove(args.out)
         if isinstance(exc, RuleCannotBeAverse):
             return _usage_error(str(exc))
         # a witness failed re-verification: its strict decode or its replay
@@ -304,8 +305,6 @@ def cmd_search(args) -> int:
         print(text)
         print(summary, file=sys.stderr)
     elif _write_out(args.out, text + "\n"):
-        if created:
-            os.remove(args.out)
         return 2
     else:
         print(summary)

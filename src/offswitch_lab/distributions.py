@@ -144,17 +144,9 @@ def sample(d: UtilityDistribution, rng: np.random.Generator) -> float:
 
     The generator is numpy's ``Generator`` (PCG64 under ``default_rng``),
     which is seedable and splittable via ``numpy.random.SeedSequence`` and
-    reproduces across platforms.
+    reproduces across platforms. It is the draw of ``sample_array(d, rng, 1)``.
     """
-    if isinstance(d, Uniform):
-        return float(rng.uniform(d.lo, d.hi))
-    u = rng.random()
-    acc = 0.0
-    for value, weight in d.atoms:
-        acc += weight
-        if u < acc:
-            return value
-    return d.atoms[-1][0]
+    return float(sample_array(d, rng, 1)[0])
 
 
 def sample_array(d: UtilityDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

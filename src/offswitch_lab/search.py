@@ -391,7 +391,7 @@ def verify_theorem1(config: SearchConfig) -> CheckReport:
             proven = (
                 (advantage >= -CHECK_TOL / 2)
                 & (~two_sided | (advantage > 1.5 * CHECK_TOL))
-                & ~_unchecked_priors(values, weights)
+                & ~_unchecked(values, weights[None])
             )
         rows = _cross_checked(proven)
         for r, atoms, masses in zip(rows.tolist(), _per_trial(values, rows), _per_trial(weights, rows)):
@@ -517,7 +517,7 @@ def _good_kernel(block: _Block) -> tuple[np.ndarray, np.ndarray]:
     inequality with half of CHECK_TOL to spare on rows the scalar path accepts."""
     now, values = _eu_kernel(block)
     voi = values.max(axis=0).sum(axis=0) - now
-    return voi, (voi >= -CHECK_TOL / 2) & ~_unchecked_rows(block)
+    return voi, (voi >= -CHECK_TOL / 2) & ~_unchecked(block.utilities, block.prior[None], block.likelihood, block.rule_rows)
 
 
 def _theorem1_kernel(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,25 +548,18 @@ def _screen_faulty(rule: FaultySearch, block: _Block) -> tuple[np.ndarray, np.nd
     return learning - now, lead
 
 
-def _unchecked_rows(block: _Block) -> np.ndarray:
-    """Trials whose rows might fail the checks the dataclasses make: finite
-    utilities, and probability vectors that are finite, non-negative and sum
-    to 1 within PROB_TOL. A vector of non-negative entries whose sum is near 1
-    is finite. Sums are held to half of PROB_TOL here, as numpy adds in
-    another order than Python, which moves a sum of at most MAX_SIZE entries
-    by far less than the other half."""
-    ok = np.isfinite(block.utilities).all(axis=(0, 1))
-    for vectors in (block.prior[None], block.likelihood, block.rule_rows):  # each vector runs along axis 1
+def _unchecked(finite: np.ndarray, *simplices: np.ndarray) -> np.ndarray:
+    """Trials whose rows might fail the checks the dataclasses make: ``finite``
+    finite along every axis but the trials axis, and each simplex's vectors,
+    which run along axis 1, finite, non-negative and summing to 1 within
+    PROB_TOL. A vector of non-negative entries whose sum is near 1 is finite.
+    Sums are held to half of PROB_TOL here, as numpy adds in another order
+    than Python, which moves a sum of at most MAX_SIZE entries by far less
+    than the other half."""
+    ok = np.isfinite(finite).all(axis=tuple(range(finite.ndim - 1)))
+    for vectors in simplices:
         ok &= (vectors >= 0.0).all(axis=(0, 1)) & (np.abs(vectors.sum(axis=1) - 1.0) <= PROB_TOL / 2).all(axis=0)
     return ~ok
-
-
-def _unchecked_priors(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Priors whose atoms might fail the checks ``Discrete`` makes: finite
-    values, and finite non-negative weights that sum to 1 within PROB_TOL,
-    held to half of it for the reason ``_unchecked_rows`` gives."""
-    ok = np.isfinite(values).all(axis=0) & (weights >= 0.0).all(axis=0)
-    return ~(ok & (np.abs(weights.sum(axis=0) - 1.0) <= PROB_TOL / 2))
 
 
 def _screen_for(config: SearchConfig):
@@ -634,7 +627,7 @@ def _possible_witnesses(config: SearchConfig, screen, block: _Block) -> np.ndarr
     with np.errstate(all="ignore"):
         voi, lead = screen(config.rule, block)
         proven = (voi >= -config.aversion_tolerance + SCREEN_MARGIN) & (lead > SCREEN_MARGIN).all(axis=0)
-        return np.flatnonzero(~proven | _unchecked_rows(block))
+        return np.flatnonzero(~proven | _unchecked(block.utilities, block.prior[None], block.likelihood, block.rule_rows))
 
 
 def find_information_aversion(config: SearchConfig) -> list[Witness]:

@@ -4,6 +4,9 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -716,6 +719,95 @@ def test_an_out_path_that_is_not_a_regular_file_is_written_in_place(tmp_path, ca
     assert received.decode() == expected
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
+def test_an_out_path_that_leads_to_a_pipe_gets_what_stdout_would(argv, capsys):
+    # /dev/fd/W, like /dev/stdout piped to another program or >(...) in bash,
+    # leads to the pipe itself; search's JSON outgrows the pipe's buffer, so a
+    # thread drains the read end while the command writes
+    read_end, write_end = os.pipe()
+    received = []
+
+    def read_all():
+        with os.fdopen(read_end, "rb") as pipe:
+            received.append(pipe.read())
+
+    drain = threading.Thread(target=read_all, daemon=True)
+    drain.start()
+    try:
+        code, _, _ = run(capsys, *argv, "--out", f"/dev/fd/{write_end}")
+    finally:
+        os.close(write_end)
+        drain.join(timeout=60)
+    assert not drain.is_alive()
+    assert code == 0
+    _, expected, _ = run(capsys, *argv)
+    assert received == [expected.encode()]
+
+
+def test_search_out_to_a_fifo_is_opened_once_so_its_reader_gets_the_witnesses(tmp_path, capsys):
+    # a reader such as cat stops at the first end of file, so the FIFO must be
+    # opened only for the final write; the command runs in its own process so
+    # that a second open, which would wait for a reader forever, ends in a timeout
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with open(tmp_path / "got", "wb") as got:
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=got)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "offswitch_lab.cli", *SEARCH_ARGV, "--out", str(fifo)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        reader.wait(timeout=60)
+    finally:
+        reader.kill()
+        reader.wait(timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    _, expected, _ = run(capsys, *SEARCH_ARGV)
+    assert (tmp_path / "got").read_text() == expected
+
+
+def test_a_failed_search_leaves_a_dangling_out_symlink_dangling(tmp_path, capsys, monkeypatch):
+    link = tmp_path / "link.json"
+    link.symlink_to("made.json")
+    code, _, _ = run(capsys, "search", "--rule", "eu", "--trials", "10", "--out", str(link))
+    assert code == 2
+    monkeypatch.setattr(search, "replay_witness", lambda witness: witness.voi + 1.0)
+    code, _, _ = run(capsys, *SEARCH_ARGV, "--out", str(link))
+    assert code == 1
+    assert link.is_symlink() and os.readlink(link) == "made.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("scenario", ()), ("scenario", ("--json",)), ("sweep", ("--lo", "0", "--hi", "0.05", "--steps", "3"))],
+    ids=["scenario", "scenario-json", "sweep"],
+)
+def test_a_scenario_is_read_from_a_pipe_as_from_its_file(command, extra, tmp_path, capsys):
+    # /dev/stdin fed by a pipe, and <(...) in bash, name the read end of a pipe
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(RULEFUL_SCENARIO))
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, path.read_bytes())
+        os.close(write_end)
+        piped = run(capsys, command, f"/dev/fd/{read_end}", *extra)
+    finally:
+        os.close(read_end)
+    assert piped == run(capsys, command, str(path), *extra)
+    assert piped[0] == 0
+
+
+@pytest.mark.parametrize("command", ["scenario", "sweep"])
+def test_a_scenario_that_is_neither_a_built_in_nor_a_path_exits_2_naming_both(command, capsys):
+    extra = ["--lo", "0", "--hi", "1", "--steps", "2"] if command == "sweep" else []
+    code, out, err = run(capsys, command, "alice-bold", *extra)
+    assert (code, out) == (2, "")
+    assert "'alice-bold': No such file or directory" in err
+    assert all(name in err for name in cli.BUILTIN_SCENARIOS)
 
 
 def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, capsys):

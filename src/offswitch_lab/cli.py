@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 from . import jsonio, voi
 from .core import MISUPDATE_MODES, ExpectedUtilityRule, PowerRisk, RiskWeightedRule
 from .distributions import Uniform
-from .errors import RuleCannotBeAverse
 from .offswitch import OffSwitchScenario, best_option, reduce_to_two_state
 
 if TYPE_CHECKING:
@@ -193,7 +192,8 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["epsilon", "eu_act", "eu_defer", "eu_learn", "best"])
     for i in range(args.steps):
-        eps = args.lo + (args.hi - args.lo) * i / (args.steps - 1)
+        # the interpolated last point can round past hi, and past 1 when hi is 1
+        eps = args.hi if i == args.steps - 1 else args.lo + (args.hi - args.lo) * i / (args.steps - 1)
         report = best_option(prior, eps)
         writer.writerow([repr(eps), repr(report.eu_act), repr(report.eu_defer), repr(report.eu_learn), report.best])
     text = buffer.getvalue()
@@ -289,10 +289,10 @@ def cmd_search(args) -> int:
         return _cannot_write(args.out, exc)
     try:
         witnesses = search.find_information_aversion(config)
+    except search.RuleCannotBeAverse as exc:
+        return _usage_error(str(exc))
     except (ValueError, AssertionError) as exc:
-        if isinstance(exc, RuleCannotBeAverse):
-            return _usage_error(str(exc))
-        # a witness failed re-verification: its strict decode or its replay
+        # a witness failed re-verification (decode or replay), or a candidate's own evaluation raised ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = json.dumps([jsonio.witness_to_jsonable(w) for w in witnesses], indent=2)

@@ -12,8 +12,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import DimensionMismatch, MissingRuleData, ZeroMarginal
-
 PROB_TOL = 1e-12
 CHECK_TOL = 1e-12  # how far below 0 the property checks let a voi or deference advantage round
 
@@ -40,11 +38,19 @@ def _is_distribution(out: tuple[float, ...]) -> bool:
 
 
 def check_length(vec, n: int, what: str, per: str = "states") -> tuple:
-    """The vector as a tuple; DimensionMismatch unless it has ``n`` entries, one per ``per``."""
+    """The vector as a tuple; ValueError unless it has ``n`` entries, one per ``per``."""
     vec = tuple(vec)
     if len(vec) != n:
-        raise DimensionMismatch(f"{what} has {len(vec)} entries for {n} {per}")
+        raise ValueError(f"{what} has {len(vec)} entries for {n} {per}")
     return vec
+
+
+def as_pair(values, what: str) -> tuple[float, float]:
+    """``values`` as two floats; ValueError naming ``what`` unless it has exactly two entries."""
+    out = tuple(map(float, values))
+    if len(out) != 2:
+        raise ValueError(f"{what} must be a pair of numbers, got {list(out)}")
+    return out
 
 
 def unit_interval(x, what: str) -> float:
@@ -153,7 +159,7 @@ class CredalSet:
         checked = tuple(as_probability_vector(m, f"credal member {i}") for i, m in enumerate(members))
         n = len(checked[0])
         if any(len(m) != n for m in checked):
-            raise DimensionMismatch("credal members disagree on state count")
+            raise ValueError("credal members disagree on state count")
         object.__setattr__(self, "members", checked)
 
 
@@ -184,7 +190,7 @@ class TableRisk:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        knots = tuple((float(p), float(r)) for p, r in self.knots)
+        knots = tuple(as_pair(knot, "table risk knot") for knot in self.knots)
         if len(knots) < 2 or knots[0] != (0.0, 0.0) or knots[-1] != (1.0, 1.0):
             raise ValueError("table risk knots must run from (0, 0) to (1, 1)")
         for (p0, r0), (p1, r1) in zip(knots, knots[1:]):
@@ -250,7 +256,7 @@ class CustomPosterior:
         for name, vec in self.table:
             if name == signal:
                 return vec
-        raise MissingRuleData(f"custom posterior table has no entry for signal {signal!r}")
+        raise ValueError(f"custom posterior table has no entry for signal {signal!r}")
 
     def check_signals(self, signals, state_count: int) -> None:
         """ValueError naming a signal unless the table maps exactly ``signals`` to ``state_count`` entries."""
@@ -303,7 +309,7 @@ class RiskWeightedRule:
     def __post_init__(self) -> None:
         if not isinstance(self.risk, RiskFunction):  # None fails it too
             names = ", ".join(kind.__name__ for kind in RiskFunction.__args__)
-            raise MissingRuleData(f"risk must be an instance of {names}, got {self.risk!r}")
+            raise ValueError(f"risk must be an instance of {names}, got {self.risk!r}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,7 @@ class GammaMaximinRule:
 
     def __post_init__(self) -> None:
         if not isinstance(self.credal, CredalSet):  # None fails it too
-            raise MissingRuleData(f"credal must be an instance of CredalSet, got {self.credal!r}")
+            raise ValueError(f"credal must be an instance of CredalSet, got {self.credal!r}")
 
 
 DecisionRule = ExpectedUtilityRule | RiskWeightedRule | GammaMaximinRule
@@ -386,7 +392,7 @@ def gamma_maximin(problem: DecisionProblem, credal: CredalSet) -> tuple[int, flo
     ``best_act_eu`` at that member.
     """
     if credal is None:
-        raise MissingRuleData("gamma-maximin needs a credal set")
+        raise ValueError("gamma-maximin needs a credal set")
     for member in credal.members:
         check_length(member, len(problem.states), "credal member")
     return _maximin(problem, credal.members)
@@ -411,7 +417,7 @@ def _misupdate(belief, channel: SignalChannel, j: int, kind: MisupdateKind) -> t
         comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
         marg = sum(comp)
         if marg <= 0.0:
-            raise ZeroMarginal(f"complement of signal {channel.signals[j]!r} has zero marginal probability")
+            raise ValueError(f"complement of signal {channel.signals[j]!r} has zero marginal probability")
         return tuple([x / marg for x in comp])
     posterior = kind.posterior_for(channel.signals[j])
     if len(posterior) != len(belief):

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import PROB_TOL
-from .errors import ConditioningOnNull
+from .core import PROB_TOL, as_pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,8 +36,7 @@ class Discrete:
             raise ValueError("discrete prior needs at least one atom")
         merged: dict[float, float] = {}
         total = 0.0
-        for value, weight in atoms:
-            value, weight = float(value), float(weight)
+        for value, weight in (as_pair(atom, "discrete prior atom") for atom in atoms):
             if not math.isfinite(value):
                 raise ValueError(f"atom value must be finite, got {value!r}")
             if not (weight > 0.0 and math.isfinite(weight)):
@@ -101,10 +99,10 @@ def prob_gt(d: UtilityDistribution, t: float) -> float:
 
 
 def cond_mean_ge(d: UtilityDistribution, t: float) -> float:
-    """E[U | U >= t]. Raises ConditioningOnNull when P(U >= t) = 0."""
+    """E[U | U >= t]. ValueError when P(U >= t) = 0."""
     p = prob_ge(d, t)
     if p <= 0.0:
-        raise ConditioningOnNull(f"P(U >= {t}) = 0, conditional mean undefined")
+        raise ValueError(f"P(U >= {t}) = 0, conditional mean undefined")
     if isinstance(d, Uniform):
         return 0.5 * (max(t, d.lo) + d.hi)
     return sum(v * w for v, w in d.atoms if v >= t) / p

@@ -116,7 +116,6 @@ from .core import (
     unit_interval,
 )
 from .distributions import Discrete
-from .errors import RuleCannotBeAverse
 from .jsonio import Witness, witness_from_jsonable, witness_to_jsonable
 from .offswitch import theorem1_check
 from .voi import REVERIFY_TOL, evaluate_rule, replay_witness, reproduces, value_of_learning_eu
@@ -560,6 +559,10 @@ def _unchecked(finite: np.ndarray, *simplices: np.ndarray) -> np.ndarray:
     for vectors in simplices:
         ok &= (vectors >= 0.0).all(axis=(0, 1)) & (np.abs(vectors.sum(axis=1) - 1.0) <= PROB_TOL / 2).all(axis=0)
     return ~ok
+
+
+class RuleCannotBeAverse(ValueError):
+    """Aversion search requested for a rule that provably never rejects information."""
 
 
 def _screen_for(config: SearchConfig):

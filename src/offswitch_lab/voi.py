@@ -50,7 +50,6 @@ from .core import (
     gamma_maximin,
     risk_weighted_value,
 )
-from .errors import MissingRuleData
 
 if TYPE_CHECKING:
     from .jsonio import Witness
@@ -204,7 +203,7 @@ def value_of_learning_faulty(
     their marginal-weighted sum.
     """
     if not isinstance(updater, Faulty):
-        raise MissingRuleData("faulty learning value needs a Faulty updater")
+        raise ValueError("faulty learning value needs a Faulty updater")
     return _learn_by_eu_choice(problem, _checked_belief(problem, belief, channel), channel, updater)
 
 

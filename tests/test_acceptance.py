@@ -25,12 +25,12 @@ from offswitch_lab.core import (
     gamma_maximin,
 )
 from offswitch_lab.distributions import Discrete, Uniform, mean, sample_array
-from offswitch_lab.errors import RuleCannotBeAverse
 from offswitch_lab.offswitch import best_option, defer_threshold
 from offswitch_lab.search import (
     CredalSearch,
     FaultySearch,
     ReuSearch,
+    RuleCannotBeAverse,
     SearchConfig,
     find_information_aversion,
     random_discrete_prior,

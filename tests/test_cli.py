@@ -171,6 +171,20 @@ def test_sweep_bad_grid_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "lo, hi, steps",
+    [("0.163", "0.459", "38"), ("0.23", "1", "8")],
+    ids=["last-point-rounds-past-hi", "last-point-rounds-past-1"],
+)
+def test_sweep_ends_exactly_at_hi(lo, hi, steps, capsys):
+    code, out, err = run(capsys, "sweep", "alice-confident", "--lo", lo, "--hi", hi, "--steps", steps)
+    assert (code, err) == (0, "")
+    epsilons = [row["epsilon"] for row in csv.DictReader(io.StringIO(out))]
+    assert len(epsilons) == int(steps)
+    assert epsilons[0] == repr(float(lo)) and epsilons[-1] == repr(float(hi))
+    assert all(float(lo) <= float(eps) <= float(hi) for eps in epsilons)
+
+
 def test_sweep_out_file_and_determinism(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps", "11", "--out", str(out_path))
@@ -546,6 +560,10 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
          "table risk knot must be a JSON list, got 5"),
         (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "table", "knots": 5}}),
          "table risk knots must be a JSON list, got 5"),
+        (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "table", "knots": [[0, 0], [0.5], [1, 1]]}}),
+         "table risk knot must be a pair of numbers, got [0.5]"),
+        (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "table", "knots": [[0, 0], [0, 0, 0], [1, 1]]}}),
+         "table risk knot must be a pair of numbers, got [0.0, 0.0, 0.0]"),
         (lambda w: w["rule"].update(mode="complement-conditionalization"),
          "complement-conditionalization updater takes no 'table' field"),
         (lambda w: w["rule"].update(mode=[]), "faulty updater mode must be a JSON string, got []"),
@@ -563,6 +581,7 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
          "states-string", "states-int", "signals-string", "act-name-int", "credal-member-size", "likelihood-rows",
          "prior-int", "prior-string", "acts-int", "utilities-float", "likelihood-int", "likelihood-row-int",
          "table-entry-string", "credal-members-int", "credal-member-int", "table-knot-int", "table-knots-int",
+         "table-knot-single", "table-knot-triple",
          "table-on-complement", "mode-list", "mode-unknown", "custom-without-table", "rule-int", "rule-without-kind",
          "rule-kind-unknown", "risk-int", "risk-kind-unknown"],
 )
@@ -635,6 +654,18 @@ def test_search_whose_witness_fails_re_verification_exits_1_naming_the_trial(tmp
                 assert err == f"error: {message}\n"
             assert existing.read_text() == "earlier witnesses\n"
             assert not fresh.exists()
+
+
+def test_search_whose_candidate_cannot_be_evaluated_exits_1_with_its_message(tmp_path, capsys):
+    # with one signal its complement never occurs, so the first candidate's own
+    # evaluation raises: the search failed, but the input is not a usage error
+    existing = tmp_path / "kept.json"
+    existing.write_text("earlier witnesses\n")
+    argv = ("search", "--signals", "1", "--rule", "faulty:complement:0.5", "--trials", "10", "--out", str(existing))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: complement of signal 'signal0' has zero marginal probability\n"
+    assert existing.read_text() == "earlier witnesses\n"
 
 
 def test_search_whose_final_write_fails_removes_only_the_out_file_it_created(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,6 @@ from offswitch_lab.distributions import (
     sample_array,
     zero_split,
 )
-from offswitch_lab.errors import ConditioningOnNull
 
 
 def test_mean_examples():
@@ -45,9 +44,9 @@ def test_cond_mean_ge_examples():
 
 
 def test_cond_mean_ge_null_event_raises():
-    with pytest.raises(ConditioningOnNull):
+    with pytest.raises(ValueError, match=r"P\(U >= 60\.0\) = 0, conditional mean undefined"):
         cond_mean_ge(Uniform(-40, 60), 60.0)
-    with pytest.raises(ConditioningOnNull):
+    with pytest.raises(ValueError, match=r"P\(U >= 0\.0\) = 0, conditional mean undefined"):
         cond_mean_ge(Discrete(((-1.0, 1.0),)), 0.0)
 
 
@@ -130,6 +129,10 @@ def test_discrete_rejects_invalid_atoms():
         Discrete(((1.0, 0.4), (2.0, 0.4)))
     with pytest.raises(ValueError):
         Discrete(((float("nan"), 1.0),))
+    with pytest.raises(ValueError, match=r"discrete prior atom must be a pair of numbers, got \[1\.0\]"):
+        Discrete(((1.0,),))
+    with pytest.raises(ValueError, match=r"discrete prior atom must be a pair of numbers, got \[1\.0, 0\.5, 0\.5\]"):
+        Discrete(((1.0, 0.5, 0.5),))
 
 
 def test_uniform_rejects_invalid_bounds():

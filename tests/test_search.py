@@ -20,7 +20,6 @@ from offswitch_lab.core import (
     TableRisk,
 )
 from offswitch_lab.distributions import Discrete
-from offswitch_lab.errors import RuleCannotBeAverse
 from offswitch_lab.jsonio import witness_from_jsonable, witness_to_jsonable
 from offswitch_lab.offswitch import theorem1_check
 from offswitch_lab.search import (
@@ -31,6 +30,7 @@ from offswitch_lab.search import (
     CredalSearch,
     FaultySearch,
     ReuSearch,
+    RuleCannotBeAverse,
     SearchConfig,
     find_information_aversion,
     random_discrete_prior,
@@ -538,7 +538,7 @@ def test_screen_keeps_a_trial_whose_rows_fail_the_dataclass_checks(name):
 
 def test_screen_keeps_a_trial_whose_complement_marginal_is_zero():
     # with one signal its complement never occurs: where the drawn likelihood is
-    # 1 the complement's marginal is 0 and the scalar path raises ZeroMarginal,
+    # 1 the complement's marginal is 0 and the scalar path raises ValueError,
     # and where it is 1 - 2**-53 the complement's marginal is about 1e-16
     for name in ("faulty:complement:0.5", "faulty:custom:0.3"):
         config = SearchConfig(seed=43, trials=64, signal_count=1, rule=EQUIVALENCE_RULES[name])

@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: scenario, sweep, check, search, verify-witness, report.
-Exit codes: 0 success, 1 check/report/verification failure, 2 usage error,
-3 search exhausted without a witness. Every command is deterministic given
-its arguments; tables round to 7 significant digits, JSON and CSV keep full
-precision. Only ``check`` and ``search`` sample, and only they import
-``search`` and with it numpy; the other commands start without either.
-A pipe is opened only by the read or write that uses it, so ``/dev/stdin``,
-``/dev/stdout`` or a FIFO works as a scenario path or as ``--out``.
+Exit codes: 0 success, 1 check/report/verification failure, 2 bad input (a
+command raises ValueError, which ``main`` alone reports), 3 search exhausted
+without a witness. Every command is deterministic given its arguments; tables
+round to 7 significant digits, JSON and CSV keep full precision. Only
+``check`` and ``search`` sample, and only they import ``search`` and with it
+numpy; the other commands start without either. A pipe is opened only by the
+read or write that uses it, so ``/dev/stdin``, ``/dev/stdout`` or a FIFO works
+as a scenario path or as ``--out``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _os_error(verb: str, what: str, exc: OSError) -> ValueError:
+    """The input error for a path that cannot be read or written, naming it and the reason."""
+    return ValueError(f"cannot {verb} {what}: {exc.strerror or type(exc).__name__}")
 
 
 def _read_json(path: Path, what: str):
@@ -76,17 +77,13 @@ def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ValueError(f"cannot read {what} {str(path)!r}: {exc.strerror or type(exc).__name__}") from exc
+        raise _os_error("read", f"{what} {str(path)!r}", exc) from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    return _usage_error(f"cannot write {path!r}: {exc.strerror or type(exc).__name__}")
-
-
-def _write_out(path: str, text: str) -> int:
-    """Write a command's output file: exit 0, or 2 naming the path when it cannot be written.
+def _write_out(path: str, text: str) -> None:
+    """Write a command's output file; ValueError naming the path when it cannot be written.
 
     A regular file or a new path, or one a symlink names, is replaced whole or
     not at all: the text goes to a temporary file in its directory, which gets
@@ -96,7 +93,7 @@ def _write_out(path: str, text: str) -> int:
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             Path(path).write_text(text, encoding="utf-8")
-            return 0
+            return
         target = os.path.realpath(path)
         try:
             mode = stat.S_IMODE(os.stat(target).st_mode)
@@ -115,8 +112,7 @@ def _write_out(path: str, text: str) -> int:
                 os.remove(temporary)
             raise
     except OSError as exc:
-        return _cannot_write(path, exc)
-    return 0
+        raise _os_error("write", repr(path), exc) from exc
 
 
 def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwitchScenario:
@@ -150,11 +146,8 @@ def _scenario_payload(scenario: OffSwitchScenario) -> dict:
 
 
 def cmd_scenario(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario, args.epsilon)
-        payload = _scenario_payload(scenario)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    scenario = _load_scenario(args.scenario, args.epsilon)
+    payload = _scenario_payload(scenario)
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -179,14 +172,11 @@ def _describe_prior(scenario: OffSwitchScenario) -> str:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario, None)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    scenario = _load_scenario(args.scenario, None)
     if not (0.0 <= args.lo < args.hi <= 1.0):
-        return _usage_error(f"epsilon grid needs 0 <= lo < hi <= 1, got [{args.lo}, {args.hi}]")
+        raise ValueError(f"epsilon grid needs 0 <= lo < hi <= 1, got [{args.lo}, {args.hi}]")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
-        return _usage_error(f"epsilon grid needs between 2 and {MAX_SWEEP_STEPS} steps, got {args.steps}")
+        raise ValueError(f"epsilon grid needs between 2 and {MAX_SWEEP_STEPS} steps, got {args.steps}")
     prior = scenario.prior
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -196,20 +186,17 @@ def cmd_sweep(args) -> int:
         eps = args.hi if i == args.steps - 1 else args.lo + (args.hi - args.lo) * i / (args.steps - 1)
         report = best_option(prior, eps)
         writer.writerow([repr(eps), repr(report.eu_act), repr(report.eu_defer), repr(report.eu_learn), report.best])
-    text = buffer.getvalue()
     if args.out:
-        return _write_out(args.out, text)
-    sys.stdout.write(text)
+        _write_out(args.out, buffer.getvalue())
+    else:
+        sys.stdout.write(buffer.getvalue())
     return 0
 
 
 def cmd_check(args) -> int:
     from . import search
 
-    try:
-        config = search.SearchConfig(seed=args.seed, trials=args.trials)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    config = search.SearchConfig(seed=args.seed, trials=args.trials)
     runner = search.verify_good if args.property == "good" else search.verify_theorem1
     report = runner(config)
     print(
@@ -271,13 +258,10 @@ def cmd_search(args) -> int:
         "signal_count": args.signals,
         "aversion_tolerance": args.tolerance,
     }
-    try:
-        rule = parse_rule(args.rule)
-        config = search.SearchConfig(
-            seed=args.seed, trials=args.trials, rule=rule, **{k: v for k, v in given.items() if v is not None}
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    rule = parse_rule(args.rule)
+    config = search.SearchConfig(
+        seed=args.seed, trials=args.trials, rule=rule, **{k: v for k, v in given.items() if v is not None}
+    )
     try:
         # fail before the first trial, creating nothing and opening no pipe: append
         # to a file or a directory, or make an unnamed file beside a new path
@@ -286,11 +270,11 @@ def cmd_search(args) -> int:
         elif args.out and (os.path.isfile(args.out) or os.path.isdir(args.out)):
             open(args.out, "a", encoding="utf-8").close()
     except OSError as exc:
-        return _cannot_write(args.out, exc)
+        raise _os_error("write", repr(args.out), exc) from exc
     try:
         witnesses = search.find_information_aversion(config)
-    except search.RuleCannotBeAverse as exc:
-        return _usage_error(str(exc))
+    except search.RuleCannotBeAverse:
+        raise  # bad input, which main reports
     except (ValueError, AssertionError) as exc:
         # a witness failed re-verification (decode or replay), or a candidate's own evaluation raised ValueError
         print(f"error: {exc}", file=sys.stderr)
@@ -301,39 +285,35 @@ def cmd_search(args) -> int:
         + (f" most_negative_voi={witnesses[0].voi!r}" if witnesses else "")
         + f" stream={search.STREAM_VERSION}"
     )
-    if not args.out:
+    if args.out:
+        _write_out(args.out, text + "\n")
+        print(summary)
+    else:
         print(text)
         print(summary, file=sys.stderr)
-    elif _write_out(args.out, text + "\n"):
-        return 2
-    else:
-        print(summary)
     return 0 if witnesses else 3
 
 
 def cmd_verify_witness(args) -> int:
+    obj = _read_json(Path(args.file), "witness file")
     try:
-        obj = _read_json(Path(args.file), "witness file")
+        witnesses = [jsonio.witness_from_jsonable(entry) for entry in (obj if isinstance(obj, list) else [obj])]
     except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
-        entries = obj if isinstance(obj, list) else [obj]
-        witnesses = [jsonio.witness_from_jsonable(entry) for entry in entries]
-    except ValueError as exc:
-        return _usage_error(f"cannot parse witness file: {exc}")
+        raise ValueError(f"cannot parse witness file: {exc}") from exc
     failures = 0
     for witness in witnesses:
         try:
             replayed = voi.replay_witness(witness)
         except ValueError as exc:
             # sizes that disagree across the problem, channel and rule data surface only here
-            return _usage_error(f"cannot replay the witness of trial {witness.trial_index}: {exc}")
+            raise ValueError(f"cannot replay the witness of trial {witness.trial_index}: {exc}") from exc
         if not voi.reproduces(replayed, witness.voi):
             failures += 1
-            print(
-                f"trial {witness.trial_index}: stored voi {witness.voi!r} "
-                f"but re-evaluation gives {replayed!r}"
-            )
+            print(f"trial {witness.trial_index}: stored voi {witness.voi!r} but re-evaluation gives {replayed!r}")
+        elif not replayed < 0.0:
+            # a reproduced voi of 0 or more is no rejection of information
+            failures += 1
+            print(f"trial {witness.trial_index}: voi {replayed!r} is not below 0, so it is not a witness")
     print(f"verified {len(witnesses) - failures} of {len(witnesses)} witnesses within {voi.REVERIFY_TOL}")
     return 0 if failures == 0 else 1
 
@@ -417,7 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        # every command reports bad input by raising ValueError; this is the one place it becomes exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -133,9 +133,7 @@ def decode_distribution(obj) -> UtilityDistribution:
         return Uniform(number(obj["lo"], "uniform prior lo"), number(obj["hi"], "uniform prior hi"))
     if kind == "discrete":
         check_fields(obj, ("kind", "atoms"), (), "discrete prior")
-        atoms = obj["atoms"]
-        if not isinstance(atoms, list) or not all(isinstance(a, list) and len(a) == 2 for a in atoms):
-            raise ValueError("discrete prior atoms must be a list of [value, weight] pairs")
+        atoms = _list(obj["atoms"], "discrete prior atoms")
         return Discrete(tuple(_numbers(atom, "discrete prior atom") for atom in atoms))
     raise ValueError(f"prior kind must be 'uniform' or 'discrete', got {kind!r}")
 

@@ -361,6 +361,21 @@ def test_report_is_deterministic(capsys):
     assert first == second
 
 
+def test_main_alone_turns_a_value_error_into_exit_2(capsys, monkeypatch):
+    # any ValueError out of a command is bad input that main reports in one line;
+    # any other exception is a bug in the program and propagates
+    def raising(error):
+        def best_option(*args):
+            raise error
+        return best_option
+
+    monkeypatch.setattr(cli, "best_option", raising(ValueError("boom")))
+    assert run(capsys, "report") == (2, "", "error: boom\n")
+    monkeypatch.setattr(cli, "best_option", raising(RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main(["report"])
+
+
 @pytest.mark.parametrize("command", ["check", "search"])
 @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
 def test_out_of_range_seed_exits_2(command, seed, capsys):
@@ -464,9 +479,8 @@ def test_scenario_table_that_does_not_fit_the_game_exits_2_naming_the_signal(edi
     [
         (lambda s: s.update(prior=5), "prior must be an object with a 'kind' field"),
         (lambda s: s["prior"].update(atoms=[[-1.0, 0.5, 2.0]]),
-         "discrete prior atoms must be a list of [value, weight] pairs"),
-        (lambda s: s["prior"].update(atoms=[-1.0, 0.5]),
-         "discrete prior atoms must be a list of [value, weight] pairs"),
+         "discrete prior atom must be a pair of numbers, got [-1.0, 0.5, 2.0]"),
+        (lambda s: s["prior"].update(atoms=[-1.0, 0.5]), "discrete prior atom must be a JSON list, got -1.0"),
         (lambda s: s.update(prior={"kind": "normal"}), "prior kind must be 'uniform' or 'discrete', got 'normal'"),
         (lambda s: s.update(rule=[]), "rule must be an object with a 'kind' field"),
         (lambda s: s["rule"].update(risk={"kind": "cubic"}),
@@ -618,8 +632,9 @@ def test_search_usage_errors_leave_the_out_file_as_it_was(rule, tmp_path, capsys
     existing.write_text("earlier witnesses\n")
     fresh = tmp_path / "fresh.json"
     for path in (existing, fresh):
-        code, _, _ = run(capsys, "search", "--rule", rule, "--trials", "10", "--out", str(path))
-        assert code == 2
+        code, out, err = run(capsys, "search", "--rule", rule, "--trials", "10", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert existing.read_text() == "earlier witnesses\n"
     assert not fresh.exists()
 
@@ -665,6 +680,11 @@ def test_search_whose_candidate_cannot_be_evaluated_exits_1_with_its_message(tmp
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: complement of signal 'signal0' has zero marginal probability\n"
+    assert existing.read_text() == "earlier witnesses\n"
+    # a rule that cannot be averse raises a ValueError too, but that one is bad input: exit 2
+    code, out, err = run(capsys, "search", "--rule", "gamma:1", "--trials", "10", "--out", str(existing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a singleton credal set reduces gamma-maximin to expected utility")
     assert existing.read_text() == "earlier witnesses\n"
 
 
@@ -884,7 +904,8 @@ def test_verify_witness_fails_a_replay_to_nan(tmp_path, capsys):
 
 def test_verify_witness_replays_a_prior_whose_masses_sum_past_1(tmp_path, capsys):
     # the prior sums to 1 within PROB_TOL and its lowest atom is thin, so the
-    # tail above it is past 1; unclamped, 1.0000000000005 ** 1e300 overflowed
+    # tail above it is past 1; unclamped, 1.0000000000005 ** 1e300 overflowed.
+    # The replay reproduces the stored voi of 0, which rejects no information.
     witness = {
         "trial_index": 0, "voi": 0.0, "rule": {"kind": "reu", "risk": {"kind": "power", "k": 1e300}},
         "problem": {"states": ["s0", "s1"], "prior": [1e-13, 1.0000000000005],
@@ -894,8 +915,8 @@ def test_verify_witness_replays_a_prior_whose_masses_sum_past_1(tmp_path, capsys
     path = tmp_path / "tail.json"
     path.write_text(json.dumps([witness]))
     code, out, err = run(capsys, "verify-witness", str(path))
-    assert (code, err) == (0, "")
-    assert "verified 1 of 1" in out
+    assert (code, err) == (1, "")
+    assert out == "trial 0: voi 0.0 is not below 0, so it is not a witness\nverified 0 of 1 witnesses within 1e-10\n"
 
 
 def test_verify_witness_rejects_repeated_signal_names(tmp_path, capsys):

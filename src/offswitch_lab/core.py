@@ -68,23 +68,24 @@ def _reject_repeated_signals(names, what: str) -> None:
         raise ValueError(f"{what} has repeated signal names: {repeated}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Act:
     """A named act: one utility per state, in state order."""
 
     name: str
     utilities: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        utilities = tuple(map(float, self.utilities))
+    def __init__(self, name: str, utilities) -> None:
+        utilities = tuple(map(float, utilities))
         if not utilities:
-            raise ValueError(f"act {self.name!r} needs at least one utility")
+            raise ValueError(f"act {name!r} needs at least one utility")
         if not all(map(math.isfinite, utilities)):
-            raise ValueError(f"act {self.name!r} has non-finite utilities")
+            raise ValueError(f"act {name!r} has non-finite utilities")
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "utilities", utilities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DecisionProblem:
     """A finite state space, a prior over it, and a finite menu of acts."""
 
@@ -92,12 +93,12 @@ class DecisionProblem:
     prior: tuple[float, ...]
     acts: tuple[Act, ...]
 
-    def __post_init__(self) -> None:
-        states = tuple(map(str, self.states))
+    def __init__(self, states, prior, acts) -> None:
+        states = tuple(map(str, states))
         if not states:
             raise ValueError("decision problem needs at least one state")
-        prior = check_length(as_probability_vector(self.prior, "prior"), len(states), "prior")
-        acts = tuple(self.acts)
+        prior = check_length(as_probability_vector(prior, "prior"), len(states), "prior")
+        acts = tuple(acts)
         if not acts:
             raise ValueError("decision problem needs at least one act")
         for act in acts:
@@ -108,7 +109,7 @@ class DecisionProblem:
         object.__setattr__(self, "acts", acts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SignalChannel:
     """Row-stochastic likelihood table P(signal | state), one row per state.
 
@@ -119,13 +120,13 @@ class SignalChannel:
     signals: tuple[str, ...]
     likelihood: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        signals = tuple(map(str, self.signals))
+    def __init__(self, signals, likelihood) -> None:
+        signals = tuple(map(str, signals))
         if not signals:
             raise ValueError("channel needs at least one signal")
         # signals are looked up by name (the complement's column, a custom posterior)
         _reject_repeated_signals(signals, "channel")
-        rows = tuple(self.likelihood)
+        rows = tuple(likelihood)
         if not rows:
             raise ValueError("channel needs at least one state row")
         checked = []
@@ -146,7 +147,7 @@ class SignalChannel:
             raise ValueError(f"unknown signal {signal!r}, channel has {self.signals}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredalSet:
     """A non-empty finite set of priors over a shared state space."""
 
@@ -163,7 +164,7 @@ class CredalSet:
         object.__setattr__(self, "members", checked)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerRisk:
     """r(p) = p ** k with k > 0; k > 1 underweights good tails (worst-case caution),
     and k = 1 is the identity, which recovers plain expected utility."""
@@ -179,7 +180,7 @@ class PowerRisk:
         return p**self.k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRisk:
     """Piecewise-linear risk curve through (p, r(p)) knots.
 
@@ -221,25 +222,24 @@ def is_identity_risk(risk: RiskFunction) -> bool:
     return all(p == r for p, r in risk.knots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StayAtPrior:
     """Misupdate that leaves the belief unchanged."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplementConditionalization:
     """Misupdate that conditionalizes on the complement of the observed signal."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CustomPosterior:
     """Misupdate to a fixed per-signal posterior, ignoring the true Bayes update."""
 
     table: tuple[tuple[str, tuple[float, ...]], ...]
 
-    def __post_init__(self) -> None:
-        raw = self.table
-        items = sorted(raw.items()) if isinstance(raw, Mapping) else list(raw)
+    def __init__(self, table) -> None:
+        items = sorted(table.items()) if isinstance(table, Mapping) else list(table)
         if not items:
             raise ValueError("custom posterior table must not be empty")
         canon = []
@@ -281,26 +281,28 @@ MISUPDATE_MODES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Faulty:
     """Updater that conditionalizes with probability 1 - q and misupdates with probability q."""
 
     q: float
     kind: MisupdateKind
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", unit_interval(self.q, "misupdate probability"))
-        if not isinstance(self.kind, MisupdateKind):
-            names = ", ".join(kind.__name__ for kind in MisupdateKind.__args__)
-            raise ValueError(f"misupdate kind must be an instance of {names}, got {self.kind!r}")
+    def __init__(self, q: float, kind: MisupdateKind) -> None:
+        q = unit_interval(q, "misupdate probability")
+        if not isinstance(kind, MisupdateKind):
+            names = ", ".join(mode.__name__ for mode in MisupdateKind.__args__)
+            raise ValueError(f"misupdate kind must be an instance of {names}, got {kind!r}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectedUtilityRule:
     """Maximize expected utility at the current belief."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskWeightedRule:
     """Maximize rank-dependent (risk-weighted) expected utility."""
 
@@ -312,7 +314,7 @@ class RiskWeightedRule:
             raise ValueError(f"risk must be an instance of {names}, got {self.risk!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaMaximinRule:
     """Maximize the worst-case expected utility across a credal set."""
 

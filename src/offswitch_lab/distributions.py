@@ -19,7 +19,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Discrete:
     """Finite-support prior given as (value, weight) atoms.
 
@@ -48,7 +48,7 @@ class Discrete:
         object.__setattr__(self, "atoms", tuple((v, merged[v] / total) for v in sorted(merged)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Uniform:
     """Continuous uniform prior on [lo, hi] with lo < hi, both finite."""
 

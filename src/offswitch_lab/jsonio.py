@@ -41,6 +41,7 @@ UPDATER_KINDS = ("conditionalization", "faulty")
 _NUMBER_TYPES = frozenset((int, float))
 _STRING_TYPES = frozenset((str,))
 _INT_TYPES = frozenset((int,))
+_MODE_NAMES = {cls: name for name, cls in MISUPDATE_MODES.items()}
 
 
 def number(value, field: str, types=_NUMBER_TYPES):
@@ -205,8 +206,7 @@ def encode_rule(rule: DecisionRule | Faulty) -> dict:
     if isinstance(rule, GammaMaximinRule):
         return {"kind": "gamma-maximin", "credal": encode_credal(rule.credal)}
     if isinstance(rule, Faulty):
-        mode = next(name for name, cls in MISUPDATE_MODES.items() if isinstance(rule.kind, cls))
-        out = {"kind": "faulty", "q": rule.q, "mode": mode}
+        out = {"kind": "faulty", "q": rule.q, "mode": _MODE_NAMES[type(rule.kind)]}
         if isinstance(rule.kind, CustomPosterior):
             out["table"] = {signal: list(vec) for signal, vec in rule.kind.table}
         return out
@@ -260,7 +260,7 @@ def decode_scenario(obj) -> OffSwitchScenario:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """One concrete instance on which the rule under test rejects free information."""
 

@@ -25,7 +25,7 @@ APPROVE = "approve"
 REJECT = "reject"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OffSwitchScenario:
     """A prior over the human's utility, a signal-garbling probability, and an
     optional rule and updater to evaluate on the game's two-state embedding."""
@@ -43,7 +43,7 @@ class OffSwitchScenario:
             self.updater.kind.check_signals((APPROVE, REJECT), 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OffSwitchReport:
     """All the numbers of one game: option values, advantage, choice, crossover.
 
@@ -90,7 +90,7 @@ def _advantage(split, eu_act: float) -> float:
     return split[0] * split[2] - max(eu_act, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theorem1Check:
     delta: float
     nonneg: bool

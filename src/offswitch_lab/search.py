@@ -144,7 +144,7 @@ def _check_int(value, field: str) -> None:
         raise ValueError(f"{field} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredalSearch:
     """Gamma-maximin with a fresh credal set of ``members`` priors per trial."""
 
@@ -156,7 +156,7 @@ class CredalSearch:
             raise ValueError(f"credal search needs between 1 and {MAX_SIZE} members, got {self.members}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultySearch:
     """Updater that misfires with probability q; the table for the custom mode
     is sampled per trial."""
@@ -173,7 +173,7 @@ class FaultySearch:
 SearchRule = ExpectedUtilityRule | RiskWeightedRule | CredalSearch | FaultySearch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchConfig:
     """Everything a randomized run needs to be reproducible."""
 
@@ -204,14 +204,14 @@ class SearchConfig:
             raise ValueError(f"aversion_tolerance must be positive and finite, got {self.aversion_tolerance!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckViolation:
     trial_index: int
     detail: str
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     trials: int
     violations: tuple[CheckViolation, ...]
@@ -221,7 +221,7 @@ class CheckReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Block:
     """Trials ``start`` to ``start + n - 1`` of a run of blocks: trial ``start + r`` is column r."""
 
@@ -600,7 +600,7 @@ def _screen_for(config: SearchConfig):
 # ------------------------------------------------------ the scalar path
 
 
-def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: SignalChannel) -> DecisionRule | Faulty:
+def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: SignalChannel | None) -> DecisionRule | Faulty:
     """Materialize a trial's rule from its rows of rule data, as plain floats."""
     if isinstance(search_rule, CredalSearch):
         return GammaMaximinRule(CredalSet(rows))
@@ -641,6 +641,8 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
     ``RuleCannotBeAverse`` rather than silently returning nothing.
     """
     screen, rule_rows = _screen_for(config)
+    # a rule that draws no rows is the same on every trial, so its witnesses share one
+    fixed_rule = None if rule_rows else _concrete_rule(config.rule, [], None)
     witnesses = []
     for chunk in _chunks(config):
         block = _draw_block(config, chunk, rule_rows)
@@ -650,7 +652,7 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
         for _, in_block in groupby(candidates, key=lambda candidate: candidate[0] // BLOCK_TRIALS):
             found = []
             for r, (problem, channel), rule_data in in_block:
-                rule = _concrete_rule(config.rule, rule_data, channel)
+                rule = _concrete_rule(config.rule, rule_data, channel) if rule_rows else fixed_rule
                 report = evaluate_rule(problem, channel, rule)
                 if report.voi < -config.aversion_tolerance:
                     found.append(Witness(problem, channel, rule, report.voi, block.start + r))

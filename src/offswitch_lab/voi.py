@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 REVERIFY_TOL = 1e-10  # a replayed witness must reproduce its stored voi within this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalOutcome:
     """Per-signal row of a VOI report: what arrives, how likely, what gets done."""
 
@@ -67,7 +67,7 @@ class SignalOutcome:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoiReport:
     """Outcome of a choose-now versus learn-then-choose comparison.
 

@@ -8,12 +8,18 @@ function over immutable values; nothing mutates after construction.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 PROB_TOL = 1e-12
 CHECK_TOL = 1e-12  # how far below 0 the property checks let a voi or deference advantage round
+
+# Python 3.12 made sum() of floats compensated. The scalar kernels add left to right
+# from int 0, as sum() did before and the numpy screens do, so witnesses replay exactly.
+left_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
 
 
 def as_probability_vector(vec, what: str = "probability vector") -> tuple[float, ...]:
@@ -27,14 +33,14 @@ def as_probability_vector(vec, what: str = "probability vector") -> tuple[float,
     if not (min(out) >= 0.0 and all(map(math.isfinite, out))):
         raise ValueError(f"{what} has negative or non-finite entries: {out!r}")
     # the sum is the one test left to fail
-    raise ValueError(f"{what} sums to {sum(out)!r}, expected 1 within {PROB_TOL}")
+    raise ValueError(f"{what} sums to {left_sum(out)!r}, expected 1 within {PROB_TOL}")
 
 
 def _is_distribution(out: tuple[float, ...]) -> bool:
     """True when the floats pass every check of ``as_probability_vector``: they
     are non-empty and non-negative and sum to 1 within PROB_TOL. Such floats are
     finite, as a NaN or an infinity among them makes the sum test false."""
-    return bool(out) and min(out) >= 0.0 and abs(sum(out) - 1.0) <= PROB_TOL
+    return bool(out) and min(out) >= 0.0 and abs(left_sum(out) - 1.0) <= PROB_TOL
 
 
 def check_length(vec, n: int, what: str, per: str = "states") -> tuple:
@@ -341,7 +347,7 @@ def _argmax(values) -> tuple[int, float]:
 
 def _act_values(problem: DecisionProblem, belief) -> list[float]:
     """Every act's expected utility at a belief already checked to have one entry per state."""
-    return [sum(map(mul, belief, act.utilities)) for act in problem.acts]
+    return [left_sum(map(mul, belief, act.utilities)) for act in problem.acts]
 
 
 def best_act_eu(problem: DecisionProblem, belief) -> tuple[int, float]:
@@ -357,7 +363,7 @@ def bayes_step(belief, channel: SignalChannel, j: int) -> tuple[float, tuple[flo
     already have one entry per channel row.
     """
     joint = [b * row[j] for b, row in zip(belief, channel.likelihood)]
-    marg = sum(joint)
+    marg = left_sum(joint)
     if marg <= 0.0:
         return marg, None
     return marg, tuple([p / marg for p in joint])
@@ -379,7 +385,7 @@ def risk_weighted_value(prospect, risk: RiskFunction) -> float:
     if not pairs:
         raise ValueError("prospect needs at least one positive-probability atom")
     value = pairs[0][0]
-    tail = sum([p for _, p in pairs])
+    tail = left_sum([p for _, p in pairs])
     for (u_prev, p_prev), (u, _) in zip(pairs, pairs[1:]):
         tail -= p_prev
         # rounding moves a thin top tail below 0, and masses summing past 1 a tail above 1
@@ -402,7 +408,7 @@ def gamma_maximin(problem: DecisionProblem, credal: CredalSet) -> tuple[int, flo
 
 def _maximin(problem: DecisionProblem, members) -> tuple[int, float]:
     """``gamma_maximin`` over members already checked to have one entry per state."""
-    return _argmax([min([sum(map(mul, member, act.utilities)) for member in members]) for act in problem.acts])
+    return _argmax([min([left_sum(map(mul, member, act.utilities)) for member in members]) for act in problem.acts])
 
 
 def misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) -> tuple[float, ...]:
@@ -417,7 +423,7 @@ def _misupdate(belief, channel: SignalChannel, j: int, kind: MisupdateKind) -> t
         return belief
     if isinstance(kind, ComplementConditionalization):
         comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
-        marg = sum(comp)
+        marg = left_sum(comp)
         if marg <= 0.0:
             raise ValueError(f"complement of signal {channel.signals[j]!r} has zero marginal probability")
         return tuple([x / marg for x in comp])

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import PROB_TOL, as_pair
+from .core import PROB_TOL, as_pair, left_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,7 +74,7 @@ def mean(d: UtilityDistribution) -> float:
     """Exact mean of the prior."""
     if isinstance(d, Uniform):
         return 0.5 * (d.lo + d.hi)
-    return sum(v * w for v, w in d.atoms)
+    return left_sum(v * w for v, w in d.atoms)
 
 
 def prob_ge(d: UtilityDistribution, t: float) -> float:
@@ -88,14 +88,14 @@ def prob_ge(d: UtilityDistribution, t: float) -> float:
             return 0.0
         return (d.hi - t) / (d.hi - d.lo)
     # the canonical weights sum to 1 only up to rounding; never report > 1
-    return min(1.0, sum(w for v, w in d.atoms if v >= t))
+    return min(1.0, left_sum(w for v, w in d.atoms if v >= t))
 
 
 def prob_gt(d: UtilityDistribution, t: float) -> float:
     """P(U > t); atoms at exactly t are excluded, and a uniform prior has none."""
     if isinstance(d, Uniform):
         return prob_ge(d, t)
-    return sum(w for v, w in d.atoms if v > t)
+    return left_sum(w for v, w in d.atoms if v > t)
 
 
 def cond_mean_ge(d: UtilityDistribution, t: float) -> float:
@@ -105,7 +105,7 @@ def cond_mean_ge(d: UtilityDistribution, t: float) -> float:
         raise ValueError(f"P(U >= {t}) = 0, conditional mean undefined")
     if isinstance(d, Uniform):
         return 0.5 * (max(t, d.lo) + d.hi)
-    return sum(v * w for v, w in d.atoms if v >= t) / p
+    return left_sum(v * w for v, w in d.atoms if v >= t) / p
 
 
 def expected_positive_part(d: UtilityDistribution) -> float:
@@ -131,10 +131,10 @@ def zero_split(d: UtilityDistribution) -> tuple[float, float, float, float]:
         if d.hi <= 0.0:
             return p_good, 1.0, m_good, 0.5 * (d.lo + d.hi)
         return p_good, -d.lo / (d.hi - d.lo), m_good, 0.5 * d.lo
-    p_bad = sum(w for v, w in d.atoms if v < 0.0)
+    p_bad = left_sum(w for v, w in d.atoms if v < 0.0)
     if p_bad <= 0.0:
         return p_good, 0.0, m_good, 0.0
-    return p_good, p_bad, m_good, sum(v * w for v, w in d.atoms if v < 0.0) / p_bad
+    return p_good, p_bad, m_good, left_sum(v * w for v, w in d.atoms if v < 0.0) / p_bad
 
 
 def sample(d: UtilityDistribution, rng: np.random.Generator) -> float:

@@ -40,12 +40,15 @@ from its rows into a ``DecisionProblem`` and ``SignalChannel`` and evaluated
 by the scalar ``evaluate_rule``, so every witness, every voi and every
 exception comes from the scalar path.
 
-A kernel call, of a search or a check, draws a run of KERNEL_BLOCKS
-consecutive blocks (``_chunks``), or fewer where S * A * G * M values per
-trial (M credal members, or 1) would pass BLOCK_TRIALS * MAX_SIZE**3 values
-per call, as a screen's intermediates grow with the call: the risk-weighted
-screen's reach about 34 MiB for one block at MAX_SIZE. So a call covers four
-blocks at 3 x 3 x 2 and one at 16 x 16 x 16. The run is drawn into arrays
+A kernel call, of a search or a check, draws a run of consecutive blocks
+(``_chunks``): as many as keep blocks * BLOCK_TRIALS * values per trial within
+KERNEL_VALUES, and at least one, as a kernel's intermediates grow with the
+call (the risk-weighted screen's reach about 34 MiB for one block at
+MAX_SIZE). The values per trial are S * A * G * M for a search (M credal
+members, or 1), S * A * G for ``check good`` and MAX_ATOMS for ``check
+theorem1``. So a call covers eight blocks at 3 x 3 x 2 (four for two credal
+members), 18 at 2 x 2 x 2, 36 for ``check theorem1`` and one at 12 x 12 x 12
+and at 16 x 16 x 16. The run is drawn into arrays
 allocated once per call and scaled once: trial r of the run is column r of
 the contiguous prior (S, n), utilities (A, S, n), likelihood (S, G, n), rule
 rows (R, S, n) or atoms (MAX_ATOMS, n). Each sum, max or choice runs over a
@@ -126,7 +129,7 @@ SCREEN_MARGIN = 1e-10 * (UTILITY_RANGE[1] - UTILITY_RANGE[0])  # the screen's sl
 STREAM_VERSION = 2  # the block stream described above
 BLOCK_TRIALS = 256  # trials drawn from one generator and screened together
 MAX_ATOMS = 4  # a theorem-1 check prior has 1 to MAX_ATOMS atoms
-KERNEL_BLOCKS = 4  # the most blocks a search or check values per kernel call; see above
+KERNEL_VALUES = 8 * BLOCK_TRIALS * 18  # values per kernel call: eight blocks at 3 x 3 x 2; see above
 # Upper bounds on the sizes a search or check accepts. With them no block
 # array holds more than BLOCK_TRIALS * 16**3 floats (8 MB).
 MAX_SIZE = 16  # states, acts, signals and credal members
@@ -336,13 +339,10 @@ def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
     return _discrete_prior(values[:, r].tolist(), weights[:, r].tolist())
 
 
-def _chunks(config: SearchConfig) -> list[list[tuple[int, int]]]:
-    """The (block, rows) pairs of a run, grouped into kernel calls of KERNEL_BLOCKS
-    blocks, or fewer where S * A * G * M values per trial (M credal members, or
-    1) would pass BLOCK_TRIALS * MAX_SIZE**3 values per call."""
-    members = config.rule.members if isinstance(config.rule, CredalSearch) else 1
-    values = config.state_count * config.act_count * config.signal_count * members
-    size = max(1, min(KERNEL_BLOCKS, MAX_SIZE**3 // values))
+def _chunks(config: SearchConfig, values: int) -> list[list[tuple[int, int]]]:
+    """The (block, rows) pairs of a run, grouped into kernel calls of as many
+    blocks as keep ``values`` per trial within KERNEL_VALUES, and at least one."""
+    size = max(1, KERNEL_VALUES // (BLOCK_TRIALS * values))
     blocks = _block_rows(config)
     return [blocks[i : i + size] for i in range(0, len(blocks), size)]
 
@@ -366,7 +366,7 @@ def verify_good(config: SearchConfig) -> CheckReport:
     if not isinstance(config.rule, ExpectedUtilityRule):
         raise ValueError("the learning inequality is only guaranteed under plain expected utility")
     violations = []
-    for chunk in _chunks(config):
+    for chunk in _chunks(config, config.state_count * config.act_count * config.signal_count):
         block = _draw_block(config, chunk, 0)
         with np.errstate(all="ignore"):
             kernel_voi, proven = _good_kernel(block)
@@ -383,7 +383,7 @@ def verify_good(config: SearchConfig) -> CheckReport:
 def verify_theorem1(config: SearchConfig) -> CheckReport:
     """Run the deference inequality on random discrete priors; expect no violations."""
     violations = []
-    for chunk in _chunks(config):
+    for chunk in _chunks(config, MAX_ATOMS):
         values, weights = _draw_priors(config, chunk)
         with np.errstate(all="ignore"):
             advantage, two_sided = _theorem1_kernel(values, weights)
@@ -643,8 +643,9 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
     screen, rule_rows = _screen_for(config)
     # a rule that draws no rows is the same on every trial, so its witnesses share one
     fixed_rule = None if rule_rows else _concrete_rule(config.rule, [], None)
+    members = rule_rows if screen is _screen_gamma else 1
     witnesses = []
-    for chunk in _chunks(config):
+    for chunk in _chunks(config, config.state_count * config.act_count * config.signal_count * members):
         block = _draw_block(config, chunk, rule_rows)
         possible = _possible_witnesses(config, screen, block)
         candidates = zip(possible.tolist(), _draw_instance(config, block, possible), _per_trial(block.rule_rows, possible))

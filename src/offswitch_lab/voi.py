@@ -48,6 +48,7 @@ from .core import (
     bayes_step,
     check_length,
     gamma_maximin,
+    left_sum,
     risk_weighted_value,
 )
 
@@ -161,7 +162,7 @@ def _learning_gamma(problem, channel, credal: CredalSet) -> VoiReport:
             marg, post = member_steps[j]
             if post is None:
                 continue
-            val = sum(map(mul, post, problem.acts[act_index].utilities))
+            val = left_sum(map(mul, post, problem.acts[act_index].utilities))
             member_rows.append(SignalOutcome(channel.signals[j], marg, act_index, val))
             member_total += marg * val
         if member_total < worst_value:

@@ -8,10 +8,15 @@ The search digests are those of stream version 2 (``search.STREAM_VERSION``).
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from offswitch_lab import cli
+from offswitch_lab.jsonio import witness_from_jsonable
+from offswitch_lab.voi import replay_witness
+
+GOLDEN_WITNESSES = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "witnesses.json"
 
 SEARCH_DIGESTS = {
     "reu:power:2": (32, "213247fad6d96ff6ccedd228cfd835d8a57e5a775ecdbc31633f73f3d23b46f0"),
@@ -102,6 +107,15 @@ def test_search_out_bytes_across_blocks(tmp_path, capsys):
     data = out_path.read_bytes()
     assert len(json.loads(data)) == count
     assert sha256(data) == digest
+
+
+def test_golden_witnesses_replay_to_their_stored_voi_exactly():
+    # the scalar kernels add left to right on every Python, also where sum() is
+    # compensated (3.12 on), so a replay gives the stored double, not a neighbour
+    entries = json.loads(GOLDEN_WITNESSES.read_text(encoding="utf-8"))
+    assert len(entries) == 63
+    for entry in entries:
+        assert replay_witness(witness_from_jsonable(entry)) == entry["voi"], entry["trial_index"]
 
 
 @pytest.mark.parametrize("argv,digest", STDOUT_DIGESTS, ids=[argv[0] for argv, _ in STDOUT_DIGESTS])

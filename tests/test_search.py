@@ -758,12 +758,58 @@ def test_check_reports_equal_the_per_trial_reference(seed):
     assert verify_theorem1(config) == per_trial_theorem1(config)
 
 
-# a check values four blocks per kernel call: trial counts around a block and a call
+# trial counts around a block, and around a kernel call of four blocks
 @pytest.mark.parametrize("trials", [1, 255, 256, 257, 1023, 1024, 1025, 2300])
 def test_check_reports_equal_the_per_trial_reference_around_kernel_calls(trials):
     config = SearchConfig(seed=69, trials=trials)
     assert verify_good(config) == per_trial_good(config)
     assert verify_theorem1(config) == per_trial_theorem1(config)
+
+
+# 2500 trials are ten blocks, the last of 196 trials: check good's budget takes
+# eight blocks per call at 3 x 3 x 2, and check theorem1's all ten in one
+@pytest.mark.parametrize("check,per_call", [(verify_good, [8, 2]), (verify_theorem1, [10])], ids=["good", "theorem1"])
+def test_check_reports_do_not_depend_on_the_blocks_per_kernel_call(check, per_call, monkeypatch):
+    config = SearchConfig(seed=72, trials=2500)
+    calls, agreed = [], []
+    chunks, agree = search._chunks, search._agree
+    monkeypatch.setattr(search, "_chunks", lambda config, values: calls.append(chunks(config, values)) or calls[-1])
+    monkeypatch.setattr(search, "_agree", lambda i, kernel, scalar: agreed.append(i) or agree(i, kernel, scalar))
+    report = check(config)
+    assert [len(call) for call in calls.pop()] == per_call
+    # the scalar cross-check runs on row 0 of every block, however the blocks are grouped
+    assert agreed == [b * BLOCK_TRIALS for b in range(10)]
+    agreed.clear()
+    monkeypatch.setattr(search, "KERNEL_VALUES", 1)
+    assert check(config) == report
+    assert [len(call) for call in calls.pop()] == [1] * 10
+    assert agreed == [b * BLOCK_TRIALS for b in range(10)]
+
+
+def test_a_theorem1_kernel_call_is_sized_by_its_atoms_not_the_config_sizes(monkeypatch):
+    # check theorem1 draws MAX_ATOMS values per trial, whatever the states, acts and signals
+    default = dict(state_count=3, act_count=3, signal_count=2)
+    limit = dict.fromkeys(default, MAX_SIZE)
+    draws = {}
+    draw_priors = search._draw_priors
+
+    def counted(config, blocks):
+        draws[config.state_count] = draws.get(config.state_count, 0) + 1
+        return draw_priors(config, blocks)
+
+    monkeypatch.setattr(search, "_draw_priors", counted)
+    for sizes in (default, limit):
+        assert verify_theorem1(SearchConfig(seed=73, trials=10_000, **sizes)).ok
+    assert draws == {3: 2, MAX_SIZE: 2}  # 40 blocks: a call of 36, then one of 4
+    # check good at the size limit still holds one block per call
+    config = SearchConfig(seed=73, trials=4 * BLOCK_TRIALS, **limit)
+    tracemalloc.start()
+    try:
+        verify_good(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @contextlib.contextmanager
@@ -1024,16 +1070,19 @@ def test_blocks_per_kernel_call_change_nothing_observable(name, case, monkeypatc
         rule=EQUIVALENCE_RULES[name],
     )
     cells = states * acts * signals * (3 if name == "gamma:3" else 1)
-    assert len(search._chunks(config)[0]) == min(search.KERNEL_BLOCKS, max(1, MAX_SIZE**3 // cells))
-    reverified = []
-    reverifies = search._reverifies
+    per_call = max(1, search.KERNEL_VALUES // (BLOCK_TRIALS * cells))
+    assert len(search._chunks(config, cells)[0]) == min(-(-trials // BLOCK_TRIALS), per_call)
+    reverified, values = [], []
+    reverifies, chunks = search._reverifies, search._chunks
 
     def recorded(witnesses):
         reverified.append([w.trial_index for w in witnesses])
         return reverifies(witnesses)
 
     monkeypatch.setattr(search, "_reverifies", recorded)
+    monkeypatch.setattr(search, "_chunks", lambda config, per_trial: values.append(per_trial) or chunks(config, per_trial))
     witnesses = find_information_aversion(config)
+    assert values == [cells]
     by_call = reverified.copy()
     reverified.clear()
     # one call per block that holds a witness, in trial order, with that block's witnesses
@@ -1042,8 +1091,8 @@ def test_blocks_per_kernel_call_change_nothing_observable(name, case, monkeypatc
     assert [{i // BLOCK_TRIALS for i in trials} for trials in by_call] == [{b} for b in blocks]
     assert sum(by_call, []) == sorted(w.trial_index for w in witnesses)
     with monkeypatch.context() as patch:
-        patch.setattr(search, "KERNEL_BLOCKS", 1)
-        assert len(search._chunks(config)[0]) == 1
+        patch.setattr(search, "KERNEL_VALUES", 1)
+        assert len(search._chunks(config, cells)[0]) == 1
         assert find_information_aversion(config) == witnesses
         assert reverified == by_call
 

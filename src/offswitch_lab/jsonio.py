@@ -68,21 +68,10 @@ def _list(values, field: str) -> list:
 
 
 def _numbers(values, field: str) -> tuple:
-    """A JSON list of finite JSON numbers as a tuple."""
-    if not _are_numbers(values):
-        for value in _list(values, field):
-            number(value, field)
+    """A JSON list of finite JSON numbers as a tuple; every number list here is checked by ``number`` on each entry."""
+    for value in _list(values, field):
+        number(value, field)
     return tuple(values)
-
-
-def _are_numbers(values) -> bool:
-    """True when ``values`` is a JSON list of finite JSON numbers that fit in a float."""
-    # one test of the list type, one pass over the types and one over
-    # finiteness in C; witness decoding is on the replay hot path
-    try:
-        return type(values) is list and _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
-    except OverflowError:  # an integer too large for a float, which ``number`` names
-        return False
 
 
 def _string(value, field: str) -> str:
@@ -241,11 +230,7 @@ def decode_rule(obj, kinds: tuple[str, ...] = RULE_KINDS + UPDATER_KINDS, what: 
         raise ValueError("custom-posterior updater needs a 'table' field")
     if not isinstance(obj["table"], dict):
         raise ValueError(f"custom-posterior table must be a JSON object, got {type(obj['table']).__name__}")
-    # a field name is formatted only for a vector that fails
-    table = {
-        signal: tuple(vec) if _are_numbers(vec) else _numbers(vec, f"custom posterior for {signal!r}")
-        for signal, vec in obj["table"].items()
-    }
+    table = {signal: _numbers(vec, f"custom posterior for {signal!r}") for signal, vec in obj["table"].items()}
     return Faulty(q, CustomPosterior(table))
 
 
@@ -289,10 +274,8 @@ def witness_from_jsonable(obj) -> Witness:
     if isinstance(rule, Faulty) and isinstance(rule.kind, CustomPosterior):
         # checked here, so a bad table is an input error rather than a failure partway through replay
         rule.kind.check_signals(channel.signals, len(problem.states))
-    return Witness(
-        problem=problem,
-        channel=channel,
-        rule=rule,
-        voi=float(number(obj["voi"], "witness voi")),
-        trial_index=number(obj["trial_index"], "witness trial_index", _INT_TYPES),
-    )
+    voi = float(number(obj["voi"], "witness voi"))
+    trial_index = number(obj["trial_index"], "witness trial_index", _INT_TYPES)
+    if trial_index < 0:
+        raise ValueError(f"witness trial_index must be non-negative, got {trial_index}")
+    return Witness(problem, channel, rule, voi, trial_index)

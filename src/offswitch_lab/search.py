@@ -273,7 +273,7 @@ def _draw_block(config: SearchConfig, blocks: list[tuple[int, int]], rule_rows: 
         rng.standard_exponential((n, s)),
         rng.uniform(*UTILITY_RANGE, size=(n, a, s)),
         rng.standard_exponential((n, s, g)),
-        rng.standard_exponential((n, rule_rows, s)) if rule_rows else np.empty((n, 0, s)),
+        rng.standard_exponential((n, rule_rows, s)),
     )))
     _scale_rows(block.prior, block.likelihood.swapaxes(0, 1), block.rule_rows.swapaxes(0, 1))
     return block
@@ -297,6 +297,14 @@ def _per_trial(a: np.ndarray, rows) -> list:
     return a[..., rows].transpose(-1, *range(a.ndim - 1)).tolist()
 
 
+def _block_and_row(trial_index: int) -> tuple[int, int]:
+    """The block of a trial and its row there; ValueError unless the index is an int >= 0."""
+    _check_int(trial_index, "trial_index")
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be non-negative, got {trial_index}")
+    return divmod(trial_index, BLOCK_TRIALS)
+
+
 def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionProblem, SignalChannel]:
     """Sample one (problem, channel) pair, fully determined by (seed, trial_index).
 
@@ -304,8 +312,8 @@ def random_instance(config: SearchConfig, trial_index: int) -> tuple[DecisionPro
     distribution; utilities are uniform in ``UTILITY_RANGE``. Each call draws
     the trial's whole block; to sample many trials, draw the blocks instead.
     """
-    block = _draw_block(config, [(trial_index // BLOCK_TRIALS, BLOCK_TRIALS)], 0)
-    return _draw_instance(config, block, [trial_index % BLOCK_TRIALS])[0]
+    b, r = _block_and_row(trial_index)
+    return _draw_instance(config, _draw_block(config, [(b, BLOCK_TRIALS)], 0), [r])[0]
 
 
 def _draw_priors(config: SearchConfig, blocks: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +342,8 @@ def random_discrete_prior(config: SearchConfig, trial_index: int) -> Discrete:
     the flat Dirichlet, so one-sided supports occur regularly in the stream.
     Each call draws the trial's whole block; to sample many, draw the blocks.
     """
-    values, weights = _draw_priors(config, [(trial_index // BLOCK_TRIALS, BLOCK_TRIALS)])
-    r = trial_index % BLOCK_TRIALS
+    b, r = _block_and_row(trial_index)
+    values, weights = _draw_priors(config, [(b, BLOCK_TRIALS)])
     return _discrete_prior(values[:, r].tolist(), weights[:, r].tolist())
 
 

@@ -590,6 +590,8 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
         (lambda w: w.update(rule={"kind": "reu", "risk": 2}), "risk function must be an object with a 'kind' field"),
         (lambda w: w.update(rule={"kind": "reu", "risk": {"kind": "cubic"}}),
          "risk kind must be 'identity', 'power' or 'table', got 'cubic'"),
+        # a trial index that names no trial of the stream
+        (lambda w: w.update(trial_index=-7), "witness trial_index must be non-negative, got -7"),
     ],
     ids=["table-missing-signal", "table-wrong-length", "table-list", "table-extra-signal",
          "states-string", "states-int", "signals-string", "act-name-int", "credal-member-size", "likelihood-rows",
@@ -597,7 +599,7 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
          "table-entry-string", "credal-members-int", "credal-member-int", "table-knot-int", "table-knots-int",
          "table-knot-single", "table-knot-triple",
          "table-on-complement", "mode-list", "mode-unknown", "custom-without-table", "rule-int", "rule-without-kind",
-         "rule-kind-unknown", "risk-int", "risk-kind-unknown"],
+         "rule-kind-unknown", "risk-int", "risk-kind-unknown", "trial-index-negative"],
 )
 def test_malformed_witness_exits_2_naming_the_field(edit, message, tmp_path, capsys):
     out_path = tmp_path / "w.json"

@@ -121,6 +121,12 @@ def test_an_integer_too_large_for_a_float_is_a_value_error_naming_the_field(obj,
         jsonio.decode_rule(obj)
 
 
+def test_a_negative_trial_index_is_a_value_error_naming_the_field():
+    with pytest.raises(ValueError, match="^witness trial_index must be non-negative, got -1$"):
+        jsonio.witness_from_jsonable(dict(WITNESSES[0], trial_index=-1))
+    assert jsonio.witness_from_jsonable(dict(WITNESSES[0], trial_index=0)).trial_index == 0
+
+
 def test_the_expected_utility_rule_round_trips_as_eu():
     assert jsonio.encode_rule(ExpectedUtilityRule()) == {"kind": "eu"}
     assert jsonio.decode_rule({"kind": "eu"}) == ExpectedUtilityRule()

@@ -96,6 +96,18 @@ def test_random_discrete_prior_stream_contains_both_support_kinds():
     assert one_sided > 0 and two_sided > 0
 
 
+@pytest.mark.parametrize(
+    "index,message",
+    [(-1, "must be non-negative, got -1"), (1.5, "must be an int, got 1.5"), (True, "must be an int, got True")],
+    ids=["negative", "float", "bool"],
+)
+@pytest.mark.parametrize("sample", [random_instance, random_discrete_prior], ids=lambda f: f.__name__)
+def test_a_trial_index_is_a_non_negative_int(sample, index, message):
+    # each used to fail inside numpy, or (a bool) to return trial 1
+    with pytest.raises(ValueError, match=f"^trial_index {message}$"):
+        sample(SearchConfig(seed=1, trials=1), index)
+
+
 def test_verify_good_reports_zero_violations():
     report = verify_good(SearchConfig(seed=7, trials=2000))
     assert report.trials == 2000
@@ -1058,7 +1070,9 @@ def test_a_whole_search_at_the_size_limit_holds_one_block_per_kernel_call(rule):
     assert peak < 40 * 2**20
 
 
-KERNEL_CASES = [((3, 3, 2), 1200), ((12, 12, 12), 600)]  # 5 blocks, and 3 blocks
+# 5 blocks in calls of up to eight (two for gamma:3); 4 blocks in calls of two
+# (one for gamma:3); and 3 blocks, one a call
+KERNEL_CASES = [((3, 3, 2), 1200), ((4, 4, 4), 800), ((12, 12, 12), 600)]
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: "x".join(map(str, c[0])))

@@ -8,7 +8,8 @@ round to 7 significant digits, JSON and CSV keep full precision. Only
 ``check`` and ``search`` sample, and only they import ``search`` and with it
 numpy; the other commands start without either. A pipe is opened only by the
 read or write that uses it, so ``/dev/stdin``, ``/dev/stdout`` or a FIFO works
-as a scenario path or as ``--out``.
+as a scenario path or as ``--out``, and an ``--out`` that names one of the
+process's descriptors is written through it, so ``>>`` appends.
 """
 
 from __future__ import annotations
@@ -82,15 +83,34 @@ def _read_json(path: Path, what: str):
         raise ValueError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc
 
 
+def _own_descriptor(path: str) -> int | None:
+    """The descriptor of this process that a path names (``/dev/stdout``,
+    ``/dev/stderr``, ``/dev/fd/N`` or ``/proc/self/fd/N``), or None."""
+    for prefix in ("/dev/fd/", "/proc/self/fd/"):
+        number = path.removeprefix(prefix)
+        if number != path and number.isascii() and number.isdigit():
+            return int(number)
+    return {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
+
+
 def _write_out(path: str, text: str) -> None:
     """Write a command's output file; ValueError naming the path when it cannot be written.
 
-    A regular file or a new path, or one a symlink names, is replaced whole or
-    not at all: the text goes to a temporary file in its directory, which gets
-    the file's mode (or the mode a new file gets) and is renamed onto it. Any
-    other path, such as a device or a pipe (``/dev/stdout`` leads to the pipe
-    itself, not to a file), is written in place."""
+    A path that names one of the process's own descriptors is written through
+    that descriptor, after what was printed to stdout, so it keeps its offset
+    and append mode whatever it leads to: ``--out /dev/stdout >> log`` appends
+    to ``log``. Any other regular file or new path, or one a symlink names, is
+    replaced whole or not at all: the text goes to a temporary file in its
+    directory, which gets the file's mode (or the mode a new file gets) and is
+    renamed onto it. Any other path, such as a device or a FIFO, is written in
+    place."""
+    descriptor = _own_descriptor(path)
     try:
+        if descriptor is not None:
+            sys.stdout.flush()
+            with open(descriptor, "w", encoding="utf-8", closefd=False) as stream:
+                stream.write(text)
+            return
         if os.path.exists(path) and not os.path.isfile(path):
             Path(path).write_text(text, encoding="utf-8")
             return

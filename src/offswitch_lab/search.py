@@ -85,6 +85,16 @@ kernels stay cheap without skipping a check: each checks a belief's length
 once and scores each act once per belief, and the constructors a witness goes
 through format an error message only for a value that fails.
 
+The collector. ``find_information_aversion`` pauses the cyclic garbage
+collector (``gc.disable``) while it draws, screens, builds, evaluates and
+re-verifies, and enables it again on the way out, also when it raises, only if
+it was enabled on the way in. A witness-dense call allocates dozens of tracked
+containers per witness (the problem, the rule, the re-verification document
+and its decoded copy), which set off hundreds of collections per 10 000 trials,
+yet makes no reference cycle, as the tests check: every object it drops is
+freed by its reference count, so the pause holds no memory back. Cyclic
+garbage made meanwhile by another thread waits until the search returns.
+
 This is the package's only numpy module. The scalar path it confirms with
 (``voi.evaluate_rule``, ``voi.replay_witness``) and the witness codec
 (``jsonio.Witness``) live in numpy-free modules, so the commands that
@@ -93,6 +103,8 @@ sample nothing never import it.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -632,6 +644,19 @@ def _reverifies(witnesses: list[Witness]) -> None:
             )
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block, and enable it again
+    afterwards only if it was enabled before; see "The collector" above."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _possible_witnesses(config: SearchConfig, screen, block: _Block) -> np.ndarray:
     """Row numbers in the block of the trials the screen cannot rule out."""
     # a zero marginal gives NaN, which fails both tests and so keeps the trial
@@ -646,27 +671,29 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
 
     Returns the verified witnesses sorted by voi ascending (worst first).
     Rules that provably cannot be averse are rejected with
-    ``RuleCannotBeAverse`` rather than silently returning nothing.
+    ``RuleCannotBeAverse`` rather than silently returning nothing. The cyclic
+    garbage collector is paused while the search runs ("The collector" above).
     """
     screen, rule_rows = _screen_for(config)
     # a rule that draws no rows is the same on every trial, so its witnesses share one
     fixed_rule = None if rule_rows else _concrete_rule(config.rule, [], None)
     members = rule_rows if screen is _screen_gamma else 1
     witnesses = []
-    for chunk in _chunks(config, config.state_count * config.act_count * config.signal_count * members):
-        block = _draw_block(config, chunk, rule_rows)
-        possible = _possible_witnesses(config, screen, block)
-        candidates = zip(possible.tolist(), _draw_instance(config, block, possible), _per_trial(block.rule_rows, possible))
-        # a block's witnesses are re-verified before the next block's first candidate is evaluated
-        for _, in_block in groupby(candidates, key=lambda candidate: candidate[0] // BLOCK_TRIALS):
-            found = []
-            for r, (problem, channel), rule_data in in_block:
-                rule = _concrete_rule(config.rule, rule_data, channel) if rule_rows else fixed_rule
-                report = evaluate_rule(problem, channel, rule)
-                if report.voi < -config.aversion_tolerance:
-                    found.append(Witness(problem, channel, rule, report.voi, block.start + r))
-            if found:
-                _reverifies(found)
-                witnesses.extend(found)
+    with _collector_paused():
+        for chunk in _chunks(config, config.state_count * config.act_count * config.signal_count * members):
+            block = _draw_block(config, chunk, rule_rows)
+            possible = _possible_witnesses(config, screen, block)
+            candidates = zip(possible.tolist(), _draw_instance(config, block, possible), _per_trial(block.rule_rows, possible))
+            # a block's witnesses are re-verified before the next block's first candidate is evaluated
+            for _, in_block in groupby(candidates, key=lambda candidate: candidate[0] // BLOCK_TRIALS):
+                found = []
+                for r, (problem, channel), rule_data in in_block:
+                    rule = _concrete_rule(config.rule, rule_data, channel) if rule_rows else fixed_rule
+                    report = evaluate_rule(problem, channel, rule)
+                    if report.voi < -config.aversion_tolerance:
+                        found.append(Witness(problem, channel, rule, report.voi, block.start + r))
+                if found:
+                    _reverifies(found)
+                    witnesses.extend(found)
     witnesses.sort(key=lambda w: (w.voi, w.trial_index))
     return witnesses

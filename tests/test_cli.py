@@ -799,6 +799,39 @@ def test_an_out_path_that_leads_to_a_pipe_gets_what_stdout_would(argv, capsys):
     assert received == [expected.encode()]
 
 
+@pytest.mark.parametrize("prefix", ["/dev/fd/", "/proc/self/fd/"])
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
+def test_an_out_path_that_names_an_appending_descriptor_appends_to_its_file(argv, prefix, tmp_path, capsys):
+    # /dev/fd/N, like --out /dev/stdout >> log in a shell, names a descriptor
+    # opened for appending to a regular file: the file is added to, not replaced
+    log = tmp_path / "log"
+    log.write_text("earlier\n")
+    descriptor = os.open(log, os.O_WRONLY | os.O_APPEND)
+    try:
+        code, _, _ = run(capsys, *argv, "--out", f"{prefix}{descriptor}")
+    finally:
+        os.close(descriptor)
+    assert code == 0
+    _, expected, _ = run(capsys, *argv)
+    assert log.read_text() == "earlier\n" + expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log"]
+
+
+def test_search_out_dev_stdout_redirected_to_a_file_ends_with_the_summary(tmp_path, capsys):
+    # > file: the document goes through the descriptor at its offset, and the
+    # summary printed after it lands last, in the same file
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open(tmp_path / "got", "w") as got:
+        proc = subprocess.run(
+            [sys.executable, "-m", "offswitch_lab.cli", *SEARCH_ARGV, "--out", "/dev/stdout"],
+            stdout=got, stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    assert proc.returncode == 0, proc.stderr
+    code, summary, _ = run(capsys, *SEARCH_ARGV, "--out", str(tmp_path / "w.json"))
+    assert code == 0 and summary.startswith("witnesses=")
+    assert (tmp_path / "got").read_text() == (tmp_path / "w.json").read_text() + summary
+
+
 def test_search_out_to_a_fifo_is_opened_once_so_its_reader_gets_the_witnesses(tmp_path, capsys):
     # a reader such as cat stops at the first end of file, so the FIFO must be
     # opened only for the final write; the command runs in its own process so
@@ -871,6 +904,17 @@ def test_output_files_that_cannot_be_written_exit_2_naming_the_path(tmp_path, ca
     code, _, err = run(capsys, "sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps", "3", "--out", str(missing))
     assert code == 2
     assert f"cannot write {str(missing)!r}" in err
+    # a descriptor open only for reading is not written, and its file is not replaced
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier\n")
+    descriptor = os.open(kept, os.O_RDONLY)
+    try:
+        code, _, err = run(capsys, *SWEEP_ARGV, "--out", f"/dev/fd/{descriptor}")
+    finally:
+        os.close(descriptor)
+    assert code == 2
+    assert f"cannot write '/dev/fd/{descriptor}': Bad file descriptor" in err
+    assert kept.read_text() == "earlier\n"
 
 
 @pytest.mark.parametrize("command", ["scenario", "sweep", "verify-witness"])

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import tracemalloc
 
@@ -248,6 +249,97 @@ def test_search_results_are_byte_identical_across_runs():
     first = json.dumps([witness_to_jsonable(w) for w in find_information_aversion(config)])
     second = json.dumps([witness_to_jsonable(w) for w in find_information_aversion(config)])
     assert first == second
+
+
+NO_CYCLE_CASES = {
+    "reu:power:2": SearchConfig(seed=21, trials=1000, rule=ReuSearch(PowerRisk(2))),
+    "gamma:2": SearchConfig(seed=21, trials=1000, rule=CredalSearch(2)),
+    "faulty:complement:0.5": SearchConfig(seed=21, trials=1000, rule=FaultySearch(0.5, "complement-conditionalization")),
+    "faulty:custom:0.5": SearchConfig(seed=21, trials=1000, rule=FaultySearch(0.5, "custom-posterior")),
+    "faulty:custom:0.5-4x3x3": SearchConfig(
+        seed=21, trials=1000, state_count=4, act_count=3, signal_count=3, rule=FaultySearch(0.5, "custom-posterior")
+    ),
+}
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the block with the cyclic collector enabled or disabled, and put it
+    back as it was after."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("config", NO_CYCLE_CASES.values(), ids=NO_CYCLE_CASES)
+def test_a_search_makes_no_reference_cycles(config):
+    # why a search may pause the collector: everything it drops is freed by its
+    # reference count, so a collection after it finds nothing unreachable. The
+    # json.dumps(..., indent=2) of the CLI stays out of the window: its
+    # pure-Python encoder makes a cycle of closures on every call.
+    find_information_aversion(config)  # warm-up
+    with collector(False):
+        gc.collect()
+        found = len(find_information_aversion(config))
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            unreachable = gc.collect()
+            leaked = sorted({type(o).__name__ for o in gc.garbage})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    assert found > 0
+    assert unreachable == 0, f"a search left {unreachable} objects in reference cycles, of types {leaked}"
+
+
+def fail_evaluation(*args):
+    raise ValueError("a candidate's evaluation failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "attr,fake,error",
+    [
+        (None, None, None),
+        ("reproduces", lambda fresh, stored: False, AssertionError),
+        ("evaluate_rule", fail_evaluation, ValueError),
+    ],
+    ids=["returns", "re-verification-fails", "candidate-raises"],
+)
+def test_a_search_pauses_the_collector_and_leaves_it_as_it_found_it(monkeypatch, enabled, attr, fake, error):
+    seen = []  # gc.isenabled() at each kernel call's gather of its candidates
+    draw_instance = search._draw_instance
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return draw_instance(*args)
+
+    monkeypatch.setattr(search, "_draw_instance", watched)
+    if attr is not None:
+        monkeypatch.setattr(search, attr, fake)
+    config = SearchConfig(seed=17, trials=300, rule=FaultySearch(0.5, "complement-conditionalization"))
+    with collector(enabled):
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            find_information_aversion(config)
+        after = gc.isenabled()
+    assert after is enabled
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_rule_that_cannot_be_averse_leaves_the_collector_untouched(monkeypatch, enabled):
+    calls = []
+    with collector(enabled):
+        monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+        with pytest.raises(RuleCannotBeAverse):
+            find_information_aversion(SearchConfig(seed=1, trials=10, rule=ExpectedUtilityRule()))
+        after = gc.isenabled()
+        monkeypatch.undo()
+    assert (after, calls) == (enabled, [])
 
 
 def test_witness_json_round_trip_preserves_everything():

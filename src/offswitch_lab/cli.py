@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Subcommands: scenario, sweep, check, search, verify-witness, report.
-Exit codes: 0 success, 1 check/report/verification failure, 2 bad input (a
-command raises ValueError, which ``main`` alone reports), 3 search exhausted
-without a witness. Every command is deterministic given its arguments; tables
-round to 7 significant digits, JSON and CSV keep full precision. Only
-``check`` and ``search`` sample, and only they import ``search`` and with it
-numpy; the other commands start without either. A pipe is opened only by the
-read or write that uses it, so ``/dev/stdin``, ``/dev/stdout`` or a FIFO works
-as a scenario path or as ``--out``, and an ``--out`` that names one of the
-process's descriptors is written through it, so ``>>`` appends.
+Exit codes: 0 success, 1 check/report/verification failure, 2 bad input, 3
+search exhausted without a witness. A command reports bad input by raising
+ValueError and a failed self-check by raising AssertionError; ``main`` alone
+turns them into ``error: <message>`` on stderr and exit 2 or 1. Every command
+is deterministic given its arguments; tables round to 7 significant digits,
+JSON and CSV keep full precision. Only ``check`` and ``search`` sample, and
+only they import ``search`` and with it numpy; the other commands start
+without either. ``_write_out`` alone decides where a command's document goes:
+stdout, or an ``--out`` path, which ``search`` has it check before the first
+trial. A pipe is opened only by the read or write that uses it, so
+``/dev/stdin``, ``/dev/stdout`` or a FIFO works as a scenario path or as
+``--out``, and an ``--out`` that names one of the process's descriptors is
+written through it, so ``>>`` appends.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -93,28 +98,45 @@ def _own_descriptor(path: str) -> int | None:
     return {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write a command's output file; ValueError naming the path when it cannot be written.
+def _write_out(path: str | None, text: str | None) -> None:
+    """Write a command's document to ``path``, or to stdout when ``path`` is
+    None; ValueError naming the path when it cannot be written.
 
     A path that names one of the process's own descriptors is written through
     that descriptor, after what was printed to stdout, so it keeps its offset
     and append mode whatever it leads to: ``--out /dev/stdout >> log`` appends
-    to ``log``. Any other regular file or new path, or one a symlink names, is
-    replaced whole or not at all: the text goes to a temporary file in its
-    directory, which gets the file's mode (or the mode a new file gets) and is
-    renamed onto it. Any other path, such as a device or a FIFO, is written in
-    place."""
+    to ``log``. Any other path that exists and is not a regular file, such as
+    a FIFO or a device, is written in place. Any other regular file or new
+    path, or one a symlink names, is replaced whole or not at all: the text
+    goes to a temporary file in its directory, which gets the file's mode (or
+    the mode a new file gets) and is renamed onto it.
+
+    With ``text`` None nothing is written: the call checks, before the
+    command's work, what that same write will need, and leaves nothing behind.
+    A descriptor gets a write of no bytes, which fails unless it is open for
+    writing; a directory is refused; a FIFO or a device is not opened; a
+    regular file, new or not, needs an unnamed temporary file in its target's
+    directory."""
+    if path is None:
+        sys.stdout.write(text or "")
+        return
     descriptor = _own_descriptor(path)
     try:
-        if descriptor is not None:
-            sys.stdout.flush()
-            with open(descriptor, "w", encoding="utf-8", closefd=False) as stream:
-                stream.write(text)
-            return
-        if os.path.exists(path) and not os.path.isfile(path):
-            Path(path).write_text(text, encoding="utf-8")
+        if descriptor is not None or (os.path.exists(path) and not os.path.isfile(path)):
+            if text is not None:
+                sys.stdout.flush()
+                place = path if descriptor is None else descriptor
+                with open(place, "w", encoding="utf-8", closefd=descriptor is None) as stream:
+                    stream.write(text)
+            elif descriptor is not None:
+                os.write(descriptor, b"")
+            elif os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             return
         target = os.path.realpath(path)
+        if text is None:
+            tempfile.TemporaryFile(dir=os.path.dirname(target)).close()
+            return
         try:
             mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
@@ -206,10 +228,7 @@ def cmd_sweep(args) -> int:
         eps = args.hi if i == args.steps - 1 else args.lo + (args.hi - args.lo) * i / (args.steps - 1)
         report = best_option(prior, eps)
         writer.writerow([repr(eps), repr(report.eu_act), repr(report.eu_defer), repr(report.eu_learn), report.best])
-    if args.out:
-        _write_out(args.out, buffer.getvalue())
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _write_out(args.out, buffer.getvalue())
     return 0
 
 
@@ -282,35 +301,23 @@ def cmd_search(args) -> int:
     config = search.SearchConfig(
         seed=args.seed, trials=args.trials, rule=rule, **{k: v for k, v in given.items() if v is not None}
     )
-    try:
-        # fail before the first trial, creating nothing and opening no pipe: append
-        # to a file or a directory, or make an unnamed file beside a new path
-        if args.out and not os.path.exists(args.out):
-            tempfile.TemporaryFile(dir=os.path.dirname(os.path.realpath(args.out))).close()
-        elif args.out and (os.path.isfile(args.out) or os.path.isdir(args.out)):
-            open(args.out, "a", encoding="utf-8").close()
-    except OSError as exc:
-        raise _os_error("write", repr(args.out), exc) from exc
+    _write_out(args.out, None)  # fail before the first trial, creating nothing and opening no pipe
     try:
         witnesses = search.find_information_aversion(config)
     except search.RuleCannotBeAverse:
         raise  # bad input, which main reports
-    except (ValueError, AssertionError) as exc:
-        # a witness failed re-verification (decode or replay), or a candidate's own evaluation raised ValueError
+    except ValueError as exc:
+        # a candidate's own evaluation, or the strict decoder re-verifying a witness, raised
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = json.dumps([jsonio.witness_to_jsonable(w) for w in witnesses], indent=2)
-    summary = (
+    _write_out(args.out, text + "\n")
+    print(
         f"witnesses={len(witnesses)} trials={args.trials} seed={args.seed} rule={args.rule}"
         + (f" most_negative_voi={witnesses[0].voi!r}" if witnesses else "")
-        + f" stream={search.STREAM_VERSION}"
+        + f" stream={search.STREAM_VERSION}",
+        file=sys.stdout if args.out else sys.stderr,
     )
-    if args.out:
-        _write_out(args.out, text + "\n")
-        print(summary)
-    else:
-        print(text)
-        print(summary, file=sys.stderr)
     return 0 if witnesses else 3
 
 
@@ -419,10 +426,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        # every command reports bad input by raising ValueError; this is the one place it becomes exit 2
+    except (ValueError, AssertionError) as exc:
+        # this is the one place where bad input, which every command reports by
+        # raising ValueError, becomes exit 2, and a failed self-check (a kernel that
+        # disagrees with the scalar path, or a witness that does not reproduce its
+        # voi) becomes exit 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -377,7 +377,7 @@ def _cross_checked(proven: np.ndarray) -> np.ndarray:
 def _agree(trial_index: int, kernel: float, scalar: float) -> None:
     if not abs(kernel - scalar) <= CHECK_TOL / 2:
         raise AssertionError(
-            f"check kernel gave {kernel!r} at trial {trial_index}, the scalar path {scalar!r}"
+            f"check kernel gave {float(kernel)!r} at trial {trial_index}, the scalar path {scalar!r}"
         )
 
 

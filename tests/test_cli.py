@@ -6,9 +6,11 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from offswitch_lab import SearchConfig, cli, jsonio, search
@@ -64,6 +66,15 @@ def test_scenario_json_round_trips(capsys):
     assert payload["prior"] == {"kind": "uniform", "lo": -10.0, "hi": 90.0}
     assert payload["report"]["eu_defer"] == pytest.approx(40.5)
     assert payload["report"]["threshold_epsilon"] == pytest.approx(0.5 / 41)
+
+
+def test_scenario_with_all_mass_at_0_has_no_threshold(tmp_path, capsys):
+    # deferring never loses there, so there is no crossover epsilon to print
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"label": "zero", "prior": {"kind": "discrete", "atoms": [[0, 1]]}, "epsilon": 0.0}))
+    code, out, _ = run(capsys, "scenario", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "threshold   none"
 
 
 def test_scenario_unknown_name_exits_2(capsys):
@@ -208,6 +219,67 @@ def test_check_good_and_theorem1(capsys):
 def test_check_zero_trials_exits_2(capsys):
     code, _, err = run(capsys, "check", "good", "--trials", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("prop", ["good", "theorem1"])
+def test_a_check_whose_kernel_disagrees_with_the_scalar_path_exits_1_with_one_line(prop, capsys, monkeypatch):
+    # a failed self-check leaves main as exit 1 and one line, not a traceback
+    eu_kernel, theorem1_kernel = search._eu_kernel, search._theorem1_kernel
+
+    def shifted_eu(block):
+        now, values = eu_kernel(block)
+        return now + 1.0, values
+
+    def shifted_theorem1(values, weights):
+        advantage, two_sided = theorem1_kernel(values, weights)
+        return advantage + 1.0, two_sided
+
+    monkeypatch.setattr(search, "_eu_kernel", shifted_eu)
+    monkeypatch.setattr(search, "_theorem1_kernel", shifted_theorem1)
+    code, out, err = run(capsys, "check", prop, "--trials", "300")
+    assert (code, out) == (1, "")
+    prefix, suffix = "error: check kernel gave ", "\n"
+    assert err.startswith(prefix) and err.endswith(suffix) and err.count("\n") == 1
+    # the kernel's value prints as a plain float on every numpy version
+    kernel, rest = err[len(prefix) : -len(suffix)].split(" at trial 0, the scalar path ")
+    assert abs(float(kernel) - float(rest)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "prop,scalar,fake,detail",
+    [
+        ("good", "value_of_learning_eu", {"voi": -1.0}, "negative value of learning"),
+        ("theorem1", "theorem1_check", {"delta": -1.0, "nonneg": False}, "negative deference advantage"),
+    ],
+)
+def test_a_check_violation_is_printed_under_the_summary_and_exits_1(prop, scalar, fake, detail, capsys, monkeypatch):
+    # kernels that prove nothing send every trial to the scalar path in trial
+    # order, where trial 5, which starts no block, is made a violation
+    good_kernel, theorem1_kernel, decide = search._good_kernel, search._theorem1_kernel, getattr(search, scalar)
+
+    def unproven_good(block):
+        voi, proven = good_kernel(block)
+        return voi, np.zeros_like(proven)
+
+    def unproven_theorem1(values, weights):
+        # a NaN advantage proves nothing; row 0 of a block keeps its value for the cross-check
+        advantage, two_sided = theorem1_kernel(values, weights)
+        return np.where(np.arange(len(advantage)) % search.BLOCK_TRIALS == 0, advantage, np.nan), two_sided
+
+    trials = []
+
+    def violated_at_trial_5(*args):
+        trials.append(len(trials))
+        result = decide(*args)
+        return dataclasses.replace(result, **fake) if trials[-1] == 5 else result
+
+    monkeypatch.setattr(search, "_good_kernel", unproven_good)
+    monkeypatch.setattr(search, "_theorem1_kernel", unproven_theorem1)
+    monkeypatch.setattr(search, scalar, violated_at_trial_5)
+    code, out, err = run(capsys, "check", prop, "--trials", "300")
+    assert len(trials) == 300
+    assert (code, err) == (1, "")
+    assert out == f"{prop}: trials=300 violations=1 seed=0 stream={search.STREAM_VERSION}\n  trial 5: {detail} (-1.0)\n"
 
 
 def test_sweep_steps_bound_at_the_limit_and_past_it(tmp_path, capsys):
@@ -626,6 +698,46 @@ def test_search_out_that_cannot_be_written_exits_2_before_the_first_trial(where,
     code, _, err = run(capsys, "search", "--rule", "faulty:custom:0.5", "--trials", "20000", "--out", str(path))
     assert code == 2
     assert err.startswith(f"error: cannot write {str(path)!r}: ")
+
+
+def test_search_out_descriptor_open_only_for_reading_exits_2_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("searched although the output descriptor cannot be written")
+
+    monkeypatch.setattr(search, "find_information_aversion", never)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier witnesses\n")
+    descriptor = os.open(kept, os.O_RDONLY)
+    try:
+        code, out, err = run(capsys, *SEARCH_ARGV, "--out", f"/dev/fd/{descriptor}")
+    finally:
+        os.close(descriptor)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write '/dev/fd/{descriptor}': Bad file descriptor\n"
+    assert kept.read_text() == "earlier witnesses\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+
+def test_search_out_file_whose_directory_takes_no_temporary_file_exits_2_before_the_first_trial(
+    tmp_path, capsys, monkeypatch
+):
+    # replacing an existing file, like making a new one, needs a temporary file beside it
+    def never(config):
+        raise AssertionError("searched although the output file cannot be replaced")
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(search, "find_information_aversion", never)
+    monkeypatch.setattr(tempfile, "TemporaryFile", denied)
+    existing = tmp_path / "existing.json"
+    existing.write_text("earlier witnesses\n")
+    for path in (existing, tmp_path / "fresh.json"):
+        code, out, err = run(capsys, *SEARCH_ARGV, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(path)!r}: Permission denied\n"
+    assert existing.read_text() == "earlier witnesses\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.json"]
 
 
 @pytest.mark.parametrize("rule", ["bogus", "eu", "gamma:1", "reu:identity", "faulty:stay:0.5"])

@@ -587,3 +587,19 @@ def test_check_fields_errors_are_unchanged():
     assert raised(check_fields, [("kind", 1)], required, (), "block") == (
         ValueError, "block must be a JSON object, got list"
     )
+
+
+def test_public_entry_points_name_what_is_wrong():
+    lopsided = CustomPosterior({"approve": (0.2, 0.3, 0.5), "reject": (1.0, 0.0)})
+    problem = two_state_problem([("a", (1.0, 0.0))])
+    massless = [(1.0, 0.0), (2.0, 0.0)]
+    for call, args, message in [
+        (misupdate, ((0.9, 0.1), FLIP_02, "maybe", StayAtPrior()),
+         "unknown signal 'maybe', channel has ('approve', 'reject')"),
+        (misupdate, ((0.9, 0.1), FLIP_02, "approve", lopsided),
+         "custom posterior for 'approve' has 3 entries for 2 states"),
+        (CredalSet, (((0.5, 0.5), (0.2, 0.3, 0.5)),), "credal members disagree on state count"),
+        (risk_weighted_value, (massless, PowerRisk(2.0)), "prospect needs at least one positive-probability atom"),
+        (gamma_maximin, (problem, None), "gamma-maximin needs a credal set"),
+    ]:
+        assert raised(call, *args) == (ValueError, message)

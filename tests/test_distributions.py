@@ -211,3 +211,14 @@ def test_sample_array_discrete_matches_weights():
     draws = sample_array(d, np.random.default_rng(5), 200_000)
     assert set(np.unique(draws)) == {-1.0, 1.0}
     assert abs((draws == 1.0).mean() - 0.75) < 0.005
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_prob_ge_refuses_a_threshold_that_is_not_finite(t):
+    with pytest.raises(ValueError, match=f"^threshold must be finite, got {t!r}$"):
+        prob_ge(Discrete(((-1.0, 0.5), (1.0, 0.5))), t)
+
+
+def test_sample_array_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="^sample count must be non-negative$"):
+        sample_array(Uniform(-1.0, 1.0), np.random.default_rng(0), -1)

@@ -6,14 +6,17 @@ search exhausted without a witness. A command reports bad input by raising
 ValueError and a failed self-check by raising AssertionError; ``main`` alone
 turns them into ``error: <message>`` on stderr and exit 2 or 1. Every command
 is deterministic given its arguments; tables round to 7 significant digits,
-JSON and CSV keep full precision. Only ``check`` and ``search`` sample, and
-only they import ``search`` and with it numpy; the other commands start
-without either. ``_write_out`` alone decides where a command's document goes:
+JSON and CSV keep full precision, and a JSON file read as input may give no
+key twice in one object. Only ``check`` and ``search`` sample, and only they
+import ``search`` and with it numpy; the other commands start without
+either. ``_write_out`` alone decides where a command's document goes:
 stdout, or an ``--out`` path, which ``search`` has it check before the first
 trial. A pipe is opened only by the read or write that uses it, so
 ``/dev/stdin``, ``/dev/stdout`` or a FIFO works as a scenario path or as
-``--out``, and an ``--out`` that names one of the process's descriptors is
-written through it, so ``>>`` appends.
+``--out``. An ``--out`` that names one of the process's descriptors, such as
+``/dev/stdin`` or ``/dev/stdout``, is written through it, so ``>>`` appends
+and ``< file`` is refused; any other ``--out`` that names a directory is
+refused before the work.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,24 +43,25 @@ from .offswitch import OffSwitchScenario, best_option, reduce_to_two_state
 if TYPE_CHECKING:
     from .search import SearchRule
 
-BUILTIN_SCENARIOS = {
-    "alice-basic": OffSwitchScenario(Uniform(-40.0, 60.0), 0.0, "alice-basic"),
-    "alice-confident": OffSwitchScenario(Uniform(-10.0, 90.0), 0.0, "alice-confident"),
-    "alice-noisy": OffSwitchScenario(Uniform(-10.0, 90.0), 0.02, "alice-noisy"),
-}
+BUILTIN_SCENARIOS = {scenario.label: scenario for scenario in (
+    OffSwitchScenario(Uniform(-40.0, 60.0), 0.0, "alice-basic"),
+    OffSwitchScenario(Uniform(-10.0, 90.0), 0.0, "alice-confident"),
+    OffSwitchScenario(Uniform(-10.0, 90.0), 0.02, "alice-noisy"),
+)}
 
+# each row is checked at its scenario's own epsilon
 REFERENCE_ROWS = (
-    ("alice-basic", 0.0, "eu_act", 10.0),
-    ("alice-basic", 0.0, "eu_defer", 18.0),
-    ("alice-basic", 0.0, "delta", 8.0),
-    ("alice-basic", 0.0, "best", "defer"),
-    ("alice-confident", 0.0, "eu_act", 40.0),
-    ("alice-confident", 0.0, "eu_defer", 40.5),
-    ("alice-confident", 0.0, "delta", 0.5),
-    ("alice-confident", 0.0, "threshold_epsilon", 0.5 / 41.0),
-    ("alice-noisy", 0.02, "eu_defer", 39.68),
-    ("alice-noisy", 0.02, "eu_learn", 40.0),
-    ("alice-noisy", 0.02, "best", "act"),
+    ("alice-basic", "eu_act", 10.0),
+    ("alice-basic", "eu_defer", 18.0),
+    ("alice-basic", "delta", 8.0),
+    ("alice-basic", "best", "defer"),
+    ("alice-confident", "eu_act", 40.0),
+    ("alice-confident", "eu_defer", 40.5),
+    ("alice-confident", "delta", 0.5),
+    ("alice-confident", "threshold_epsilon", 0.5 / 41.0),
+    ("alice-noisy", "eu_defer", 39.68),
+    ("alice-noisy", "eu_learn", 40.0),
+    ("alice-noisy", "best", "act"),
 )
 
 REPORT_TOL = 1e-9
@@ -77,25 +81,34 @@ def _os_error(verb: str, what: str, exc: OSError) -> ValueError:
     return ValueError(f"cannot {verb} {what}: {exc.strerror or type(exc).__name__}")
 
 
-def _read_json(path: Path, what: str):
+def _read_json(path: str, what: str):
     """The JSON document in a file; ValueError naming the file when it cannot be
-    read or parsed."""
+    read or parsed, or when one of its objects gives a key twice."""
+    name = f"{what} {path!r}"
+
+    def distinct(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise ValueError(f"{name} repeats the key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return obj
+
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=distinct)
     except OSError as exc:
-        raise _os_error("read", f"{what} {str(path)!r}", exc) from exc
+        raise _os_error("read", name, exc) from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} {str(path)!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{name} is not valid JSON: {exc}") from exc
 
 
 def _own_descriptor(path: str) -> int | None:
-    """The descriptor of this process that a path names (``/dev/stdout``,
-    ``/dev/stderr``, ``/dev/fd/N`` or ``/proc/self/fd/N``), or None."""
+    """The descriptor of this process that a path names (``/dev/stdin``,
+    ``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N`` or ``/proc/self/fd/N``), or None."""
     for prefix in ("/dev/fd/", "/proc/self/fd/"):
         number = path.removeprefix(prefix)
         if number != path and number.isascii() and number.isdigit():
             return int(number)
-    return {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
+    return {"/dev/stdin": 0, "/dev/stdout": 1, "/dev/stderr": 2}.get(path)
 
 
 def _write_out(path: str | None, text: str | None) -> None:
@@ -105,23 +118,29 @@ def _write_out(path: str | None, text: str | None) -> None:
     A path that names one of the process's own descriptors is written through
     that descriptor, after what was printed to stdout, so it keeps its offset
     and append mode whatever it leads to: ``--out /dev/stdout >> log`` appends
-    to ``log``. Any other path that exists and is not a regular file, such as
-    a FIFO or a device, is written in place. Any other regular file or new
-    path, or one a symlink names, is replaced whole or not at all: the text
-    goes to a temporary file in its directory, which gets the file's mode (or
-    the mode a new file gets) and is renamed onto it.
+    to ``log``, and ``--out /dev/stdin < file`` fails, as stdin is open only
+    for reading. Any other path that names a directory is refused: an existing
+    one, ``""``, or one whose last component is empty, ``.`` or ``..``, such as
+    ``new/``, which would otherwise make a file ``new``, and ``file.txt/``,
+    which would replace ``file.txt``. Any other path that exists and is not a
+    regular file, such as a FIFO or a device, is written in place. Any other
+    regular file or new path, or one a symlink names, is replaced whole or not
+    at all: the text goes to a temporary file in its directory, which gets the
+    file's mode (or the mode a new file gets) and is renamed onto it.
 
     With ``text`` None nothing is written: the call checks, before the
     command's work, what that same write will need, and leaves nothing behind.
     A descriptor gets a write of no bytes, which fails unless it is open for
-    writing; a directory is refused; a FIFO or a device is not opened; a
-    regular file, new or not, needs an unnamed temporary file in its target's
-    directory."""
+    writing; a directory is refused as it is for the write; a FIFO or a device
+    is not opened; a regular file, new or not, needs an unnamed temporary file
+    in its target's directory."""
     if path is None:
         sys.stdout.write(text or "")
         return
     descriptor = _own_descriptor(path)
     try:
+        if descriptor is None and (os.path.basename(path) in ("", ".", "..") or os.path.isdir(path)):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if descriptor is not None or (os.path.exists(path) and not os.path.isfile(path)):
             if text is not None:
                 sys.stdout.flush()
@@ -130,8 +149,6 @@ def _write_out(path: str | None, text: str | None) -> None:
                     stream.write(text)
             elif descriptor is not None:
                 os.write(descriptor, b"")
-            elif os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             return
         target = os.path.realpath(path)
         if text is None:
@@ -162,7 +179,7 @@ def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwit
         scenario = BUILTIN_SCENARIOS[name_or_path]
     else:
         try:
-            obj = _read_json(Path(name_or_path), "scenario file")
+            obj = _read_json(name_or_path, "scenario file")
         except ValueError as exc:
             raise ValueError(f"{exc} (built-in scenarios: {', '.join(sorted(BUILTIN_SCENARIOS))})") from exc
         scenario = jsonio.decode_scenario(obj)
@@ -172,12 +189,11 @@ def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwit
 
 
 def _scenario_payload(scenario: OffSwitchScenario) -> dict:
-    report = best_option(scenario.prior, scenario.epsilon)
     payload = {
         "label": scenario.label,
         "prior": jsonio.encode_distribution(scenario.prior),
         "epsilon": scenario.epsilon,
-        "report": asdict(report),
+        "report": asdict(best_option(scenario.prior, scenario.epsilon)),
     }
     if scenario.rule is not None or scenario.updater is not None:
         problem, channel = reduce_to_two_state(scenario.prior, scenario.epsilon)
@@ -219,14 +235,13 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"epsilon grid needs 0 <= lo < hi <= 1, got [{args.lo}, {args.hi}]")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"epsilon grid needs between 2 and {MAX_SWEEP_STEPS} steps, got {args.steps}")
-    prior = scenario.prior
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["epsilon", "eu_act", "eu_defer", "eu_learn", "best"])
     for i in range(args.steps):
         # the interpolated last point can round past hi, and past 1 when hi is 1
         eps = args.hi if i == args.steps - 1 else args.lo + (args.hi - args.lo) * i / (args.steps - 1)
-        report = best_option(prior, eps)
+        report = best_option(scenario.prior, eps)
         writer.writerow([repr(eps), repr(report.eu_act), repr(report.eu_defer), repr(report.eu_learn), report.best])
     _write_out(args.out, buffer.getvalue())
     return 0
@@ -291,16 +306,9 @@ def parse_rule(text: str) -> SearchRule:
 def cmd_search(args) -> int:
     from . import search
 
-    given = {
-        "state_count": args.states,
-        "act_count": args.acts,
-        "signal_count": args.signals,
-        "aversion_tolerance": args.tolerance,
-    }
-    rule = parse_rule(args.rule)
-    config = search.SearchConfig(
-        seed=args.seed, trials=args.trials, rule=rule, **{k: v for k, v in given.items() if v is not None}
-    )
+    # seed, trials and each flag given, under the SearchConfig fields they set
+    settings = {field.name: getattr(args, field.name) for field in fields(search.SearchConfig) if field.name in args}
+    config = search.SearchConfig(**{**settings, "rule": parse_rule(args.rule)})
     _write_out(args.out, None)  # fail before the first trial, creating nothing and opening no pipe
     try:
         witnesses = search.find_information_aversion(config)
@@ -322,7 +330,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    obj = _read_json(Path(args.file), "witness file")
+    obj = _read_json(args.file, "witness file")
     try:
         witnesses = [jsonio.witness_from_jsonable(entry) for entry in (obj if isinstance(obj, list) else [obj])]
     except ValueError as exc:
@@ -353,9 +361,9 @@ def cmd_report(_args) -> int:
         "|----------|---------|----------|----------|----------|--------|",
     ]
     all_pass = True
-    for name, epsilon, quantity, expected in REFERENCE_ROWS:
+    for name, quantity, expected in REFERENCE_ROWS:
         scenario = BUILTIN_SCENARIOS[name]
-        report = best_option(scenario.prior, epsilon)
+        report = best_option(scenario.prior, scenario.epsilon)
         computed = getattr(report, quantity)
         if isinstance(expected, str):
             ok = computed == expected
@@ -363,7 +371,7 @@ def cmd_report(_args) -> int:
             ok = computed is not None and abs(computed - expected) <= REPORT_TOL
         all_pass = all_pass and ok
         lines.append(
-            f"| {name} | {_fmt(epsilon)} | {quantity} | {_fmt(expected)} "
+            f"| {name} | {_fmt(scenario.epsilon)} | {quantity} | {_fmt(expected)} "
             f"| {_fmt(computed)} | {'pass' if ok else 'FAIL'} |"
         )
     lines.append("")
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scenario = sub.add_parser("scenario", help="Evaluate a built-in or JSON scenario.")
-    scenario.add_argument("scenario", help="Built-in name (alice-basic, alice-confident, alice-noisy) or a JSON file path.")
+    scenario.add_argument("scenario", help=f"Built-in name ({', '.join(BUILTIN_SCENARIOS)}) or a JSON file path.")
     scenario.add_argument("--epsilon", type=float, default=None, help="Override the scenario's garbling probability.")
     scenario.add_argument("--json", action="store_true", help="Emit machine-readable JSON instead of a table.")
     scenario.set_defaults(handler=cmd_scenario)
@@ -400,15 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.set_defaults(handler=cmd_check)
 
-    searcher = sub.add_parser("search", help="Hunt for instances where the rule rejects free information.")
+    # each flag is stored under the SearchConfig field it sets, and one left out
+    # is not stored, so that field keeps its default
+    searcher = sub.add_parser("search", help="Hunt for instances where the rule rejects free information.",
+                              argument_default=argparse.SUPPRESS)
     searcher.add_argument("--rule", required=True, help="eu | reu:identity | reu:power:K | gamma[:M] | faulty:KIND:Q")
     searcher.add_argument("--trials", type=int, default=100000)
     searcher.add_argument("--seed", type=int, default=0)
-    # sizes and tolerance left out take SearchConfig's defaults
-    searcher.add_argument("--states", type=int)
-    searcher.add_argument("--acts", type=int)
-    searcher.add_argument("--signals", type=int)
-    searcher.add_argument("--tolerance", type=float, help="Minimum |voi| for a witness.")
+    searcher.add_argument("--states", type=int, dest="state_count", metavar="STATES")
+    searcher.add_argument("--acts", type=int, dest="act_count", metavar="ACTS")
+    searcher.add_argument("--signals", type=int, dest="signal_count", metavar="SIGNALS")
+    searcher.add_argument("--tolerance", type=float, dest="aversion_tolerance", metavar="TOLERANCE",
+                          help="Minimum |voi| for a witness.")
     searcher.add_argument("--out", default=None, help="Write witness JSON to this file instead of stdout.")
     searcher.set_defaults(handler=cmd_search)
 

@@ -254,7 +254,8 @@ class CustomPosterior:
             if not _is_distribution(out):  # checked again in full, for the message
                 out = as_probability_vector(out, f"custom posterior for {signal!r}")
             canon.append((name, out))
-        # a signal is looked up by its first entry, and a JSON object keeps its last
+        # a signal is looked up by its first entry, so a repeat would go unread; in a
+        # JSON table the command line refuses it as a repeated key, before this check
         _reject_repeated_signals([signal for signal, _ in canon], "custom posterior table")
         object.__setattr__(self, "table", tuple(canon))
 

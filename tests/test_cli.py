@@ -979,6 +979,51 @@ def test_a_failed_search_leaves_a_dangling_out_symlink_dangling(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json"]
 
 
+def never_search(config):
+    raise AssertionError("searched although the output path cannot be written")
+
+
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
+def test_out_dev_stdin_read_from_a_file_exits_2_before_the_work_and_keeps_the_file(argv, tmp_path, capsys, monkeypatch):
+    # < kept.json: /dev/stdin names descriptor 0, open only for reading, so it is
+    # refused as /dev/fd/0 is, and the file behind it is not replaced
+    monkeypatch.setattr(search, "find_information_aversion", never_search)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier output\n")
+    saved = os.dup(0)
+    reading = os.open(kept, os.O_RDONLY)
+    try:
+        os.dup2(reading, 0)
+        code, out, err = run(capsys, *argv, "--out", "/dev/stdin")
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+        os.close(reading)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write '/dev/stdin': Bad file descriptor\n"
+    assert kept.read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+
+@pytest.mark.parametrize("path", ["", "d/", "fresh/", "f.txt/", "d/."])
+@pytest.mark.parametrize("argv", [SEARCH_ARGV, SWEEP_ARGV], ids=["search", "sweep"])
+def test_an_out_path_that_names_a_directory_exits_2_before_the_work_and_changes_nothing(
+    argv, path, tmp_path, capsys, monkeypatch
+):
+    # "" and a last component that is empty, "." or ".." name a directory, as an
+    # existing directory does, whether or not one is there: f.txt/ is no file
+    monkeypatch.setattr(search, "find_information_aversion", never_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f.txt").write_text("earlier output\n")
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path!r}: Is a directory\n"
+    assert (tmp_path / "f.txt").read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f.txt"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command,extra",
     [("scenario", ()), ("scenario", ("--json",)), ("sweep", ("--lo", "0", "--hi", "0.05", "--steps", "3"))],
@@ -1098,6 +1143,31 @@ def test_verify_witness_rejects_repeated_signal_names(tmp_path, capsys):
     assert "repeated signal names: ['x']" in err
 
 
+@pytest.mark.parametrize("command", ["scenario", "sweep"])
+def test_a_scenario_file_that_gives_a_key_twice_exits_2_naming_the_file_and_the_key(command, tmp_path, capsys):
+    # the last "label" and "epsilon" would win silently, as a typo would
+    path = tmp_path / "twice.json"
+    path.write_text('{"label": "a", "prior": {"kind": "uniform", "lo": -40, "hi": 60}, "epsilon": 0.0,'
+                    ' "label": "b", "epsilon": 0.5}')
+    extra = ["--lo", "0", "--hi", "1", "--steps", "2"] if command == "sweep" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: scenario file {str(path)!r} repeats the key 'label'")
+
+
+def test_a_witness_file_that_gives_a_key_twice_exits_2_naming_the_file_and_the_key(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    code, _, _ = run(capsys, *SEARCH_ARGV, "--out", str(path))
+    assert code == 0
+    text = path.read_text()
+    assert run(capsys, "verify-witness", str(path))[0] == 0
+    # a stale voi ahead of the real one, inside the first witness's object
+    path.write_text(text.replace("{", '{"voi": 123.0, ', 1))
+    code, out, err = run(capsys, "verify-witness", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: witness file {str(path)!r} repeats the key 'voi'\n"
+
+
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float
 HUGE_WITNESS = """[{"trial_index": 0, "voi": %s, "rule": {"kind": "eu"},
   "problem": {"states": ["s0"], "prior": [1.0], "acts": [{"name": "a", "utilities": [%s]}]},
@@ -1127,7 +1197,7 @@ def test_numbers_that_overflow_a_float_exit_2(command, text, message, tmp_path, 
 
 
 def test_search_flag_defaults_are_the_config_defaults(capsys, monkeypatch):
-    # the flags default to None, and the command passes only the flags given
+    # a flag left out is not stored, so the command passes only the flags given
     searched = []
     monkeypatch.setattr(search, "find_information_aversion", lambda config: searched.append(config) or [])
     code, _, _ = run(capsys, "search", "--rule", "gamma", "--trials", "5")

@@ -193,6 +193,21 @@ def test_rule_gamma_matches_independent_oracle():
         assert report.voi == pytest.approx(gamma_voi(problem, channel, credal), abs=1e-9)
 
 
+def test_rule_gamma_member_that_rules_out_a_planned_signal_scores_the_plan_without_it():
+    # the other member gives signal x mass, so the plan covers x; member
+    # (0.5, 0.5, 0) gives x none, so its score skips x, and it is the worst
+    problem = DecisionProblem(
+        ("s0", "s1", "s2"),
+        (0.3, 0.3, 0.4),
+        (Act("a", (1.0, -1.0, 0.5)), Act("b", (-0.5, 0.8, -2.0)), Act("c", (0.0, 0.0, 0.0))),
+    )
+    channel = SignalChannel(("x", "y"), ((0.0, 1.0), (0.0, 1.0), (1.0, 0.0)))
+    credal = CredalSet(((0.5, 0.5, 0.0), (0.2, 0.3, 0.5)))
+    report = value_of_learning_rule(problem, problem.prior, channel, GammaMaximinRule(credal))
+    assert report.voi == gamma_voi(problem, channel, credal) == 0.15000000000000002
+    assert [row.signal for row in report.per_signal] == ["y"]
+
+
 def test_rule_gamma_uninformative_channel_zero_voi():
     problem = DecisionProblem(
         ("g", "b"), (0.4, 0.6), (Act("x", (8.0, -3.0)), Act("y", (0.0, 0.0)))

@@ -3,20 +3,23 @@
 Subcommands: scenario, sweep, check, search, verify-witness, report.
 Exit codes: 0 success, 1 check/report/verification failure, 2 bad input, 3
 search exhausted without a witness. A command reports bad input by raising
-ValueError and a failed self-check by raising AssertionError; ``main`` alone
-turns them into ``error: <message>`` on stderr and exit 2 or 1. Every command
-is deterministic given its arguments; tables round to 7 significant digits,
-JSON and CSV keep full precision, and a JSON file read as input may give no
-key twice in one object. Only ``check`` and ``search`` sample, and only they
-import ``search`` and with it numpy; the other commands start without
-either. ``_write_out`` alone decides where a command's document goes:
-stdout, or an ``--out`` path, which ``search`` has it check before the first
-trial. A pipe is opened only by the read or write that uses it, so
-``/dev/stdin``, ``/dev/stdout`` or a FIFO works as a scenario path or as
-``--out``. An ``--out`` that names one of the process's descriptors, such as
-``/dev/stdin`` or ``/dev/stdout``, is written through it, so ``>>`` appends
-and ``< file`` is refused; any other ``--out`` that names a directory is
-refused before the work.
+ValueError and a failed self-check by raising AssertionError; ``main`` turns
+them into ``error: <message>`` on stderr and exit 2 or 1. The one exception
+is ``cmd_search``: a ValueError raised by a search candidate's own
+evaluation, or by the strict decoder as a witness is re-verified, is a
+failure of the search, not bad input, so ``cmd_search`` prints it the same
+way and exits 1. Every command is deterministic given its arguments; tables
+round to 7 significant digits, JSON and CSV keep full precision, and a JSON
+file read as input may give no key twice in one object. Only ``check`` and
+``search`` sample, and only they import ``search`` and with it numpy; the
+other commands start without either. ``_write_out`` alone decides where a
+command's document goes: stdout, or an ``--out`` path, which ``search`` has
+it check before the first trial. A pipe is opened only by the read or write
+that uses it, so ``/dev/stdin``, ``/dev/stdout`` or a FIFO works as a
+scenario path or as ``--out``. An ``--out`` that names one of the process's
+descriptors, such as ``/dev/stdin`` or ``/dev/stdout``, is written through
+it, so ``>>`` appends and ``< file`` is refused; any other ``--out`` that
+names a directory is refused before the work.
 """
 
 from __future__ import annotations
@@ -181,6 +184,9 @@ def _load_scenario(name_or_path: str, epsilon_override: float | None) -> OffSwit
         try:
             obj = _read_json(name_or_path, "scenario file")
         except ValueError as exc:
+            # the built-in names help only when no file could be read at that path
+            if not isinstance(exc.__cause__, OSError):
+                raise
             raise ValueError(f"{exc} (built-in scenarios: {', '.join(sorted(BUILTIN_SCENARIOS))})") from exc
         scenario = jsonio.decode_scenario(obj)
     if epsilon_override is not None:

@@ -24,8 +24,9 @@ class Discrete:
     """Finite-support prior given as (value, weight) atoms.
 
     Atoms are canonicalized at construction: sorted by value, duplicate
-    values merged, weights rescaled to sum to exactly 1. Input weights must
-    be strictly positive and sum to 1 within ``PROB_TOL``.
+    values merged, weights divided by their sum, so that they sum to 1 up to
+    rounding (which is why ``prob_ge`` clamps at 1). Input weights must be
+    strictly positive and sum to 1 within ``PROB_TOL``.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -77,43 +78,37 @@ def mean(d: UtilityDistribution) -> float:
     return left_sum(v * w for v, w in d.atoms)
 
 
-def prob_ge(d: UtilityDistribution, t: float) -> float:
-    """P(U >= t). The boundary is inclusive, which matters for atoms at exactly t."""
+def _upper_tail(d: UtilityDistribution, t: float) -> tuple[float, float]:
+    """(P(U >= t), E[U | U >= t]), the mean 0.0 for a tail with no mass: the one
+    place that sums a prior's upper tail."""
     if not math.isfinite(t):
         raise ValueError(f"threshold must be finite, got {t!r}")
     if isinstance(d, Uniform):
-        if t <= d.lo:
-            return 1.0
-        if t >= d.hi:
-            return 0.0
-        return (d.hi - t) / (d.hi - d.lo)
+        # at or past hi the fraction is not positive, and the tail is empty
+        p = 1.0 if t <= d.lo else (d.hi - t) / (d.hi - d.lo)
+        return (p, 0.5 * (max(t, d.lo) + d.hi)) if p > 0.0 else (0.0, 0.0)
     # the canonical weights sum to 1 only up to rounding; never report > 1
-    return min(1.0, left_sum(w for v, w in d.atoms if v >= t))
+    p = min(1.0, left_sum(w for v, w in d.atoms if v >= t))
+    return (p, left_sum(v * w for v, w in d.atoms if v >= t) / p) if p > 0.0 else (0.0, 0.0)
 
 
-def prob_gt(d: UtilityDistribution, t: float) -> float:
-    """P(U > t); atoms at exactly t are excluded, and a uniform prior has none."""
-    if isinstance(d, Uniform):
-        return prob_ge(d, t)
-    return left_sum(w for v, w in d.atoms if v > t)
+def prob_ge(d: UtilityDistribution, t: float) -> float:
+    """P(U >= t). The boundary is inclusive, which matters for atoms at exactly t."""
+    return _upper_tail(d, t)[0]
 
 
 def cond_mean_ge(d: UtilityDistribution, t: float) -> float:
     """E[U | U >= t]. ValueError when P(U >= t) = 0."""
-    p = prob_ge(d, t)
+    p, m = _upper_tail(d, t)
     if p <= 0.0:
         raise ValueError(f"P(U >= {t}) = 0, conditional mean undefined")
-    if isinstance(d, Uniform):
-        return 0.5 * (max(t, d.lo) + d.hi)
-    return left_sum(v * w for v, w in d.atoms if v >= t) / p
+    return m
 
 
 def expected_positive_part(d: UtilityDistribution) -> float:
     """E[max(U, 0)]: the payoff of deferring to an approve-iff-nonnegative responder."""
-    p = prob_ge(d, 0.0)
-    if p <= 0.0:
-        return 0.0
-    return p * cond_mean_ge(d, 0.0)
+    p, m = _upper_tail(d, 0.0)
+    return p * m
 
 
 def zero_split(d: UtilityDistribution) -> tuple[float, float, float, float]:
@@ -123,8 +118,7 @@ def zero_split(d: UtilityDistribution) -> tuple[float, float, float, float]:
     1 - P(U >= 0), which would manufacture phantom mass out of float
     rounding for one-sided priors.
     """
-    p_good = prob_ge(d, 0.0)
-    m_good = cond_mean_ge(d, 0.0) if p_good > 0.0 else 0.0
+    p_good, m_good = _upper_tail(d, 0.0)
     if isinstance(d, Uniform):
         if d.lo >= 0.0:
             return p_good, 0.0, m_good, 0.0

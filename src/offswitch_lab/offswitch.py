@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CHECK_TOL, Act, CustomPosterior, DecisionProblem, DecisionRule, Faulty, SignalChannel, unit_interval
-from .distributions import UtilityDistribution, mean, prob_gt, zero_split
+from .distributions import UtilityDistribution, mean, zero_split
 
 PREFER = "prefer"
 DISPREFER = "disprefer"
@@ -101,15 +101,22 @@ class Theorem1Check:
 def theorem1_check(prior: UtilityDistribution) -> Theorem1Check:
     """Check that deferring never loses, and wins strictly on two-sided priors.
 
-    ``strict_expected`` records whether the prior puts mass on both U > 0
-    and U < 0; whenever it does, ``strict_observed`` must hold as well.
+    ``strict_expected`` reads the zero split: the prior has mass below 0 and
+    its mean at or above 0 is positive, so it has mass above 0 too (an atom at
+    0, or a positive side whose products underflow to 0, does not count).
+    Whenever it holds, ``strict_observed`` must hold as well. That asks for a
+    delta above the absolute ``CHECK_TOL``, so a two-sided prior whose smaller
+    side adds less than 1e-12 fails it, and ``check theorem1`` would count a
+    violation: ``Discrete(((1e-13, 0.5), (-1.0, 0.5)))`` (delta 5e-14),
+    ``Discrete(((1.0, 0.5), (-1e-13, 0.5)))`` and ``Uniform(-1e6, 1e-7)``. No
+    drawn trial comes near this.
     """
     split = zero_split(prior)
     d = _advantage(split, mean(prior))
     return Theorem1Check(
         delta=d,
         nonneg=d >= -CHECK_TOL,
-        strict_expected=prob_gt(prior, 0.0) > 0.0 and split[1] > 0.0,
+        strict_expected=split[1] > 0.0 and split[2] > 0.0,
         strict_observed=d > CHECK_TOL,
     )
 

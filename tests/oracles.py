@@ -24,8 +24,9 @@ from offswitch_lab.core import (
     GammaMaximinRule,
     SignalChannel,
     StayAtPrior,
+    left_sum,
 )
-from offswitch_lab.distributions import Discrete, UtilityDistribution, expected_positive_part, mean
+from offswitch_lab.distributions import Discrete, Uniform, UtilityDistribution, expected_positive_part, mean
 from offswitch_lab.offswitch import OffSwitchReport, best_option, reduce_to_two_state, theorem1_check
 from offswitch_lab.voi import value_of_learning_eu
 
@@ -170,6 +171,50 @@ def bisect_defer_threshold(prior: UtilityDistribution, tol: float = 1e-12) -> fl
         else:
             hi = mid
     return hi
+
+
+def tail_prob_ge(d: UtilityDistribution, t: float) -> float:
+    """P(U >= t), each tail function below summing its own tail; the package
+    sums it once and must give the same doubles (an empty tail as 0.0, not 0)."""
+    if isinstance(d, Uniform):
+        if t <= d.lo:
+            return 1.0
+        if t >= d.hi:
+            return 0.0
+        return (d.hi - t) / (d.hi - d.lo)
+    return min(1.0, left_sum(w for v, w in d.atoms if v >= t))
+
+
+def tail_cond_mean_ge(d: UtilityDistribution, t: float) -> float:
+    """E[U | U >= t]; ValueError when the tail has no mass."""
+    p = tail_prob_ge(d, t)
+    if p <= 0.0:
+        raise ValueError(f"P(U >= {t}) = 0")
+    if isinstance(d, Uniform):
+        return 0.5 * (max(t, d.lo) + d.hi)
+    return left_sum(v * w for v, w in d.atoms if v >= t) / p
+
+
+def tail_expected_positive_part(d: UtilityDistribution) -> float:
+    """E[max(U, 0)] as the upper tail's mass times its conditional mean."""
+    p = tail_prob_ge(d, 0.0)
+    return 0.0 if p <= 0.0 else p * tail_cond_mean_ge(d, 0.0)
+
+
+def tail_zero_split(d: UtilityDistribution) -> tuple[float, float, float, float]:
+    """(P(U >= 0), P(U < 0), E[U | U >= 0], E[U | U < 0]), empty cells with mean 0."""
+    p_good = tail_prob_ge(d, 0.0)
+    m_good = tail_cond_mean_ge(d, 0.0) if p_good > 0.0 else 0.0
+    if isinstance(d, Uniform):
+        if d.lo >= 0.0:
+            return p_good, 0.0, m_good, 0.0
+        if d.hi <= 0.0:
+            return p_good, 1.0, m_good, 0.5 * (d.lo + d.hi)
+        return p_good, -d.lo / (d.hi - d.lo), m_good, 0.5 * d.lo
+    p_bad = left_sum(w for v, w in d.atoms if v < 0.0)
+    if p_bad <= 0.0:
+        return p_good, 0.0, m_good, 0.0
+    return p_good, p_bad, m_good, left_sum(v * w for v, w in d.atoms if v < 0.0) / p_bad
 
 
 def embedded_report(prior: UtilityDistribution, epsilon: float) -> OffSwitchReport:

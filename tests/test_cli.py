@@ -1155,6 +1155,22 @@ def test_a_scenario_file_that_gives_a_key_twice_exits_2_naming_the_file_and_the_
     assert err.startswith(f"error: scenario file {str(path)!r} repeats the key 'label'")
 
 
+@pytest.mark.parametrize("command", ["scenario", "sweep"])
+def test_only_a_scenario_path_that_cannot_be_read_lists_the_built_in_names(command, tmp_path, capsys):
+    extra = ["--lo", "0", "--hi", "1", "--steps", "2"] if command == "sweep" else []
+    twice, broken, missing = (str(tmp_path / name) for name in ("twice.json", "broken.json", "missing.json"))
+    Path(twice).write_text('{"label": "a", "label": "b"}')
+    Path(broken).write_text("not json")
+    expected = {
+        twice: f"error: scenario file {twice!r} repeats the key 'label'\n",
+        broken: f"error: scenario file {broken!r} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n",
+        missing: f"error: cannot read scenario file {missing!r}: No such file or directory"
+        " (built-in scenarios: alice-basic, alice-confident, alice-noisy)\n",
+    }
+    for path, err in expected.items():
+        assert run(capsys, command, path, *extra) == (2, "", err)
+
+
 def test_a_witness_file_that_gives_a_key_twice_exits_2_naming_the_file_and_the_key(tmp_path, capsys):
     path = tmp_path / "w.json"
     code, _, _ = run(capsys, *SEARCH_ARGV, "--out", str(path))

@@ -12,11 +12,11 @@ from offswitch_lab.distributions import (
     expected_positive_part,
     mean,
     prob_ge,
-    prob_gt,
     sample,
     sample_array,
     zero_split,
 )
+from oracles import tail_cond_mean_ge, tail_expected_positive_part, tail_prob_ge, tail_zero_split
 
 
 def test_mean_examples():
@@ -154,8 +154,6 @@ def test_zero_split_of_one_sided_priors():
     # an atom at zero is in the prefer cell but has no mass above zero
     at_zero = Discrete(((0.0, 0.5), (-1.0, 0.5)))
     assert zero_split(at_zero) == (0.5, 0.5, 0.0, -1.0)
-    assert prob_gt(at_zero, 0.0) == 0.0
-    assert prob_gt(Uniform(-40, 60), 0.0) == prob_ge(Uniform(-40, 60), 0.0)
 
 
 def test_zero_split_takes_the_negative_mass_from_its_own_atoms():
@@ -164,6 +162,53 @@ def test_zero_split_takes_the_negative_mass_from_its_own_atoms():
     assert 1.0 - prob_ge(d, 0.0) > 0.0
     _, p_bad, _, m_bad = zero_split(d)
     assert (p_bad, m_bad) == (0.0, 0.0)
+
+
+def test_an_empty_discrete_tail_is_the_float_zero():
+    d = Discrete(((-2.0, 0.5), (-1.0, 0.5)))
+    p_good, _, m_good, _ = zero_split(d)
+    for value in (prob_ge(d, 0.0), prob_ge(d, 7.0), p_good, m_good, expected_positive_part(d)):
+        assert type(value) is float and value == 0.0
+
+
+# exact zeros, subnormals and a weight of 1e-30 reach the underflow and empty-tail branches
+TAIL_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-13, -1e-13]),
+)
+
+
+@st.composite
+def tail_cases(draw):
+    """A prior and thresholds at 0, at one of its own values or bounds, and anywhere."""
+    if draw(st.booleans()):
+        values = draw(st.lists(TAIL_VALUES, min_size=1, max_size=6, unique=True))
+        raw = draw(st.lists(st.one_of(st.floats(1e-6, 1.0), st.just(1e-30)), min_size=len(values), max_size=len(values)))
+        d = Discrete(tuple((v, w / sum(raw)) for v, w in zip(values, raw)))
+        own = [v for v, _ in d.atoms]
+    else:
+        lo, hi = sorted(draw(st.lists(TAIL_VALUES, min_size=2, max_size=2, unique=True)))
+        d = Uniform(lo, hi)
+        own = [lo, hi]
+    return d, (0.0, draw(st.sampled_from(own)), draw(st.floats(-2e6, 2e6)))
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@given(tail_cases())
+def test_tail_functions_give_the_doubles_of_a_tail_summed_per_function(case):
+    d, thresholds = case
+    for t in thresholds:
+        assert _bits(prob_ge(d, t)) == _bits(tail_prob_ge(d, t))
+        if tail_prob_ge(d, t) > 0.0:
+            assert _bits(cond_mean_ge(d, t)) == _bits(tail_cond_mean_ge(d, t))
+        else:
+            with pytest.raises(ValueError, match="conditional mean undefined"):
+                cond_mean_ge(d, t)
+    assert _bits(expected_positive_part(d)) == _bits(tail_expected_positive_part(d))
+    assert list(map(_bits, zero_split(d))) == list(map(_bits, tail_zero_split(d)))
 
 
 def test_sample_point_mass_any_seed():

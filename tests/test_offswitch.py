@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from offswitch_lab import offswitch
 from offswitch_lab.core import ComplementConditionalization, CustomPosterior, Faulty
@@ -96,6 +98,36 @@ def test_theorem1_check_atom_at_zero_is_not_strict():
     result = theorem1_check(Discrete(((0.0, 0.5), (-1.0, 0.5))))
     assert not result.strict_expected
     assert result.nonneg
+
+
+def test_theorem1_check_positive_side_that_underflows_is_not_strict():
+    # 1e-300 at weight 1e-30 adds 0.0 to the positive mean, so no strict win is owed
+    result = theorem1_check(Discrete(((1e-300, 1e-30), (-1.0, 1.0))))
+    assert (result.delta, result.nonneg, result.strict_expected, result.strict_observed) == (0.0, True, False, False)
+
+
+# no product of a value of at least 1e-100 and a weight of at least 1e-7 underflows
+SIDED_VALUES = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100))
+
+
+@st.composite
+def sided_priors(draw):
+    if draw(st.booleans()):
+        values = draw(st.lists(SIDED_VALUES, min_size=1, max_size=5, unique=True))
+        raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(values), max_size=len(values)))
+        return Discrete(tuple((v, w / sum(raw)) for v, w in zip(values, raw)))
+    lo, hi = draw(SIDED_VALUES), draw(SIDED_VALUES)
+    assume(lo < hi)
+    return Uniform(lo, hi)
+
+
+@given(sided_priors())
+def test_theorem1_check_expects_a_strict_win_exactly_when_the_prior_has_mass_on_both_sides(prior):
+    if isinstance(prior, Uniform):
+        both = prior.lo < 0.0 < prior.hi
+    else:
+        both = any(v > 0.0 and w > 0.0 for v, w in prior.atoms) and any(v < 0.0 and w > 0.0 for v, w in prior.atoms)
+    assert theorem1_check(prior).strict_expected == both
 
 
 def test_theorem1_random_uniform_priors():

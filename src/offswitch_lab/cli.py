@@ -3,13 +3,12 @@
 Subcommands: scenario, sweep, check, search, verify-witness, report.
 Exit codes: 0 success, 1 check/report/verification failure, 2 bad input, 3
 search exhausted without a witness. A command reports bad input by raising
-ValueError and a failed self-check by raising AssertionError; ``main`` turns
-them into ``error: <message>`` on stderr and exit 2 or 1. The one exception
-is ``cmd_search``: a ValueError raised by a search candidate's own
-evaluation, or by the strict decoder as a witness is re-verified, is a
-failure of the search, not bad input, so ``cmd_search`` prints it the same
-way and exits 1. Every command is deterministic given its arguments; tables
-round to 7 significant digits, JSON and CSV keep full precision, and a JSON
+ValueError and a failed self-check by raising AssertionError; ``main`` alone
+turns them into ``error: <message>`` on stderr and exit 2 or 1. A search
+raises ValueError for its config before the first trial, and reports a
+witness that the strict decoder or the replay refuses as a failed
+re-verification, an AssertionError. Every command is deterministic given its
+arguments; tables round to 7 significant digits, JSON and CSV keep full precision, and a JSON
 file read as input may give no key twice in one object. Only ``check`` and
 ``search`` sample, and only they import ``search`` and with it numpy; the
 other commands start without either. ``_write_out`` alone decides where a
@@ -316,14 +315,7 @@ def cmd_search(args) -> int:
     settings = {field.name: getattr(args, field.name) for field in fields(search.SearchConfig) if field.name in args}
     config = search.SearchConfig(**{**settings, "rule": parse_rule(args.rule)})
     _write_out(args.out, None)  # fail before the first trial, creating nothing and opening no pipe
-    try:
-        witnesses = search.find_information_aversion(config)
-    except search.RuleCannotBeAverse:
-        raise  # bad input, which main reports
-    except ValueError as exc:
-        # a candidate's own evaluation, or the strict decoder re-verifying a witness, raised
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    witnesses = search.find_information_aversion(config)
     text = json.dumps([jsonio.witness_to_jsonable(w) for w in witnesses], indent=2)
     _write_out(args.out, text + "\n")
     print(

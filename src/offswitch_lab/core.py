@@ -235,7 +235,8 @@ class StayAtPrior:
 
 @dataclass(frozen=True, slots=True)
 class ComplementConditionalization:
-    """Misupdate that conditionalizes on the complement of the observed signal."""
+    """Misupdate that conditionalizes on the complement of the observed signal;
+    a complement with no mass leaves the belief as it is."""
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -413,7 +414,11 @@ def _maximin(problem: DecisionProblem, members) -> tuple[int, float]:
 
 
 def misupdate(belief, channel: SignalChannel, signal: str, kind: MisupdateKind) -> tuple[float, ...]:
-    """Belief produced by a failed conditionalization on the observed signal."""
+    """Belief produced by a failed conditionalization on the observed signal.
+
+    A complement with zero marginal probability gives the belief unchanged:
+    the observed signal is then certain, so in exact arithmetic its posterior
+    is the belief, and staying there agrees with a correct update."""
     belief = check_length(belief, len(channel.likelihood), "belief")
     return _misupdate(belief, channel, channel.signal_index(signal), kind)
 
@@ -426,7 +431,7 @@ def _misupdate(belief, channel: SignalChannel, j: int, kind: MisupdateKind) -> t
         comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
         marg = left_sum(comp)
         if marg <= 0.0:
-            raise ValueError(f"complement of signal {channel.signals[j]!r} has zero marginal probability")
+            return belief  # the signal is certain, so its posterior is the belief
         return tuple([x / marg for x in comp])
     posterior = kind.posterior_for(channel.signals[j])
     if len(posterior) != len(belief):

@@ -78,12 +78,14 @@ evaluated: they are encoded in trial order as one JSON list, written as one
 JSON text and read back, and each entry is decoded by the strict decoder
 (every check again) and replayed through the voi module, and must reproduce
 its voi within ``REVERIFY_TOL`` (1e-10); the first that does not stops the
-search with AssertionError naming its trial. Only one block's document is
-held at a time, however many blocks a call covers. The replay makes the same
-float operations in the same order, so it gives the voi exactly. The scalar
-kernels stay cheap without skipping a check: each checks a belief's length
-once and scores each act once per belief, and the constructors a witness goes
-through format an error message only for a value that fails.
+search with AssertionError naming its trial, and one that the decoder or the
+replay refuses stops it with AssertionError carrying that ValueError's
+message. Only one block's document is held at a time, however many blocks a
+call covers. The replay makes the same float operations in the same order, so
+it gives the voi exactly. The scalar kernels stay cheap without skipping a
+check: each checks a belief's length once and scores each act once per belief,
+and the constructors a witness goes through format an error message only for a
+value that fails.
 
 The collector. ``find_information_aversion`` pauses the cyclic garbage
 collector (``gc.disable``) while it draws, screens, builds, evaluates and
@@ -581,37 +583,36 @@ def _unchecked(finite: np.ndarray, *simplices: np.ndarray) -> np.ndarray:
     return ~ok
 
 
-class RuleCannotBeAverse(ValueError):
-    """Aversion search requested for a rule that provably never rejects information."""
-
-
 def _screen_for(config: SearchConfig):
     """The block screen of the configured rule and the rows of rule data each
-    trial draws; RuleCannotBeAverse for a rule that provably never rejects
-    free information, as an empty search would be misleading."""
+    trial draws; ValueError, before the first trial, for a rule that provably
+    never rejects free information, as an empty search would be misleading.
+    With one signal a complement misfire is a stay at the prior: the signal is
+    certain, so its complement has no mass, and a drawn likelihood of 1 - 2**-53
+    would give a complement made of rounding alone."""
     rule = config.rule
     if isinstance(rule, RiskWeightedRule):
         if is_identity_risk(rule.risk):
-            raise RuleCannotBeAverse(
+            raise ValueError(
                 "an identity risk function reduces risk-weighted utility to expected utility, "
                 "which never rejects free information"
             )
         return _screen_reu, 0
     if isinstance(rule, CredalSearch):
         if rule.members < 2:
-            raise RuleCannotBeAverse(
+            raise ValueError(
                 "a singleton credal set reduces gamma-maximin to expected utility, "
                 "which never rejects free information"
             )
         return _screen_gamma, rule.members
     if isinstance(rule, FaultySearch):
-        if rule.kind == MISUPDATE_STAY or rule.q == 0.0:
-            raise RuleCannotBeAverse(
-                "staying at the prior (or never misfiring) only blends the learning value "
-                "toward the choose-now value; it cannot make learning strictly bad"
+        if rule.kind == MISUPDATE_STAY or rule.q == 0.0 or (rule.kind == MISUPDATE_COMPLEMENT and config.signal_count == 1):
+            raise ValueError(
+                "staying at the prior (or never misfiring, or misfiring to the complement of a lone signal) "
+                "only blends the learning value toward the choose-now value; it cannot make learning strictly bad"
             )
         return _screen_faulty, config.signal_count if rule.kind == MISUPDATE_CUSTOM else 0
-    raise RuleCannotBeAverse(
+    raise ValueError(
         "expected utility with conditionalization never rejects free information "
         "(Good's theorem); an empty search would be misleading"
     )
@@ -635,10 +636,15 @@ def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: Si
 def _reverifies(witnesses: list[Witness]) -> None:
     """Write a block's witnesses as one JSON document, read it back, and decode
     and replay each entry; AssertionError naming the first trial whose replay
-    does not reproduce its stored voi."""
+    does not reproduce its stored voi, or with the message of the ValueError
+    by which the strict decoder or the replay refuses an entry."""
     entries = json.loads(json.dumps([witness_to_jsonable(w) for w in witnesses]))
     for witness, entry in zip(witnesses, entries):
-        if not reproduces(replay_witness(witness_from_jsonable(entry)), witness.voi):
+        try:
+            replayed = replay_witness(witness_from_jsonable(entry))
+        except ValueError as exc:
+            raise AssertionError(str(exc)) from exc
+        if not reproduces(replayed, witness.voi):
             raise AssertionError(
                 f"witness at trial {witness.trial_index} did not reproduce its voi on re-evaluation"
             )
@@ -670,8 +676,11 @@ def find_information_aversion(config: SearchConfig) -> list[Witness]:
     """Collect every trial on which the configured rule strictly rejects information.
 
     Returns the verified witnesses sorted by voi ascending (worst first).
-    Rules that provably cannot be averse are rejected with
-    ``RuleCannotBeAverse`` rather than silently returning nothing. The cyclic
+    It raises ValueError for its config, before the first trial: a rule that
+    provably cannot be averse is refused rather than searched to an empty list
+    (``_screen_for``). Past that point only a drawn row that fails a dataclass
+    check raises ValueError, as it does in ``check good``, and a witness that
+    fails re-verification raises AssertionError (``_reverifies``). The cyclic
     garbage collector is paused while the search runs ("The collector" above).
     """
     screen, rule_rows = _screen_for(config)

@@ -20,6 +20,10 @@ Evaluation conventions, fixed once here:
 - A faulty updater only mis-chooses acts. Payoffs are always scored under
   the true Bayesian posterior, because the evidence itself is veridical;
   only the agent's handling of it may fail.
+- A complement misfire on a signal whose complement has zero marginal
+  probability misupdates to the belief itself: the signal is then certain,
+  so its posterior is the belief, and the misfire agrees with a correct
+  update up to rounding.
 - Signals with zero marginal probability are skipped and contribute zero.
 
 ``evaluate_rule`` is the one switch over rules and updaters; any other object

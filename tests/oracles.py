@@ -143,7 +143,7 @@ def faulty_voi(problem: DecisionProblem, channel: SignalChannel, updater) -> flo
         elif isinstance(kind, ComplementConditionalization):
             comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
             comp_total = sum(comp)
-            wrong = [x / comp_total for x in comp]
+            wrong = list(belief) if comp_total <= 0.0 else [x / comp_total for x in comp]
         else:
             assert isinstance(kind, CustomPosterior)
             wrong = list(kind.posterior_for(signal))

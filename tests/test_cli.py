@@ -740,13 +740,15 @@ def test_search_out_file_whose_directory_takes_no_temporary_file_exits_2_before_
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.json"]
 
 
-@pytest.mark.parametrize("rule", ["bogus", "eu", "gamma:1", "reu:identity", "faulty:stay:0.5"])
+@pytest.mark.parametrize(
+    "rule", ["bogus", "eu", "gamma:1", "reu:identity", "faulty:stay:0.5", "faulty:complement:0.5 --signals 1"]
+)
 def test_search_usage_errors_leave_the_out_file_as_it_was(rule, tmp_path, capsys):
     existing = tmp_path / "kept.json"
     existing.write_text("earlier witnesses\n")
     fresh = tmp_path / "fresh.json"
     for path in (existing, fresh):
-        code, out, err = run(capsys, "search", "--rule", rule, "--trials", "10", "--out", str(path))
+        code, out, err = run(capsys, "search", "--rule", *rule.split(), "--trials", "10", "--out", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert existing.read_text() == "earlier witnesses\n"
@@ -785,17 +787,24 @@ def test_search_whose_witness_fails_re_verification_exits_1_naming_the_trial(tmp
             assert not fresh.exists()
 
 
-def test_search_whose_candidate_cannot_be_evaluated_exits_1_with_its_message(tmp_path, capsys):
-    # with one signal its complement never occurs, so the first candidate's own
-    # evaluation raises: the search failed, but the input is not a usage error
+def test_search_for_a_one_signal_complement_misfire_exits_2_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    # with one signal a complement misfire is a stay at the prior, which cannot
+    # be averse: bad input on every seed, refused like gamma:1, and no block drawn
+    def never(*args):
+        raise AssertionError("drew a block although the rule cannot be averse")
+
+    monkeypatch.setattr(search, "_draw_block", never)
     existing = tmp_path / "kept.json"
     existing.write_text("earlier witnesses\n")
-    argv = ("search", "--signals", "1", "--rule", "faulty:complement:0.5", "--trials", "10", "--out", str(existing))
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == "error: complement of signal 'signal0' has zero marginal probability\n"
+    for seed in range(10):
+        argv = ("search", "--signals", "1", "--rule", "faulty:complement:0.5", "--trials", "1", "--seed", str(seed))
+        code, out, err = run(capsys, *argv, "--out", str(existing))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: staying at the prior (or never misfiring, or misfiring to the complement of a lone signal) "
+            "only blends the learning value toward the choose-now value; it cannot make learning strictly bad\n"
+        )
     assert existing.read_text() == "earlier witnesses\n"
-    # a rule that cannot be averse raises a ValueError too, but that one is bad input: exit 2
     code, out, err = run(capsys, "search", "--rule", "gamma:1", "--trials", "10", "--out", str(existing))
     assert (code, out) == (2, "")
     assert err.startswith("error: a singleton credal set reduces gamma-maximin to expected utility")

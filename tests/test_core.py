@@ -374,10 +374,10 @@ def test_misupdate_custom_returns_table_entry_verbatim():
     assert got == (0.25, 0.75)
 
 
-def test_misupdate_null_complement_raises():
+def test_misupdate_null_complement_is_the_belief():
+    # the signal is certain, so its posterior is the belief, and so is the misfire
     certain = SignalChannel(("only", "never"), ((1.0, 0.0), (1.0, 0.0)))
-    with pytest.raises(ValueError, match="complement of signal 'only' has zero marginal probability"):
-        misupdate((0.5, 0.5), certain, "only", ComplementConditionalization())
+    assert misupdate((0.25, 0.75), certain, "only", ComplementConditionalization()) == (0.25, 0.75)
 
 
 def test_custom_posterior_missing_signal_raises():

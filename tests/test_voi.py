@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offswitch_lab.core import (
+    CHECK_TOL,
     Act,
     ComplementConditionalization,
     CredalSet,
@@ -16,6 +19,7 @@ from offswitch_lab.core import (
     RiskWeightedRule,
     SignalChannel,
     StayAtPrior,
+    TableRisk,
 )
 from offswitch_lab.distributions import Uniform, mean
 from offswitch_lab.offswitch import reduce_to_two_state
@@ -308,13 +312,17 @@ def test_faulty_requires_faulty_updater():
         value_of_learning_faulty(problem, problem.prior, channel, ExpectedUtilityRule())
 
 
-def test_faulty_null_complement_propagates_zero_marginal():
-    problem = DecisionProblem(("a", "b"), (0.5, 0.5), (Act("x", (1.0, 2.0)),))
+def test_faulty_null_complement_misfires_to_the_belief():
+    # the certain signal's complement has no mass, so the misfire stays at the
+    # belief and picks x there, as a correct update does: the voi is 0, the
+    # expected-utility learner's
+    problem = DecisionProblem(("a", "b"), (0.5, 0.5), (Act("x", (1.0, 2.0)), Act("y", (2.0, -2.0))))
     certain = SignalChannel(("only", "never"), ((1.0, 0.0), (1.0, 0.0)))
-    with pytest.raises(ValueError, match="complement of signal 'only' has zero marginal probability"):
-        value_of_learning_faulty(
-            problem, problem.prior, certain, Faulty(0.5, ComplementConditionalization())
-        )
+    updater = Faulty(0.5, ComplementConditionalization())
+    report = value_of_learning_faulty(problem, problem.prior, certain, updater)
+    assert report.per_signal == (SignalOutcome("only", 1.0, 0, 1.5),)
+    assert (report.value_now, report.value_learning, report.voi) == (1.5, 1.5, 0.0)
+    assert faulty_voi(problem, certain, updater) == value_of_learning_eu(problem, problem.prior, certain).voi == 0.0
 
 
 def test_goods_inequality_on_random_instances():
@@ -323,6 +331,55 @@ def test_goods_inequality_on_random_instances():
         problem, channel = random_problem_and_channel(rng)
         report = value_of_learning_eu(problem, problem.prior, channel)
         assert report.voi >= -1e-12
+
+
+@st.composite
+def revealing_problems(draw):
+    """A problem of 2-4 states and 2-4 acts, a second prior, and a channel whose
+    signals reveal the state: a permutation of the identity matrix."""
+    states, acts = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+
+    def row(values):
+        return st.lists(values, min_size=states, max_size=states)
+
+    def simplex():
+        raw = draw(row(st.floats(0.0, 1.0)).filter(lambda r: sum(r) > 0.1))
+        return tuple(x / sum(raw) for x in raw)
+
+    acts = tuple(Act(f"a{k}", tuple(draw(row(st.floats(-10.0, 10.0))))) for k in range(acts))
+    problem = DecisionProblem(tuple(f"s{i}" for i in range(states)), simplex(), acts)
+    order = draw(st.permutations(range(states)))
+    likelihood = tuple(tuple(float(j == order[i]) for j in range(states)) for i in range(states))
+    return problem, simplex(), SignalChannel(tuple(f"e{j}" for j in range(states)), likelihood)
+
+
+@settings(max_examples=200, deadline=None)
+@given(revealing_problems())
+def test_a_channel_that_reveals_the_state_is_never_rejected_by_a_dominance_respecting_rule(case):
+    # every posterior is a point mass, so the learn-then-choose plan takes the
+    # best act in each state and dominates every act state by state; expected
+    # utility, risk-weighted utility and gamma-maximin all respect dominance
+    problem, other, channel = case
+    rules = [
+        ExpectedUtilityRule(),
+        RiskWeightedRule(PowerRisk(2.0)),
+        RiskWeightedRule(PowerRisk(0.5)),
+        RiskWeightedRule(TableRisk(((0.0, 0.0), (0.4, 0.1), (0.6, 0.9), (1.0, 1.0)))),
+        GammaMaximinRule(CredalSet((problem.prior, other))),
+    ]
+    for rule in rules:
+        assert evaluate_rule(problem, channel, rule).voi >= -CHECK_TOL, rule
+
+
+def test_a_channel_that_reveals_the_state_can_be_rejected_by_a_complement_misfire():
+    # the contrast: a misfire to the complement of a revealed state believes the
+    # other state and picks the act best there, which is worst in the revealed
+    # one, so an agent that may fail to learn the state declines to observe it
+    acts = (Act("x", (1.0, -3.0)), Act("y", (-3.0, 1.0)), Act("z", (0.0, 0.0)))
+    problem = DecisionProblem(("a", "b"), (0.5, 0.5), acts)
+    revealing = SignalChannel(("is-a", "is-b"), ((1.0, 0.0), (0.0, 1.0)))
+    report = evaluate_rule(problem, revealing, Faulty(0.5, ComplementConditionalization()))
+    assert (report.value_now, report.value_learning, report.voi) == (0.0, -1.0, -1.0)
 
 
 @pytest.mark.parametrize("rule", [CredalSearch(), None], ids=["search-rule", "none"])

@@ -60,8 +60,9 @@ def as_pair(values, what: str) -> tuple[float, float]:
 
 
 def unit_interval(x, what: str) -> float:
-    """``x`` as a float; ValueError unless it lies in [0, 1]."""
-    x = float(x)
+    """``x`` as a float; ValueError unless it lies in [0, 1]. A -0.0 comes back
+    as 0.0, so it is printed and written as 0."""
+    x = float(x) + 0.0
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"{what} must lie in [0, 1], got {x!r}")
     return x
@@ -266,17 +267,6 @@ class CustomPosterior:
                 return vec
         raise ValueError(f"custom posterior table has no entry for signal {signal!r}")
 
-    def check_signals(self, signals, state_count: int) -> None:
-        """ValueError naming a signal unless the table maps exactly ``signals`` to ``state_count`` entries."""
-        for signal in signals:
-            if len(vec := self.posterior_for(signal)) != state_count:
-                check_length(vec, state_count, f"custom posterior for {signal!r}")
-        # every signal has an entry and the table's names are distinct, so it has
-        # an entry for another signal exactly when it has more entries
-        if len(self.table) > len(set(signals)):
-            unknown = sorted({signal for signal, _ in self.table} - set(signals))
-            raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
-
 
 MisupdateKind = StayAtPrior | ComplementConditionalization | CustomPosterior
 
@@ -334,6 +324,28 @@ class GammaMaximinRule:
 
 
 DecisionRule = ExpectedUtilityRule | RiskWeightedRule | GammaMaximinRule
+
+
+def check_fits(rule, signals, state_count: int) -> None:
+    """ValueError unless the rule's data fits a game of ``state_count`` states
+    observed through ``signals``; the one check of a rule's data against a game.
+
+    A credal set's members need one entry per state. A custom posterior table
+    needs one vector of one entry per state for each signal, and no entry for
+    any other signal. Every other rule carries no data to check.
+    """
+    if isinstance(rule, GammaMaximinRule):
+        # the credal set makes its members agree on their length
+        check_length(rule.credal.members[0], state_count, "credal member")
+    elif isinstance(rule, Faulty) and isinstance(rule.kind, CustomPosterior):
+        for signal in signals:
+            if len(vec := rule.kind.posterior_for(signal)) != state_count:
+                check_length(vec, state_count, f"custom posterior for {signal!r}")
+        # every signal has an entry and the table's names are distinct, so it has
+        # an entry for another signal exactly when it has more entries
+        if len(rule.kind.table) > len(set(signals)):
+            unknown = sorted({signal for signal, _ in rule.kind.table} - set(signals))
+            raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
 
 
 def _argmax(values) -> tuple[int, float]:

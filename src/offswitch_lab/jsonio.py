@@ -9,7 +9,9 @@ names the offending field.
 
 A search witness (``Witness``) is one JSON object holding its trial index,
 voi, problem, channel and rule; ``witness_to_jsonable`` and
-``witness_from_jsonable`` are its codec.
+``witness_from_jsonable`` are its codec. The decoder checks that the channel
+has one likelihood row per state and that the rule's data fits the problem
+and channel (``core.check_fits``), so every witness it returns replays.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .core import (
     RiskWeightedRule,
     SignalChannel,
     TableRisk,
+    check_fits,
+    check_length,
 )
 from .distributions import Discrete, Uniform, UtilityDistribution
 from .offswitch import OffSwitchScenario
@@ -271,9 +275,9 @@ def witness_from_jsonable(obj) -> Witness:
     problem = decode_problem(obj["problem"])
     channel = decode_channel(obj["channel"])
     rule = decode_rule(obj["rule"])
-    if isinstance(rule, Faulty) and isinstance(rule.kind, CustomPosterior):
-        # checked here, so a bad table is an input error rather than a failure partway through replay
-        rule.kind.check_signals(channel.signals, len(problem.states))
+    # checked here, so that every witness this returns replays
+    check_length(channel.likelihood, len(problem.states), "channel likelihood")
+    check_fits(rule, channel.signals, len(problem.states))
     voi = float(number(obj["voi"], "witness voi"))
     trial_index = number(obj["trial_index"], "witness trial_index", _INT_TYPES)
     if trial_index < 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CHECK_TOL, Act, CustomPosterior, DecisionProblem, DecisionRule, Faulty, SignalChannel, unit_interval
+from .core import CHECK_TOL, Act, DecisionProblem, DecisionRule, Faulty, SignalChannel, check_fits, unit_interval
 from .distributions import UtilityDistribution, mean, zero_split
 
 PREFER = "prefer"
@@ -28,7 +28,13 @@ REJECT = "reject"
 @dataclass(frozen=True, slots=True)
 class OffSwitchScenario:
     """A prior over the human's utility, a signal-garbling probability, and an
-    optional rule and updater to evaluate on the game's two-state embedding."""
+    optional rule and updater to evaluate on the game's two-state embedding.
+
+    Construction refuses a rule or updater whose data does not fit that
+    embedding (``core.check_fits``): a credal member needs 2 entries, and a
+    custom posterior table one vector of 2 entries for each of ``approve`` and
+    ``reject`` and for no other signal. So every built scenario evaluates.
+    """
 
     prior: UtilityDistribution
     epsilon: float
@@ -38,9 +44,9 @@ class OffSwitchScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", unit_interval(self.epsilon, "epsilon"))
-        # a faulty updater's table is checked against the game's fixed channel before any evaluation
-        if isinstance(getattr(self.updater, "kind", None), CustomPosterior):
-            self.updater.kind.check_signals((APPROVE, REJECT), 2)
+        # the rule's and updater's data are checked against the game's fixed channel before any evaluation
+        for rule in (self.rule, self.updater):
+            check_fits(rule, (APPROVE, REJECT), 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,8 +74,9 @@ def reduce_to_two_state(prior: UtilityDistribution, epsilon: float) -> tuple[Dec
     approve/reject channel. The act's payoff in each state is the conditional
     mean utility there; the channel flips the matching approve/reject signal
     with probability epsilon. One-sided priors produce a zero-probability
-    state whose payoff entry is a zero placeholder rather than an error, so a
-    rule or updater analysis of any prior never aborts.
+    state whose payoff entry is a zero placeholder rather than an error, so
+    the rule and updater analysis of any built ``OffSwitchScenario``, whose
+    rule data construction has checked against this game, never aborts.
     """
     epsilon = unit_interval(epsilon, "epsilon")
     p_good, p_bad, m_good, m_bad = zero_split(prior)

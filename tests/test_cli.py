@@ -51,6 +51,15 @@ def test_scenario_epsilon_flag_overrides(capsys):
     assert lines["best"] == "defer"
 
 
+def test_scenario_epsilon_of_minus_0_is_printed_and_written_as_0(capsys):
+    code, out, _ = run(capsys, "scenario", "alice-noisy", "--epsilon", "-0")
+    assert code == 0
+    assert dict(line.split(None, 1) for line in out.strip().splitlines())["epsilon"] == "0"
+    code, out, _ = run(capsys, "scenario", "alice-noisy", "--epsilon", "-0", "--json")
+    assert code == 0
+    assert '  "epsilon": 0.0,' in out.splitlines()
+
+
 def test_scenario_alice_confident_threshold(capsys):
     code, out, _ = run(capsys, "scenario", "alice-confident")
     assert code == 0
@@ -414,6 +423,21 @@ def test_verify_witness_rejects_tampered_file(tmp_path, capsys):
     assert "re-evaluation" in out
 
 
+def test_verify_witness_refuses_a_misfit_entry_before_the_first_verdict(tmp_path, capsys):
+    # entry 0 no longer reproduces its voi and entry 1 has a likelihood row fewer
+    # than states; the file is refused whole, so no verdict line is printed
+    path = tmp_path / "w.json"
+    argv = ("search", "--rule", "faulty:complement:0.5", "--trials", "300", "--seed", "1", "--out", str(path))
+    assert run(capsys, *argv)[0] == 0
+    entries = json.loads(path.read_text())
+    entries[0]["voi"] += 1
+    del entries[1]["channel"]["likelihood"][2]
+    path.write_text(json.dumps(entries))
+    assert run(capsys, "verify-witness", str(path)) == (
+        2, "", "error: cannot parse witness file: channel likelihood has 2 entries for 3 states\n"
+    )
+
+
 def test_report_all_rows_pass(capsys):
     code, out, _ = run(capsys, "report")
     assert code == 0
@@ -546,6 +570,17 @@ def test_scenario_table_that_does_not_fit_the_game_exits_2_naming_the_signal(edi
         assert message in err
 
 
+def test_scenario_credal_set_that_does_not_fit_the_game_exits_2(tmp_path, capsys):
+    # the game has two states; sweep evaluates no rule, yet refuses the misfit as scenario does
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({
+        "label": "c3", "prior": {"kind": "uniform", "lo": -10, "hi": 90}, "epsilon": 0.02,
+        "rule": {"kind": "gamma-maximin", "credal": {"members": [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]}},
+    }))
+    for argv in [("scenario", str(path)), ("sweep", str(path), "--lo", "0", "--hi", "0.1", "--steps", "2")]:
+        assert run(capsys, *argv) == (2, "", "error: credal member has 3 entries for 2 states\n")
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -626,7 +661,7 @@ def test_witness_numbers_must_be_json_numbers(path, bad, tmp_path, capsys):
         (lambda w: w["problem"].update(states=["state0", 1, "state2"]), "decision problem states must be a JSON list of strings"),
         (lambda w: w["channel"].update(signals="xy"), "signal channel signals must be a JSON list of strings"),
         (lambda w: w["problem"]["acts"][0].update(name=7), "act name must be a JSON string"),
-        # sizes that decode but disagree at replay
+        # sizes that disagree across the problem, channel and rule data, refused at decode
         (lambda w: w.update(rule={"kind": "gamma-maximin", "credal": {"members": [[0.25] * 4, [0.4, 0.2, 0.2, 0.2]]}}),
          "credal member has 4 entries for 3 states"),
         (lambda w: w["channel"]["likelihood"].append([0.5, 0.5]), "channel likelihood has 4 entries for 3 states"),

@@ -1,5 +1,7 @@
 import copy
+import json
 import reprlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,7 @@ SCENARIOS = [
         "updater": {"kind": "faulty", "q": 0.5, "mode": "complement-conditionalization"},
     },
 ]
+GOLDEN_WITNESSES = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "witnesses.json"
 # what a malformed or hostile file can hold where any field belongs
 REPLACEMENTS = [None, True, False, "x", [], {}, 10**400, 1e308, -1e308, 1e-300]
 
@@ -90,6 +93,63 @@ def test_a_field_replaced_by_any_value_fails_only_with_value_error(value):
         assert_only_value_errors(lambda obj: voi.replay_witness(jsonio.witness_from_jsonable(obj)), witness, value)
     for scenario in SCENARIOS:
         assert_only_value_errors(lambda obj: cli._scenario_payload(jsonio.decode_scenario(obj)), scenario, value)
+
+
+def size_edits(witness) -> list[str]:
+    """The size edits that apply to a witness: its channel's, and its rule data's."""
+    edits = ["row-added", "row-dropped"]
+    if "credal" in witness["rule"]:
+        edits += ["members-longer", "members-shorter"]
+    if "table" in witness["rule"]:
+        edits += ["vector-longer", "vector-shorter", "signal-added", "signal-removed"]
+    return edits
+
+
+def size_edited(witness, edit: str, i: int):
+    """A copy of the witness with one size edit; ``i`` picks the row, vector or signal.
+
+    A longer vector gains an entry of 0 and a shorter one merges its last two
+    entries, so each still sums to 1; every credal member is edited alike, so
+    the members still agree on their length.
+    """
+    out = copy.deepcopy(witness)
+    rows, rule = out["channel"]["likelihood"], out["rule"]
+    vectors = rule["credal"]["members"] if "credal" in rule else list(rule.get("table", {}).values())
+    if edit == "row-added":
+        rows.append(list(rows[i % len(rows)]))
+    elif edit == "row-dropped":
+        del rows[i % len(rows)]
+    elif edit.endswith("-longer"):
+        for vec in vectors if edit == "members-longer" else [vectors[i % len(vectors)]]:
+            vec.append(0.0)
+    elif edit.endswith("-shorter"):
+        for vec in vectors if edit == "members-shorter" else [vectors[i % len(vectors)]]:
+            vec[-2:] = [vec[-2] + vec[-1]]
+    elif edit == "signal-added":
+        rule["table"]["extra"] = list(vectors[i % len(vectors)])
+    else:
+        del rule["table"][list(rule["table"])[i % len(vectors)]]
+    return out
+
+
+# the rule-kind witnesses above and the first golden witnesses, at 3 states
+SIZE_CASES = [
+    (witness, edit)
+    for witness in WITNESSES + json.loads(GOLDEN_WITNESSES.read_text(encoding="utf-8"))[:8]
+    for edit in size_edits(witness)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SIZE_CASES), st.integers(0, 7))
+def test_a_witness_that_decodes_after_a_size_edit_replays(case, i):
+    # sizes that disagree across the problem, channel and rule data are refused
+    # at decode, so a decoded witness never fails partway through its replay
+    try:
+        decoded = jsonio.witness_from_jsonable(size_edited(*case, i))
+    except ValueError:
+        return
+    voi.replay_witness(decoded)
 
 
 def test_the_documents_are_valid_as_they_stand():

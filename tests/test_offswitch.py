@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from offswitch_lab import offswitch
-from offswitch_lab.core import ComplementConditionalization, CustomPosterior, Faulty
+from offswitch_lab.core import ComplementConditionalization, CredalSet, CustomPosterior, Faulty, GammaMaximinRule
 from offswitch_lab.distributions import Discrete, Uniform, cond_mean_ge, expected_positive_part, mean
 from offswitch_lab.offswitch import (
     OffSwitchScenario,
@@ -54,6 +54,15 @@ def test_scenario_checks_a_custom_posterior_table_against_the_games_signals():
             dataclasses.replace(scenario, updater=updater)
     # a table-free misupdate has nothing to check
     OffSwitchScenario(Uniform(-10, 90), 0.1, "complement", updater=Faulty(0.5, ComplementConditionalization()))
+
+
+def test_scenario_checks_a_credal_set_against_the_games_two_states():
+    c3 = GammaMaximinRule(CredalSet(((0.2, 0.3, 0.5), (0.6, 0.2, 0.2))))
+    for blocks in ({"rule": c3}, {"updater": c3}):
+        with pytest.raises(ValueError, match=r"^credal member has 3 entries for 2 states$"):
+            OffSwitchScenario(Uniform(-10, 90), 0.02, "c3", **blocks)
+    c2 = GammaMaximinRule(CredalSet(((0.2, 0.8), (0.6, 0.4))))
+    OffSwitchScenario(Uniform(-10, 90), 0.02, "c2", rule=c2, updater=c2)
 
 
 def test_reduce_basic_prior_noiseless_partition():

@@ -159,6 +159,15 @@ def test_replace_on_a_scenario_validates_like_the_constructor():
     assert scenario.epsilon == 0.1
 
 
+def test_a_probability_of_minus_0_is_stored_and_written_as_0():
+    # -0.0 lies in [0, 1]; it is kept as 0.0, so no "-0" reaches a table or a file
+    faulty = Faulty(-0.0, StayAtPrior())
+    scenario = offswitch.OffSwitchScenario(Uniform(-10, 90), -0.0, "game")
+    for value in (faulty.q, scenario.epsilon, dataclasses.replace(CUSTOM, q=-0.0).q, core.unit_interval(-0.0, "x")):
+        assert repr(value) == "0.0"
+    assert json.dumps(jsonio.encode_rule(faulty)) == '{"kind": "faulty", "q": 0.0, "mode": "stay-at-prior"}'
+
+
 def test_replace_goes_through_the_validating_constructors():
     assert dataclasses.replace(PROBLEM.acts[0], utilities=[2, 3]) == Act("a", (2.0, 3.0))
     assert dataclasses.replace(CHANNEL, signals=["u", "v"]).signals == ("u", "v")

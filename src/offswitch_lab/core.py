@@ -332,7 +332,8 @@ def check_fits(rule, signals, state_count: int) -> None:
 
     A credal set's members need one entry per state. A custom posterior table
     needs one vector of one entry per state for each signal, and no entry for
-    any other signal. Every other rule carries no data to check.
+    any other signal. Every other rule carries no data to check, and an object
+    that is neither None, a decision rule nor a ``Faulty`` is refused.
     """
     if isinstance(rule, GammaMaximinRule):
         # the credal set makes its members agree on their length
@@ -346,6 +347,8 @@ def check_fits(rule, signals, state_count: int) -> None:
         if len(rule.kind.table) > len(set(signals)):
             unknown = sorted({signal for signal, _ in rule.kind.table} - set(signals))
             raise ValueError(f"custom posterior table has entries for signals not in the channel: {unknown}")
+    elif rule is not None and not isinstance(rule, DecisionRule | Faulty):
+        raise ValueError(f"rule must be a decision rule or a Faulty updater, got {rule!r}")
 
 
 def _argmax(values) -> tuple[int, float]:
@@ -394,17 +397,20 @@ def risk_weighted_value(prospect, risk: RiskFunction) -> float:
     i.e. the guaranteed floor plus each utility increment weighted by the
     risk-transformed probability of doing at least that well. Zero-probability
     atoms are dropped; they cannot change the value.
+
+    The walk runs down from the best outcome, so each tail is the sum of the
+    masses at or above its outcome: never below 0, and a thin tail keeps its
+    relative accuracy. Masses may sum past 1 within ``PROB_TOL``, so a tail past
+    1 is clamped to 1.
     """
     pairs = sorted([pair for pair in prospect if pair[1] > 0.0])
     if not pairs:
         raise ValueError("prospect needs at least one positive-probability atom")
-    value = pairs[0][0]
-    tail = left_sum([p for _, p in pairs])
-    for (u_prev, p_prev), (u, _) in zip(pairs, pairs[1:]):
-        tail -= p_prev
-        # rounding moves a thin top tail below 0, and masses summing past 1 a tail above 1
-        value += risk.weight(0.0 if tail < 0.0 else 1.0 if tail > 1.0 else tail) * (u - u_prev)
-    return value
+    (u, tail), value = pairs[-1], 0.0
+    for u_prev, p in reversed(pairs[:-1]):
+        value += risk.weight(1.0 if tail > 1.0 else tail) * (u - u_prev)
+        u, tail = u_prev, tail + p
+    return u + value
 
 
 def gamma_maximin(problem: DecisionProblem, credal: CredalSet) -> tuple[int, float]:

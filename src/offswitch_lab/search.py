@@ -476,10 +476,12 @@ def _rank_bound(rule: RiskWeightedRule, utilities: np.ndarray, probabilities: np
     """The lower (``margin`` -SCREEN_MARGIN) or upper (+SCREEN_MARGIN) bound of the
     rank-dependent value of prospects whose utilities ascend along the first axis.
 
-    The scalar path finds its tails (the mass above an outcome) by subtraction
-    and clamps them to [0, 1], so they differ from these by rounding; as a risk
-    function is non-decreasing, its values at tail -/+ margin bound the weight
-    the scalar path gives each step, a thin tail's included."""
+    Both this and the scalar path sum each tail (the mass above an outcome) from
+    the top, yet their tails still differ by rounding: tied utilities are ranked
+    by argsort here and by sorting (utility, mass) pairs there, only the scalar
+    path drops zero-mass atoms, and numpy's power may differ from Python's. As a
+    risk function is non-decreasing, its values at tail -/+ margin bound the
+    weight the scalar path gives each step, a thin tail's included."""
     tails = probabilities[1:].copy()
     for k in range(len(tails) - 2, -1, -1):  # numpy's cumsum makes a call per prospect
         tails[k] += tails[k + 1]

@@ -159,6 +159,30 @@ def test_scenario_file_with_rule_and_updater_blocks(tmp_path, capsys):
     assert "complement-conditionalization updater takes no 'table' field" in err
 
 
+def test_scenario_risk_weighted_robot_declines_the_noisy_human_signal(tmp_path, capsys):
+    # the paper's first claim in its own game: on alice-noisy's prior, a robot
+    # with r(p) = p**2 values acting now above deferring to a human whose signal
+    # is garbled with probability 0.02, and gains from a noiseless one
+    path = tmp_path / "alice-noisy-reu.json"
+    path.write_text(
+        json.dumps(
+            {
+                "label": "alice-noisy-reu",
+                "prior": {"kind": "uniform", "lo": -10, "hi": 90},
+                "epsilon": 0.02,
+                "rule": {"kind": "reu", "risk": {"kind": "power", "k": 2}},
+            }
+        )
+    )
+    code, out, _ = run(capsys, "scenario", str(path))
+    assert code == 0
+    lines = dict(line.split(None, 1) for line in out.strip().splitlines())
+    assert (lines["rule_value_now"], lines["rule_value_learning"], lines["rule_voi"]) == ("35.5", "34.9866", "-0.5134")
+    code, out, _ = run(capsys, "scenario", str(path), "--epsilon", "0")
+    assert code == 0
+    assert dict(line.split(None, 1) for line in out.strip().splitlines())["rule_voi"] == "0.95"
+
+
 def test_sweep_bracket_of_the_crossover(capsys):
     code, out, _ = run(capsys, "sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps", "51")
     assert code == 0

@@ -230,11 +230,15 @@ def test_risk_weighted_value_matches_decumulative_oracle(raw, k):
 
 
 def test_risk_weighted_value_is_real_on_a_thin_top_tail():
-    # the tail above the middle outcome rounds below 0 when found by subtraction
+    # a thin top tail beside a mass near 1 stays a non-negative mass that a risk
+    # function on [0, 1] can weigh, and keeps its relative accuracy, which a
+    # square root would otherwise amplify
     prospect = zip((0.0, 1.0, 2.0), (0.7496485088146057, 0.2503514911853944, 9.815048709252268e-18))
     value = risk_weighted_value(prospect, PowerRisk(0.5))
     assert type(value) is float
     assert 0.0 <= value <= 2.0
+    value = risk_weighted_value([(0.0, 1 - 2e-12), (1.0, 1e-12), (2.0, 1e-12)], PowerRisk(0.5))
+    assert value == pytest.approx(math.sqrt(2e-12) + math.sqrt(1e-12), rel=1e-15)
 
 
 def test_risk_weighted_value_stays_within_the_utilities_when_the_masses_sum_past_1():

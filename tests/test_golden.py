@@ -19,7 +19,7 @@ from offswitch_lab.voi import replay_witness
 GOLDEN_WITNESSES = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "witnesses.json"
 
 SEARCH_DIGESTS = {
-    "reu:power:2": (32, "213247fad6d96ff6ccedd228cfd835d8a57e5a775ecdbc31633f73f3d23b46f0"),
+    "reu:power:2": (32, "868363d78afeb7e139b0ab91d0b29ed5ddd03bf76550179d04bbd092fee52a0d"),
     "gamma:2": (7, "ef5d4a3ac6f2a65d76dd1cdd134f3c0ec430882c23226c40891bb8b012312ba6"),
     "faulty:complement:0.5": (152, "137810524062673a44b2327ca19d172c8752dda810541b62f7c54933f841714d"),
     "faulty:custom:0.5": (185, "7153c60dfb6e60f1a36db5ab26b07eb4d14ba9fea8d826d9b5894f19651b6427"),
@@ -27,7 +27,7 @@ SEARCH_DIGESTS = {
 
 # 2500 trials cross several blocks of the search's screen and end in a partial one
 BLOCKS_ARGV = ("--rule", "reu:power:2", "--states", "2", "--acts", "2", "--signals", "2", "--trials", "2500", "--seed", "3")
-BLOCKS_DIGEST = (120, "5c911a0235f4cc86e6d186fedb3a76f83f7182bd94ba8ff9042610d35469e6df")
+BLOCKS_DIGEST = (120, "184f05fd236dbcb855846d06d9046e7e2916df03e6c39ebef6029447cd820227")
 
 STDOUT_DIGESTS = [
     (("report",), "3ee01cad8724ce31f139e93c1ac8815fd4be402ac4e65a1fd8951df7606063de"),
@@ -45,7 +45,7 @@ SCENARIO_BLOCKS = {
         {"kind": "reu", "risk": {"kind": "table", "knots": [[0, 0], [0.5, 0.3], [1, 1]]}},
         {"kind": "faulty", "q": 0.25, "mode": "custom-posterior",
          "table": {"approve": [0.2, 0.8], "reject": [0.9, 0.1]}},
-        "e843886a166dde8ce52b53a2abcf1a8e903e71717bbc064e311f8a294d8778b8",
+        "c81a531cf8a4646d027506b67111dd913868a0d86cbcaa56d017404af5943324",
     ),
     "gamma+faulty-complement": (
         {"kind": "gamma-maximin", "credal": {"members": [[0.3, 0.7], [0.6, 0.4]]}},
@@ -56,7 +56,7 @@ SCENARIO_BLOCKS = {
     "reu-identity+conditionalization": (
         {"kind": "reu", "risk": {"kind": "identity"}},
         {"kind": "conditionalization"},
-        "c8b0ae190ec9d245112f5ad71c57ae5a4df6685f1d24991924a4d05fd9a8e49a",
+        "c3fc5db6cf142cab23a723055bed6ee5d3d85832406b4036d33a36d17f5a0f7b",
     ),
     "eu+faulty-stay": (
         {"kind": "eu"},
@@ -66,7 +66,7 @@ SCENARIO_BLOCKS = {
     "reu-power-2": (
         {"kind": "reu", "risk": {"kind": "power", "k": 2}},
         None,
-        "6ead03e8abff42e8f943b9a5d33f00ecf926ed97ca5af24e09b7cac9fdf50ab8",
+        "d9ab0075729042c1f7007f21308c0bf4a08d47df62aa91936af768c931c38cba",
     ),
 }
 

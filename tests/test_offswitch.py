@@ -16,6 +16,7 @@ from offswitch_lab.offswitch import (
     reduce_to_two_state,
     theorem1_check,
 )
+from offswitch_lab.search import CredalSearch
 from oracles import bisect_defer_threshold, embedded_report, plan_value_eu
 
 
@@ -63,6 +64,14 @@ def test_scenario_checks_a_credal_set_against_the_games_two_states():
             OffSwitchScenario(Uniform(-10, 90), 0.02, "c3", **blocks)
     c2 = GammaMaximinRule(CredalSet(((0.2, 0.8), (0.6, 0.4))))
     OffSwitchScenario(Uniform(-10, 90), 0.02, "c2", rule=c2, updater=c2)
+
+
+@pytest.mark.parametrize("block", ["rule", "updater"])
+@pytest.mark.parametrize("thing", ["eu", CredalSearch()], ids=["string", "search-rule"])
+def test_scenario_refuses_what_is_neither_a_rule_nor_an_updater(block, thing):
+    # refused at construction, so that every built scenario evaluates
+    with pytest.raises(ValueError, match=re.escape(f"got {thing!r}") + "$"):
+        OffSwitchScenario(Uniform(-10, 90), 0.02, "x", **{block: thing})
 
 
 def test_reduce_basic_prior_noiseless_partition():

@@ -1,8 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offswitch_lab.core import (
@@ -353,8 +354,21 @@ def revealing_problems(draw):
     return problem, simplex(), SignalChannel(tuple(f"e{j}" for j in range(states)), likelihood)
 
 
+# a revealing case with upper tails of 2.3e-16 and 5.4e-18 beside a mass near 1
+THIN_TAILS = (
+    DecisionProblem(
+        ("s0", "s1", "s2"),
+        (0.9999999999999998, 2.2204460492503126e-16, 5.444408234977618e-18),
+        (Act("a0", (-1.0, 0.0, 0.0)), Act("a1", (-1.0, 1.0, -1.0))),
+    ),
+    (0.0, 0.0, 1.0),
+    SignalChannel(("e0", "e1", "e2"), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(revealing_problems())
+@example(THIN_TAILS)
 def test_a_channel_that_reveals_the_state_is_never_rejected_by_a_dominance_respecting_rule(case):
     # every posterior is a point mass, so the learn-then-choose plan takes the
     # best act in each state and dominates every act state by state; expected
@@ -369,6 +383,15 @@ def test_a_channel_that_reveals_the_state_is_never_rejected_by_a_dominance_respe
     ]
     for rule in rules:
         assert evaluate_rule(problem, channel, rule).voi >= -CHECK_TOL, rule
+
+
+def test_a_thin_revealed_tail_gets_its_exact_risk_weighted_voi():
+    # a1 is best now at -1 + 2 sqrt(p1); the plan takes a1 in s1 and a0 in s2,
+    # which is worth -1 + sqrt(p1 + p2) + sqrt(p1) under r(p) = sqrt(p)
+    problem, _, channel = THIN_TAILS
+    p1, p2 = problem.prior[1:]
+    voi = evaluate_rule(problem, channel, RiskWeightedRule(PowerRisk(0.5))).voi
+    assert abs(voi - (math.sqrt(p1 + p2) - math.sqrt(p1))) <= 1e-15
 
 
 def test_a_channel_that_reveals_the_state_can_be_rejected_by_a_complement_misfire():

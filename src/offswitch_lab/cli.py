@@ -2,7 +2,8 @@
 
 Subcommands: scenario, sweep, check, search, verify-witness, report.
 Exit codes: 0 success, 1 check/report/verification failure, 2 bad input, 3
-search exhausted without a witness. A command reports bad input by raising
+search exhausted without a witness; 1 also, with nothing printed, when stdout
+is closed before the output is written. A command reports bad input by raising
 ValueError and a failed self-check by raising AssertionError; ``main`` alone
 turns them into ``error: <message>`` on stderr and exit 2 or 1. A search
 raises ValueError for its config before the first trial, and reports a
@@ -13,7 +14,9 @@ file read as input may give no key twice in one object. Only ``check`` and
 ``search`` sample, and only they import ``search`` and with it numpy; the
 other commands start without either. ``_write_out`` alone decides where a
 command's document goes: stdout, or an ``--out`` path, which ``search`` has
-it check before the first trial. A pipe is opened only by the read or write
+it check before the first trial. A command hands it a function that writes
+the document to the stream it picks, one entry or row at a time, so no
+command holds its whole document. A pipe is opened only by the read or write
 that uses it, so ``/dev/stdin``, ``/dev/stdout`` or a FIFO works as a
 scenario path or as ``--out``. An ``--out`` that names one of the process's
 descriptors, such as ``/dev/stdin`` or ``/dev/stdout``, is written through
@@ -27,7 +30,6 @@ import argparse
 import contextlib
 import csv
 import errno
-import io
 import json
 import os
 import stat
@@ -43,6 +45,9 @@ from .distributions import Uniform
 from .offswitch import OffSwitchScenario, best_option, reduce_to_two_state
 
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+    from typing import TextIO
+
     from .search import SearchRule
 
 BUILTIN_SCENARIOS = {scenario.label: scenario for scenario in (
@@ -67,7 +72,7 @@ REFERENCE_ROWS = (
 )
 
 REPORT_TOL = 1e-9
-MAX_SWEEP_STEPS = 10_000  # the whole grid's CSV is built in memory before it is written
+MAX_SWEEP_STEPS = 10_000  # the grid is written row by row; the bound limits the work
 
 
 def _fmt(value) -> str:
@@ -113,9 +118,10 @@ def _own_descriptor(path: str) -> int | None:
     return {"/dev/stdin": 0, "/dev/stdout": 1, "/dev/stderr": 2}.get(path)
 
 
-def _write_out(path: str | None, text: str | None) -> None:
-    """Write a command's document to ``path``, or to stdout when ``path`` is
-    None; ValueError naming the path when it cannot be written.
+def _write_out(path: str | None, write: Callable[[TextIO], None] | None) -> None:
+    """Call ``write(stream)`` on a text stream that leads to ``path``, or on
+    stdout when ``path`` is None, so that ``write`` puts a command's document
+    there; ValueError naming the path when it cannot be written.
 
     A path that names one of the process's own descriptors is written through
     that descriptor, after what was printed to stdout, so it keeps its offset
@@ -127,33 +133,35 @@ def _write_out(path: str | None, text: str | None) -> None:
     which would replace ``file.txt``. Any other path that exists and is not a
     regular file, such as a FIFO or a device, is written in place. Any other
     regular file or new path, or one a symlink names, is replaced whole or not
-    at all: the text goes to a temporary file in its directory, which gets the
-    file's mode (or the mode a new file gets) and is renamed onto it.
+    at all: ``write`` writes to a temporary file in its directory, which gets
+    the file's mode (or the mode a new file gets) and is renamed onto it only
+    when ``write`` returns.
 
-    With ``text`` None nothing is written: the call checks, before the
+    With ``write`` None nothing is written: the call checks, before the
     command's work, what that same write will need, and leaves nothing behind.
     A descriptor gets a write of no bytes, which fails unless it is open for
     writing; a directory is refused as it is for the write; a FIFO or a device
     is not opened; a regular file, new or not, needs an unnamed temporary file
     in its target's directory."""
     if path is None:
-        sys.stdout.write(text or "")
+        if write is not None:
+            write(sys.stdout)
         return
     descriptor = _own_descriptor(path)
     try:
         if descriptor is None and (os.path.basename(path) in ("", ".", "..") or os.path.isdir(path)):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if descriptor is not None or (os.path.exists(path) and not os.path.isfile(path)):
-            if text is not None:
+            if write is not None:
                 sys.stdout.flush()
                 place = path if descriptor is None else descriptor
                 with open(place, "w", encoding="utf-8", closefd=descriptor is None) as stream:
-                    stream.write(text)
+                    write(stream)
             elif descriptor is not None:
                 os.write(descriptor, b"")
             return
         target = os.path.realpath(path)
-        if text is None:
+        if write is None:
             tempfile.TemporaryFile(dir=os.path.dirname(target)).close()
             return
         try:
@@ -166,7 +174,8 @@ def _write_out(path: str | None, text: str | None) -> None:
         os.close(descriptor)
         try:
             os.chmod(temporary, mode)
-            Path(temporary).write_text(text, encoding="utf-8")
+            with open(temporary, "w", encoding="utf-8") as stream:
+                write(stream)
             os.replace(temporary, target)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -240,15 +249,17 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"epsilon grid needs 0 <= lo < hi <= 1, got [{args.lo}, {args.hi}]")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"epsilon grid needs between 2 and {MAX_SWEEP_STEPS} steps, got {args.steps}")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["epsilon", "eu_act", "eu_defer", "eu_learn", "best"])
-    for i in range(args.steps):
-        # the interpolated last point can round past hi, and past 1 when hi is 1
-        eps = args.hi if i == args.steps - 1 else args.lo + (args.hi - args.lo) * i / (args.steps - 1)
-        report = best_option(scenario.prior, eps)
-        writer.writerow([repr(eps), repr(report.eu_act), repr(report.eu_defer), repr(report.eu_learn), report.best])
-    _write_out(args.out, buffer.getvalue())
+
+    def write(stream: TextIO) -> None:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["epsilon", "eu_act", "eu_defer", "eu_learn", "best"])
+        for i in range(args.steps):
+            # the interpolated last point can round past hi, and past 1 when hi is 1
+            eps = args.hi if i == args.steps - 1 else args.lo + (args.hi - args.lo) * i / (args.steps - 1)
+            report = best_option(scenario.prior, eps)
+            writer.writerow([repr(eps), repr(report.eu_act), repr(report.eu_defer), repr(report.eu_learn), report.best])
+
+    _write_out(args.out, write)
     return 0
 
 
@@ -308,6 +319,20 @@ def parse_rule(text: str) -> SearchRule:
     )
 
 
+def _write_json_list(stream: TextIO, entries: Iterable) -> None:
+    """Write ``json.dumps(list(entries), indent=2) + "\\n"`` to ``stream``, one
+    entry at a time. json escapes every newline inside a string, so each
+    newline in an entry's indent-2 text is a line break, and the list puts the
+    entry one level, two spaces, deeper."""
+    empty = True
+    stream.write("[")
+    for entry in entries:
+        stream.write("\n  " if empty else ",\n  ")
+        stream.write(json.dumps(entry, indent=2).replace("\n", "\n  "))
+        empty = False
+    stream.write("]\n" if empty else "\n]\n")
+
+
 def cmd_search(args) -> int:
     from . import search
 
@@ -316,8 +341,7 @@ def cmd_search(args) -> int:
     config = search.SearchConfig(**{**settings, "rule": parse_rule(args.rule)})
     _write_out(args.out, None)  # fail before the first trial, creating nothing and opening no pipe
     witnesses = search.find_information_aversion(config)
-    text = json.dumps([jsonio.witness_to_jsonable(w) for w in witnesses], indent=2)
-    _write_out(args.out, text + "\n")
+    _write_out(args.out, lambda stream: _write_json_list(stream, map(jsonio.witness_to_jsonable, witnesses)))
     print(
         f"witnesses={len(witnesses)} trials={args.trials} seed={args.seed} rule={args.rule}"
         + (f" most_negative_voi={witnesses[0].voi!r}" if witnesses else "")
@@ -430,7 +454,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: send what is still buffered to
+        # os.devnull, so that the flush at exit prints no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, AssertionError) as exc:
         # this is the one place where bad input, which every command reports by
         # raising ValueError, becomes exit 2, and a failed self-check (a kernel that

@@ -147,7 +147,7 @@ KERNEL_VALUES = 8 * BLOCK_TRIALS * 18  # values per kernel call: eight blocks at
 # Upper bounds on the sizes a search or check accepts. With them no block
 # array holds more than BLOCK_TRIALS * 16**3 floats (8 MB).
 MAX_SIZE = 16  # states, acts, signals and credal members
-MAX_TRIALS = 10**6  # every witness is held in memory and written as one JSON document
+MAX_TRIALS = 10**6  # every witness is held in memory; the document is written one entry at a time
 
 MISUPDATE_STAY, MISUPDATE_COMPLEMENT, MISUPDATE_CUSTOM = MISUPDATE_MODES  # its keys, in order
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offswitch_lab import SearchConfig, cli, jsonio, search
 
@@ -430,6 +432,90 @@ def test_search_exhausted_returns_3(capsys):
     assert code == 3
     assert json.loads(out) == []
     assert err == "witnesses=0 trials=200 seed=1 rule=gamma stream=2\n"
+
+
+@pytest.mark.parametrize("count, config, argv", [
+    (0, SearchConfig(seed=1, trials=200, rule=cli.parse_rule("gamma"), state_count=2),
+     ("--rule", "gamma", "--trials", "200", "--seed", "1", "--states", "2")),
+    (1, SearchConfig(seed=1, trials=2, rule=cli.parse_rule("faulty:complement:0.5")),
+     ("--rule", "faulty:complement:0.5", "--trials", "2", "--seed", "1")),
+    (94, SearchConfig(seed=1, trials=300, rule=cli.parse_rule("faulty:complement:0.5")),
+     ("--rule", "faulty:complement:0.5", "--trials", "300", "--seed", "1")),
+], ids=["no-witness", "one-witness", "many-witnesses"])
+def test_search_document_is_the_indent_2_dump_of_its_witnesses(count, config, argv, tmp_path, capsys):
+    # the document is written one entry at a time, and is byte for byte what
+    # json.dumps makes of the whole list, through stdout, a regular file and /dev/stdout
+    entries = [jsonio.witness_to_jsonable(w) for w in search.find_information_aversion(config)]
+    expected = json.dumps(entries, indent=2) + "\n"
+    assert len(entries) == count
+    assert expected == "[]\n" or count
+    _, out, _ = run(capsys, "search", *argv)
+    assert out == expected
+    path = tmp_path / "w.json"
+    _, summary, _ = run(capsys, "search", *argv, "--out", str(path))
+    assert path.read_bytes() == expected.encode()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open(tmp_path / "got", "w") as got:
+        subprocess.run(
+            [sys.executable, "-m", "offswitch_lab.cli", "search", *argv, "--out", "/dev/stdout"],
+            stdout=got, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    assert (tmp_path / "got").read_text() == expected + summary
+
+
+JSON_TEXT = st.text(st.characters() | st.sampled_from('\n"\\é☃𝄞'), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(deadline=None)
+@given(st.lists(JSON_VALUES, max_size=4))
+def test_a_list_written_one_entry_at_a_time_is_its_indent_2_dump(entries):
+    stream = io.StringIO()
+    cli._write_json_list(stream, iter(entries))
+    assert stream.getvalue() == json.dumps(entries, indent=2) + "\n"
+
+
+def test_search_hands_json_no_list_of_every_witness(tmp_path, capsys, monkeypatch):
+    # a json call given the whole list would hold the whole document at once
+    received = []
+    for name in ("dumps", "dump"):
+        def spy(obj, *args, real=getattr(json, name), **kwargs):
+            received.append(obj)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, name, spy)
+    path = tmp_path / "w.json"
+    code, _, _ = run(capsys, *SEARCH_ARGV, "--out", str(path))
+    monkeypatch.undo()
+    entries = json.loads(path.read_text())
+    assert code == 0 and len(entries) > 1
+    assert [obj for obj in received if isinstance(obj, (list, tuple)) and len(obj) >= len(entries)] == []
+    assert sum(isinstance(obj, dict) for obj in received) == len(entries)
+
+
+@pytest.mark.parametrize("argv", [
+    ("report",),
+    ("search", "--rule", "faulty:complement:0.5", "--trials", "3000"),
+    ("sweep", "alice-confident", "--lo", "0", "--hi", "1", "--steps", "10000"),
+], ids=["report", "search", "sweep"])
+def test_a_command_whose_stdout_is_closed_exits_1_and_prints_nothing(argv):
+    # the reader of stdout went away before the output was written, as in
+    # `offswitch-lab report | true`: no traceback, exit 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "offswitch_lab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_verify_witness_rejects_tampered_file(tmp_path, capsys):
@@ -870,14 +956,38 @@ def test_search_for_a_one_signal_complement_misfire_exits_2_before_the_first_tri
     assert existing.read_text() == "earlier witnesses\n"
 
 
-def test_search_whose_final_write_fails_removes_only_the_out_file_it_created(tmp_path, capsys, monkeypatch):
-    def full(self, *args, **kwargs):
-        raise OSError(28, "No space left on device")
+class _StreamThatFails:
+    """A text stream that passes its first ``room`` characters on to ``stream``
+    and then fails with ``error``, as a full disk or a file size limit would."""
 
+    def __init__(self, stream, room, error):
+        self.stream, self.room, self.error = stream, room, error
+
+    def write(self, text):
+        self.stream.write(text[: self.room])
+        if len(text) > self.room:
+            raise self.error
+        self.room -= len(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stream.close()
+
+
+def _fail_document_writes(monkeypatch, room, error):
+    """Make every stream that ``cli`` opens for a document fail with ``error`` after ``room`` characters."""
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _StreamThatFails(open(*args, **kwargs), room, error),
+                        raising=False)
+
+
+def test_search_whose_final_write_fails_removes_only_the_out_file_it_created(tmp_path, capsys, monkeypatch):
     existing = tmp_path / "kept.json"
     existing.write_text("earlier witnesses\n")
     fresh = tmp_path / "fresh.json"
-    monkeypatch.setattr(Path, "write_text", full)
+    _fail_document_writes(monkeypatch, 0, OSError(28, "No space left on device"))
     for path in (existing, fresh):
         code, out, err = run(capsys, "search", "--rule", "faulty:complement:0.5", "--trials", "300", "--out", str(path))
         assert (code, out) == (2, "")
@@ -894,16 +1004,10 @@ SWEEP_ARGV = ("sweep", "alice-confident", "--lo", "0", "--hi", "0.05", "--steps"
 def test_a_final_write_that_fails_part_way_leaves_an_existing_out_file_whole(argv, tmp_path, capsys, monkeypatch):
     # a full disk or a file size limit after the first bytes: the earlier file
     # stays byte for byte, and no temporary file is left beside it
-    write_text = Path.write_text
-
-    def half(self, text, *args, **kwargs):
-        write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise OSError(27, "File too large")
-
     existing = tmp_path / "kept.out"
     existing.write_bytes(b"earlier output\n")
     fresh = tmp_path / "fresh.out"
-    monkeypatch.setattr(Path, "write_text", half)
+    _fail_document_writes(monkeypatch, 100, OSError(27, "File too large"))
     for path in (existing, fresh):
         code, out, err = run(capsys, *argv, "--out", str(path))
         assert (code, out) == (2, "")

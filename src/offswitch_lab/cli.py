@@ -2,13 +2,14 @@
 
 Subcommands: scenario, sweep, check, search, verify-witness, report.
 Exit codes: 0 success, 1 check/report/verification failure, 2 bad input, 3
-search exhausted without a witness; 1 also, with nothing printed, when stdout
-is closed before the output is written. A command reports bad input by raising
-ValueError and a failed self-check by raising AssertionError; ``main`` alone
-turns them into ``error: <message>`` on stderr and exit 2 or 1. A search
-raises ValueError for its config before the first trial, and reports a
-witness that the strict decoder or the replay refuses as a failed
-re-verification, an AssertionError. Every command is deterministic given its
+search exhausted without a witness; 1 also, with nothing printed, when the
+reader behind stdout or an ``--out`` pipe goes away, and 2 with one ``error:
+cannot write stdout`` line when stdout cannot be written for another reason.
+A command reports bad input by raising ValueError and a failed self-check by
+raising AssertionError; ``main`` alone turns them into ``error: <message>``
+on stderr and exit 2 or 1. A search raises ValueError for its config before
+the first trial, and reports a witness that the strict decoder or the replay
+refuses as a failed re-verification, an AssertionError. Every command is deterministic given its
 arguments; tables round to 7 significant digits, JSON and CSV keep full precision, and a JSON
 file read as input may give no key twice in one object. Only ``check`` and
 ``search`` sample, and only they import ``search`` and with it numpy; the
@@ -90,7 +91,7 @@ def _os_error(verb: str, what: str, exc: OSError) -> ValueError:
 
 def _read_json(path: str, what: str):
     """The JSON document in a file; ValueError naming the file when it cannot be
-    read or parsed, or when one of its objects gives a key twice."""
+    read, decoded as UTF-8 or parsed, or when one of its objects gives a key twice."""
     name = f"{what} {path!r}"
 
     def distinct(pairs: list) -> dict:
@@ -104,7 +105,8 @@ def _read_json(path: str, what: str):
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=distinct)
     except OSError as exc:
         raise _os_error("read", name, exc) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # text that is not UTF-8, or nested too deep for the parser, is bad JSON too
         raise ValueError(f"{name} is not valid JSON: {exc}") from exc
 
 
@@ -121,7 +123,8 @@ def _own_descriptor(path: str) -> int | None:
 def _write_out(path: str | None, write: Callable[[TextIO], None] | None) -> None:
     """Call ``write(stream)`` on a text stream that leads to ``path``, or on
     stdout when ``path`` is None, so that ``write`` puts a command's document
-    there; ValueError naming the path when it cannot be written.
+    there; ValueError naming the path when it cannot be written, except that a
+    reader that went away raises BrokenPipeError, as it does behind stdout.
 
     A path that names one of the process's own descriptors is written through
     that descriptor, after what was printed to stdout, so it keeps its offset
@@ -181,6 +184,8 @@ def _write_out(path: str | None, write: Callable[[TextIO], None] | None) -> None
             with contextlib.suppress(OSError):
                 os.remove(temporary)
             raise
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise _os_error("write", repr(path), exc) from exc
 
@@ -457,13 +462,18 @@ def main(argv=None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader of stdout went away: send what is still buffered to
-        # os.devnull, so that the flush at exit prints no second error
+    except OSError as exc:
+        # _read_json and _write_out raise ValueError for a path, so an OSError
+        # here is a failed write to stdout, or a BrokenPipeError: a reader that
+        # went away, behind stdout or an --out pipe. Send what is still buffered
+        # to os.devnull, so that the flush at exit prints no second error.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 1
+        if isinstance(exc, BrokenPipeError):
+            return 1
+        print(f"error: cannot write stdout: {exc.strerror or type(exc).__name__}", file=sys.stderr)
+        return 2
     except (ValueError, AssertionError) as exc:
         # this is the one place where bad input, which every command reports by
         # raising ValueError, becomes exit 2, and a failed self-check (a kernel that

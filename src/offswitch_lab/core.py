@@ -22,11 +22,17 @@ CHECK_TOL = 1e-12  # how far below 0 the property checks let a voi or deference 
 left_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
 
 
-def as_probability_vector(vec, what: str = "probability vector") -> tuple[float, ...]:
-    """Coerce to a tuple of floats and validate non-negativity and unit sum."""
+def as_probability_vector(vec, what: str = "probability vector", *args) -> tuple[float, ...]:
+    """Coerce to a tuple of floats and validate non-negativity and unit sum.
+
+    A vector that fails is named ``what % args``, formatted only then, or
+    ``what`` as it is when there are no ``args``."""
     out = tuple(map(float, vec))
-    if _is_distribution(out):
+    # a NaN or an infinity among the entries makes the sum test false
+    if out and min(out) >= 0.0 and abs(left_sum(out) - 1.0) <= PROB_TOL:
         return out
+    if args:
+        what %= args
     if not out:
         raise ValueError(f"{what} must be non-empty")
     # min(out) is negative or NaN whenever an entry is negative; -0.0 passes
@@ -34,13 +40,6 @@ def as_probability_vector(vec, what: str = "probability vector") -> tuple[float,
         raise ValueError(f"{what} has negative or non-finite entries: {out!r}")
     # the sum is the one test left to fail
     raise ValueError(f"{what} sums to {left_sum(out)!r}, expected 1 within {PROB_TOL}")
-
-
-def _is_distribution(out: tuple[float, ...]) -> bool:
-    """True when the floats pass every check of ``as_probability_vector``: they
-    are non-empty and non-negative and sum to 1 within PROB_TOL. Such floats are
-    finite, as a NaN or an infinity among them makes the sum test false."""
-    return bool(out) and min(out) >= 0.0 and abs(left_sum(out) - 1.0) <= PROB_TOL
 
 
 def check_length(vec, n: int, what: str, per: str = "states") -> tuple:
@@ -138,12 +137,9 @@ class SignalChannel:
             raise ValueError("channel needs at least one state row")
         checked = []
         for i, row in enumerate(rows):
-            row = tuple(row)
-            # a row that fails is checked again in full, its length first, for the message
-            if not (len(row) == len(signals) and _is_distribution(out := tuple(map(float, row)))):
-                what = f"likelihood row {i}"
-                out = as_probability_vector(check_length(row, len(signals), what, "signals"), what)
-            checked.append(out)
+            if len(row := tuple(row)) != len(signals):  # a wrong length is reported first
+                check_length(row, len(signals), f"likelihood row {i}", "signals")
+            checked.append(as_probability_vector(row, "likelihood row %d", i))
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "likelihood", tuple(checked))
 
@@ -164,7 +160,7 @@ class CredalSet:
         members = tuple(self.members)
         if not members:
             raise ValueError("credal set needs at least one member")
-        checked = tuple(as_probability_vector(m, f"credal member {i}") for i, m in enumerate(members))
+        checked = tuple(as_probability_vector(m, "credal member %d", i) for i, m in enumerate(members))
         n = len(checked[0])
         if any(len(m) != n for m in checked):
             raise ValueError("credal members disagree on state count")
@@ -250,12 +246,7 @@ class CustomPosterior:
         items = sorted(table.items()) if isinstance(table, Mapping) else list(table)
         if not items:
             raise ValueError("custom posterior table must not be empty")
-        canon = []
-        for signal, vec in items:
-            name, out = str(signal), tuple(map(float, vec))
-            if not _is_distribution(out):  # checked again in full, for the message
-                out = as_probability_vector(out, f"custom posterior for {signal!r}")
-            canon.append((name, out))
+        canon = [(str(signal), as_probability_vector(vec, "custom posterior for %r", signal)) for signal, vec in items]
         # a signal is looked up by its first entry, so a repeat would go unread; in a
         # JSON table the command line refuses it as a repeated key, before this check
         _reject_repeated_signals([signal for signal, _ in canon], "custom posterior table")

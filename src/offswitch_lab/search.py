@@ -84,8 +84,9 @@ message. Only one block's document is held at a time, however many blocks a
 call covers. The replay makes the same float operations in the same order, so
 it gives the voi exactly. The scalar kernels stay cheap without skipping a
 check: each checks a belief's length once and scores each act once per belief,
-and the constructors a witness goes through format an error message only for a
-value that fails.
+and the checkers a witness's vectors go through (``core.as_probability_vector``
+for every probability vector, ``core.check_length`` behind a length test) format
+an error message only for a value that fails.
 
 The collector. ``find_information_aversion`` pauses the cyclic garbage
 collector (``gc.disable``) while it draws, screens, builds, evaluates and

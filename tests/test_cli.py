@@ -501,10 +501,13 @@ def test_search_hands_json_no_list_of_every_witness(tmp_path, capsys, monkeypatc
     ("report",),
     ("search", "--rule", "faulty:complement:0.5", "--trials", "3000"),
     ("sweep", "alice-confident", "--lo", "0", "--hi", "1", "--steps", "10000"),
-], ids=["report", "search", "sweep"])
+    ("search", "--rule", "faulty:complement:0.5", "--trials", "3000", "--out", "/dev/stdout"),
+    ("sweep", "alice-confident", "--lo", "0", "--hi", "1", "--steps", "10000", "--out", "/dev/stdout"),
+], ids=["report", "search", "sweep", "search-out-stdout", "sweep-out-stdout"])
 def test_a_command_whose_stdout_is_closed_exits_1_and_prints_nothing(argv):
     # the reader of stdout went away before the output was written, as in
-    # `offswitch-lab report | true`: no traceback, exit 1
+    # `offswitch-lab report | true`: no traceback, exit 1, also when --out
+    # names stdout
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -516,6 +519,44 @@ def test_a_command_whose_stdout_is_closed_exits_1_and_prints_nothing(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_an_out_fifo_whose_reader_leaves_early_exits_1_and_prints_nothing(tmp_path):
+    # as `head -c 20` on the FIFO: the reader goes away while the document is written
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["head", "-c", "20", str(fifo)], stdout=subprocess.DEVNULL)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "offswitch_lab.cli", "search", "--rule", "faulty:complement:0.5",
+             "--trials", "3000", "--out", str(fifo)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        reader.wait(timeout=60)
+    finally:
+        reader.kill()
+        reader.wait(timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("report",),
+    ("scenario", "alice-noisy"),
+    ("sweep", "alice-confident", "--lo", "0", "--hi", "1", "--steps", "3"),
+    ("check", "good", "--trials", "100"),
+    ("search", "--rule", "faulty:complement:0.5", "--trials", "300"),
+], ids=["report", "scenario", "sweep", "check", "search"])
+def test_a_command_whose_stdout_cannot_be_written_exits_2_with_one_line(argv):
+    # stdout on a full disk: one error line and no traceback
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "offswitch_lab.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: No space left on device\n")
 
 
 def test_verify_witness_rejects_tampered_file(tmp_path, capsys):
@@ -1341,6 +1382,24 @@ def test_only_a_scenario_path_that_cannot_be_read_lists_the_built_in_names(comma
     }
     for path, err in expected.items():
         assert run(capsys, command, path, *extra) == (2, "", err)
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+    (b'{"a":' * 100000, "maximum recursion depth exceeded"),
+], ids=["not-utf-8", "deep-list", "deep-object"])
+@pytest.mark.parametrize("command", ["scenario", "sweep", "verify-witness"])
+def test_an_input_file_that_cannot_be_parsed_exits_2_naming_the_file(command, content, reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    extra = ["--lo", "0", "--hi", "1", "--steps", "2"] if command == "sweep" else []
+    what = "witness file" if command == "verify-witness" else "scenario file"
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {what} {str(path)!r} is not valid JSON: {reason}")
+    # the file was read, so the built-in scenario names would not help
+    assert err.count("\n") == 1 and "built-in" not in err
 
 
 def test_a_witness_file_that_gives_a_key_twice_exits_2_naming_the_file_and_the_key(tmp_path, capsys):

@@ -531,16 +531,42 @@ def test_probability_vectors_are_accepted_and_rejected_as_by_the_three_passes(ve
     accepted = all(map(math.isfinite, vec)) and min(vec) >= 0.0 and abs(sum(vec) - 1.0) <= PROB_TOL
     signals = tuple(f"s{j}" for j in range(len(vec)))
     # every path that checks a probability vector: the function itself, a
-    # channel row and a custom posterior, which only format a message on failure
+    # channel row, a custom posterior and a credal member, which name it lazily
     paths = [
         ("prior", lambda: as_probability_vector(vec, "prior")),
         ("likelihood row 0", lambda: SignalChannel(signals, (vec,)).likelihood[0]),
         ("custom posterior for 's'", lambda: CustomPosterior({"s": vec}).table[0][1]),
+        ("credal member 0", lambda: CredalSet((vec,)).members[0]),
     ]
     for what, check in paths:
         expected = outcome(checked_in_three_passes, vec, what)
         assert outcome(check) == expected
         assert (expected[0] == "ok") == accepted
+
+
+def test_a_label_is_formatted_only_for_a_vector_that_fails():
+    class Key:
+        reprs = 0
+
+        def __str__(self):
+            return "key"
+
+        def __repr__(self):
+            Key.reprs += 1
+            return "Key()"
+
+    key = Key()
+    assert CustomPosterior([(key, (0.5, 0.5))]).table == (("key", (0.5, 0.5)),)
+    assert Key.reprs == 0
+    assert raised(CustomPosterior, [(key, (0.5, 0.4))]) == (
+        ValueError, "custom posterior for Key() sums to 0.9, expected 1 within 1e-12"
+    )
+
+
+def test_a_label_without_arguments_is_used_as_it_is():
+    assert raised(as_probability_vector, (0.5, 0.25), "50% split") == (
+        ValueError, "50% split sums to 0.75, expected 1 within 1e-12"
+    )
 
 
 def test_negative_zero_is_a_probability():

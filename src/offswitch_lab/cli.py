@@ -364,14 +364,9 @@ def cmd_verify_witness(args) -> int:
         raise ValueError(f"cannot parse witness file: {exc}") from exc
     failures = 0
     for witness in witnesses:
-        replayed = voi.replay_witness(witness)
-        if not voi.reproduces(replayed, witness.voi):
+        if fault := voi.witness_fault(witness, voi.replay_witness(witness)):
             failures += 1
-            print(f"trial {witness.trial_index}: stored voi {witness.voi!r} but re-evaluation gives {replayed!r}")
-        elif not replayed < 0.0:
-            # a reproduced voi of 0 or more is no rejection of information
-            failures += 1
-            print(f"trial {witness.trial_index}: voi {replayed!r} is not below 0, so it is not a witness")
+            print(f"trial {witness.trial_index}: {fault}")
     print(f"verified {len(witnesses) - failures} of {len(witnesses)} witnesses within {voi.REVERIFY_TOL}")
     return 0 if failures == 0 else 1
 
@@ -477,8 +472,8 @@ def main(argv=None) -> int:
     except (ValueError, AssertionError) as exc:
         # this is the one place where bad input, which every command reports by
         # raising ValueError, becomes exit 2, and a failed self-check (a kernel that
-        # disagrees with the scalar path, or a witness that does not reproduce its
-        # voi) becomes exit 1
+        # disagrees with the scalar path, or a witness that ``voi.witness_fault``
+        # faults) becomes exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
 

@@ -233,7 +233,14 @@ class StayAtPrior:
 @dataclass(frozen=True, slots=True)
 class ComplementConditionalization:
     """Misupdate that conditionalizes on the complement of the observed signal;
-    a complement with no mass leaves the belief as it is."""
+    a complement with no mass leaves the belief as it is.
+
+    The complement's likelihood in a state is the sum of the other signals'
+    likelihoods there, added in column order, never 1 minus the observed one:
+    a subtraction would leave a complement of rounding residue where the
+    other signals have no mass. A misfire whose act is the posterior-best act
+    changes nothing, so the learning value then takes that act's value as it is.
+    """
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -364,17 +371,23 @@ def best_act_eu(problem: DecisionProblem, belief) -> tuple[int, float]:
     return _argmax(_act_values(problem, belief))
 
 
+def conditionalize(joint) -> tuple[float, tuple[float, ...] | None]:
+    """The total of a list of joint masses, one per state, and the posterior
+    they give, each mass divided by that total; the one place the scalar path
+    conditionalizes. The posterior is None when the total is not positive."""
+    marg = left_sum(joint)
+    if marg <= 0.0:
+        return marg, None
+    return marg, tuple([p / marg for p in joint])
+
+
 def bayes_step(belief, channel: SignalChannel, j: int) -> tuple[float, tuple[float, ...] | None]:
     """P(signal j) under the belief and the Bayesian posterior on it.
 
     The posterior is None when the marginal is not positive. The belief must
     already have one entry per channel row.
     """
-    joint = [b * row[j] for b, row in zip(belief, channel.likelihood)]
-    marg = left_sum(joint)
-    if marg <= 0.0:
-        return marg, None
-    return marg, tuple([p / marg for p in joint])
+    return conditionalize([b * row[j] for b, row in zip(belief, channel.likelihood)])
 
 
 def risk_weighted_value(prospect, risk: RiskFunction) -> float:
@@ -437,11 +450,10 @@ def _misupdate(belief, channel: SignalChannel, j: int, kind: MisupdateKind) -> t
     if isinstance(kind, StayAtPrior):
         return belief
     if isinstance(kind, ComplementConditionalization):
-        comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
-        marg = left_sum(comp)
-        if marg <= 0.0:
-            return belief  # the signal is certain, so its posterior is the belief
-        return tuple([x / marg for x in comp])
+        # the complement's likelihood is the other signals' sum, added in column order;
+        # with no mass the signal is certain, so its posterior is the belief
+        _, post = conditionalize([b * left_sum(row[:j] + row[j + 1 :]) for b, row in zip(belief, channel.likelihood)])
+        return belief if post is None else post
     posterior = kind.posterior_for(channel.signals[j])
     if len(posterior) != len(belief):
         check_length(posterior, len(belief), f"custom posterior for {channel.signals[j]!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CHECK_TOL, Act, DecisionProblem, DecisionRule, Faulty, SignalChannel, check_fits, unit_interval
+from .core import CHECK_TOL, Act, DecisionProblem, DecisionRule, Faulty, SignalChannel, check_fits, conditionalize, unit_interval
 from .distributions import UtilityDistribution, mean, zero_split
 
 PREFER = "prefer"
@@ -150,9 +150,9 @@ def best_option(prior: UtilityDistribution, epsilon: float) -> OffSwitchReport:
     # for bit: per signal, the posterior mean of acting against nothing's 0.0 (ties act)
     eu_learn = 0.0
     for l_good, l_bad in ((1.0 - epsilon, epsilon), (epsilon, 1.0 - epsilon)):
-        marg = p_good * l_good + p_bad * l_bad
-        if marg > 0.0:
-            eu_learn += marg * max(p_good * l_good / marg * m_good + p_bad * l_bad / marg * m_bad, 0.0)
+        marg, post = conditionalize([p_good * l_good, p_bad * l_bad])
+        if post is not None:
+            eu_learn += marg * max(post[0] * m_good + post[1] * m_bad, 0.0)
     advantage = _advantage(split, eu_act)
     denom = p_good * m_good - p_bad * m_bad
     # the advantage is non-negative up to rounding; never report a negative crossover

@@ -76,15 +76,15 @@ witness is evaluated once, in trial order, and each block's witnesses are
 re-verified together (``_reverifies``) before a candidate of the next block is
 evaluated: they are encoded in trial order as one JSON list, written as one
 JSON text and read back, and each entry is decoded by the strict decoder
-(every check again) and replayed through the voi module, and must reproduce
-its voi within ``REVERIFY_TOL`` (1e-10); the first that does not stops the
-search with AssertionError naming its trial, and one that the decoder or the
-replay refuses stops it with AssertionError carrying that ValueError's
-message. Only one block's document is held at a time, however many blocks a
-call covers. The replay makes the same float operations in the same order, so
-it gives the voi exactly. The scalar kernels stay cheap without skipping a
-check: each checks a belief's length once and scores each act once per belief,
-and the checkers a witness's vectors go through (``core.as_probability_vector``
+(every check again) and replayed through the voi module, and must pass
+``voi.witness_fault``: reproduce its voi within ``REVERIFY_TOL`` (1e-10) and
+stay below 0; the first that does not stops the search with AssertionError
+naming its trial and the fault, and one that the decoder or the replay refuses
+stops it with AssertionError carrying that ValueError's message. Only one
+block's document is held at a time, however many blocks a call covers. The
+replay makes the same float operations in the same order, so it gives the voi
+exactly. The scalar kernels stay cheap without skipping a check: each checks a
+belief's length once and scores each act once per belief, and the checkers a witness's vectors go through (``core.as_probability_vector``
 for every probability vector, ``core.check_length`` behind a length test) format
 an error message only for a value that fails.
 
@@ -136,7 +136,7 @@ from .core import (
 from .distributions import Discrete
 from .jsonio import Witness, witness_from_jsonable, witness_to_jsonable
 from .offswitch import theorem1_check
-from .voi import REVERIFY_TOL, evaluate_rule, replay_witness, reproduces, value_of_learning_eu
+from .voi import REVERIFY_TOL, evaluate_rule, replay_witness, value_of_learning_eu, witness_fault
 
 UTILITY_RANGE = (-10.0, 10.0)  # act utilities and prior atoms are drawn uniformly from it
 SCREEN_MARGIN = 1e-10 * (UTILITY_RANGE[1] - UTILITY_RANGE[0])  # the screen's slack; see above
@@ -560,12 +560,17 @@ def _screen_faulty(rule: FaultySearch, block: _Block) -> tuple[np.ndarray, np.nd
     posterior blended with the act best at the misupdated belief, both scored
     at the true posterior. The posterior-best act enters only through its
     value, a max, so only the misupdated choice needs a lead. A complement
-    posterior needs no condition on its marginal, as the module docstring says."""
+    posterior needs no condition on its marginal, as the module docstring says;
+    its likelihood is the other signals' sum, added in column order, as the
+    scalar path adds it."""
     now, values = _eu_kernel(block)
     if rule.kind == MISUPDATE_CUSTOM:
         wrong = block.rule_rows.swapaxes(0, 1)  # (S, G, n)
     else:
-        _, wrong = _bayes(block.prior, 1.0 - block.likelihood)
+        others, columns = np.zeros_like(block.likelihood), np.arange(block.likelihood.shape[1])
+        for k in columns:
+            others[:, columns != k] += block.likelihood[:, k, None]
+        _, wrong = _bayes(block.prior, others)
     wrong_choice, lead = _lead(_expectations(wrong, block.utilities))
     misfired = np.take_along_axis(values, wrong_choice[None], 0)[0]
     learning = ((1.0 - rule.q) * values.max(axis=0) + rule.q * misfired).sum(axis=0)
@@ -639,18 +644,16 @@ def _concrete_rule(search_rule: SearchRule, rows: list[list[float]], channel: Si
 def _reverifies(witnesses: list[Witness]) -> None:
     """Write a block's witnesses as one JSON document, read it back, and decode
     and replay each entry; AssertionError naming the first trial whose replay
-    does not reproduce its stored voi, or with the message of the ValueError
-    by which the strict decoder or the replay refuses an entry."""
+    ``voi.witness_fault`` faults, with that fault, or with the message of the
+    ValueError by which the strict decoder or the replay refuses an entry."""
     entries = json.loads(json.dumps([witness_to_jsonable(w) for w in witnesses]))
     for witness, entry in zip(witnesses, entries):
         try:
             replayed = replay_witness(witness_from_jsonable(entry))
         except ValueError as exc:
             raise AssertionError(str(exc)) from exc
-        if not reproduces(replayed, witness.voi):
-            raise AssertionError(
-                f"witness at trial {witness.trial_index} did not reproduce its voi on re-evaluation"
-            )
+        if fault := witness_fault(witness, replayed):
+            raise AssertionError(f"witness at trial {witness.trial_index}: {fault}")
 
 
 @contextlib.contextmanager

@@ -24,6 +24,12 @@ Evaluation conventions, fixed once here:
   probability misupdates to the belief itself: the signal is then certain,
   so its posterior is the belief, and the misfire agrees with a correct
   update up to rounding.
+- The complement's likelihood is the sum of the other signals' likelihoods,
+  added in column order, never 1 minus the observed signal's, so a
+  complement has no mass exactly when the other signals have none.
+- A misfire that picks the posterior-best act changes nothing: that signal's
+  value is the act's value, not a blend of it with itself, which could move
+  its last bit.
 - Signals with zero marginal probability are skipped and contribute zero.
 
 ``evaluate_rule`` is the one switch over rules and updaters; any other object
@@ -51,6 +57,7 @@ from .core import (
     _misupdate,
     bayes_step,
     check_length,
+    conditionalize,
     gamma_maximin,
     left_sum,
     risk_weighted_value,
@@ -112,7 +119,8 @@ def _learn_by_eu_choice(problem, belief, channel, updater: Faulty | None) -> Voi
         idx, val = _argmax(values)
         if q > 0.0:
             wrong_index, _ = _argmax(_act_values(problem, _misupdate(belief, channel, j, updater.kind)))
-            val = (1.0 - q) * val + q * values[wrong_index]
+            if wrong_index != idx:  # a misfire to the posterior-best act changes nothing
+                val = (1.0 - q) * val + q * values[wrong_index]
         rows.append(SignalOutcome(signal, marg, idx, val))
         total += marg * val
     return VoiReport(now, total, total - now, "eu" if updater is None else "faulty", tuple(rows))
@@ -131,13 +139,14 @@ def _learning_reu(problem, belief, channel, risk) -> VoiReport:
     rows = []
     joint: list[tuple[float, float]] = []
     for j, signal in enumerate(channel.signals):
-        marg, post = bayes_step(belief, channel, j)
+        masses = [b * row[j] for b, row in zip(belief, channel.likelihood)]
+        marg, post = conditionalize(masses)
         if post is None:
             continue
         best_index, best_value = _argmax([risk_weighted_value(zip(act.utilities, post), risk) for act in problem.acts])
         rows.append(SignalOutcome(signal, marg, best_index, best_value))
         # risk_weighted_value drops the atoms with zero mass
-        joint += zip(problem.acts[best_index].utilities, [b * row[j] for b, row in zip(belief, channel.likelihood)])
+        joint += zip(problem.acts[best_index].utilities, masses)
     learning = risk_weighted_value(joint, risk)
     now = max([risk_weighted_value(zip(act.utilities, belief), risk) for act in problem.acts])
     return VoiReport(now, learning, learning - now, "reu", tuple(rows))
@@ -229,6 +238,12 @@ def replay_witness(witness: Witness) -> float:
     return evaluate_rule(witness.problem, witness.channel, witness.rule).voi
 
 
-def reproduces(replayed: float, stored: float) -> bool:
-    """True when a replayed voi is within REVERIFY_TOL of the stored one; a NaN never is."""
-    return abs(replayed - stored) <= REVERIFY_TOL
+def witness_fault(witness: Witness, replayed: float) -> str | None:
+    """Why a witness whose replay gave ``replayed`` is no witness, or None when
+    it is one: the replay must be within REVERIFY_TOL of the stored voi (a NaN
+    never is) and below 0. The one verdict of the search and of verify-witness."""
+    if not abs(replayed - witness.voi) <= REVERIFY_TOL:
+        return f"stored voi {witness.voi!r} but re-evaluation gives {replayed!r}"
+    if not replayed < 0.0:
+        return f"voi {replayed!r} is not below 0, so it is not a witness"
+    return None

@@ -141,7 +141,8 @@ def faulty_voi(problem: DecisionProblem, channel: SignalChannel, updater) -> flo
         if isinstance(kind, StayAtPrior):
             wrong = list(belief)
         elif isinstance(kind, ComplementConditionalization):
-            comp = [b * (1.0 - row[j]) for b, row in zip(belief, channel.likelihood)]
+            # the complement's likelihood is the other signals' total
+            comp = [b * sum(x for k, x in enumerate(row) if k != j) for b, row in zip(belief, channel.likelihood)]
             comp_total = sum(comp)
             wrong = list(belief) if comp_total <= 0.0 else [x / comp_total for x in comp]
         else:

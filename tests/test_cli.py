@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offswitch_lab import SearchConfig, cli, jsonio, search
+from offswitch_lab.core import ComplementConditionalization, Faulty
 
 
 def run(capsys, *argv):
@@ -945,7 +946,7 @@ def test_search_whose_witness_fails_re_verification_exits_1_naming_the_trial(tmp
     argv = ["search", "--rule", "faulty:complement:0.5", "--trials", "300"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    first = min(entry["trial_index"] for entry in json.loads(out))
+    first = min(json.loads(out), key=lambda entry: entry["trial_index"])
 
     def without_rule(witness):
         obj = jsonio.witness_to_jsonable(witness)
@@ -956,7 +957,8 @@ def test_search_whose_witness_fails_re_verification_exits_1_naming_the_trial(tmp
     # fail verification, neither is a usage error
     failures = [
         ("replay_witness", lambda witness: witness.voi + 1.0,
-         f"witness at trial {first} did not reproduce its voi on re-evaluation"),
+         f"witness at trial {first['trial_index']}: stored voi {first['voi']!r} "
+         f"but re-evaluation gives {first['voi'] + 1.0!r}"),
         ("witness_to_jsonable", without_rule, "witness is missing fields: ['rule']"),
     ]
     for name, patched, message in failures:
@@ -1333,6 +1335,38 @@ def test_verify_witness_replays_a_prior_whose_masses_sum_past_1(tmp_path, capsys
     code, out, err = run(capsys, "verify-witness", str(path))
     assert (code, err) == (1, "")
     assert out == "trial 0: voi 0.0 is not below 0, so it is not a witness\nverified 0 of 1 witnesses within 1e-10\n"
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.5"])
+def test_a_complement_misfire_on_a_one_sided_prior_leaves_the_updater_voi_at_0(tmp_path, capsys, q):
+    # at epsilon 0 the complement of approve has no mass, so the misfire picks the
+    # act the posterior picks; at q = 0.3 a blend of that act's value with itself
+    # does not round back to it
+    path = tmp_path / "one-sided.json"
+    path.write_text(
+        '{"label": "one-sided", "prior": {"kind": "discrete", "atoms": [[4.851198106918442, 0.3506408330685437], '
+        '[5.020140962872022, 0.2824156914042405], [7.386203066186315, 0.36694347552721573]]}, "epsilon": 0, '
+        f'"updater": {{"kind": "faulty", "q": {q}, "mode": "complement-conditionalization"}}}}'
+    )
+    code, out, _ = run(capsys, "scenario", str(path))
+    assert code == 0
+    assert dict(line.split(None, 1) for line in out.strip().splitlines())["updater_voi"] == "0"
+
+
+def test_verify_witness_refuses_a_complement_made_of_rounding(tmp_path, capsys):
+    # one signal, certain up to the last likelihood's rounding: the complement is
+    # the other signals' sum, which is 0, so the misfire is a stay and the voi is 0
+    problem, channel = search.random_instance(SearchConfig(seed=5, trials=1, signal_count=1), 0)
+    assert channel.likelihood == ((1.0,), (1.0,), (0.9999999999999999,))
+    rule = Faulty(0.5, ComplementConditionalization())
+    path = tmp_path / "rounding.json"
+    path.write_text(json.dumps([jsonio.witness_to_jsonable(jsonio.Witness(problem, channel, rule, -4.424640129063432, 0))]))
+    code, out, err = run(capsys, "verify-witness", str(path))
+    assert (code, err) == (1, "")
+    assert out == (
+        "trial 0: stored voi -4.424640129063432 but re-evaluation gives 0.0\n"
+        "verified 0 of 1 witnesses within 1e-10\n"
+    )
 
 
 def test_verify_witness_rejects_repeated_signal_names(tmp_path, capsys):

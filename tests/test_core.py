@@ -23,6 +23,7 @@ from offswitch_lab.core import (
     as_probability_vector,
     bayes_step,
     best_act_eu,
+    conditionalize,
     gamma_maximin,
     is_identity_risk,
     misupdate,
@@ -382,6 +383,48 @@ def test_misupdate_null_complement_is_the_belief():
     # the signal is certain, so its posterior is the belief, and so is the misfire
     certain = SignalChannel(("only", "never"), ((1.0, 0.0), (1.0, 0.0)))
     assert misupdate((0.25, 0.75), certain, "only", ComplementConditionalization()) == (0.25, 0.75)
+
+
+def test_misupdate_complement_of_a_signal_certain_up_to_rounding_is_the_belief():
+    # no other signal has mass, so the complement has none: 1 - 0.9999999999999999
+    # would be a complement of rounding residue that puts all belief on state c
+    certain = SignalChannel(("only",), ((1.0,), (1.0,), (0.9999999999999999,)))
+    belief = (0.2, 0.3, 0.5)
+    assert misupdate(belief, certain, "only", ComplementConditionalization()) == belief
+
+
+def test_misupdate_complement_adds_the_other_signals_in_column_order():
+    channel = SignalChannel(("x", "y", "z"), ((0.1, 0.2, 0.7), (0.6, 0.3, 0.1)))
+    belief = (0.4, 0.6)
+    masses = [0.4 * (0 + 0.1 + 0.7), 0.6 * (0 + 0.6 + 0.1)]
+    assert misupdate(belief, channel, "y", ComplementConditionalization()) == conditionalize(masses)[1]
+
+
+def test_conditionalize_divides_each_mass_by_their_total():
+    assert conditionalize([0.125, 0.375]) == (0.5, (0.25, 0.75))
+    assert conditionalize([0.0, 0.0]) == (0.0, None)
+
+
+@st.composite
+def two_signal_channels(draw):
+    """A belief of 2-4 states and a two-signal channel, each row a pair of
+    weights divided by their sum, so 1 minus one entry need not be the other."""
+    states = draw(st.integers(2, 4))
+
+    def simplex(size):
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(lambda r: sum(r) > 0.1))
+        return tuple(x / sum(raw) for x in raw)
+
+    return simplex(states), SignalChannel(("x", "y"), tuple(simplex(2) for _ in range(states)))
+
+
+@given(two_signal_channels(), st.sampled_from([0, 1]))
+def test_a_two_signal_complement_misfire_is_the_bayes_step_at_the_other_signal(case, j):
+    belief, channel = case
+    _, other = bayes_step(belief, channel, 1 - j)
+    wrong = misupdate(belief, channel, channel.signals[j], ComplementConditionalization())
+    # bit for bit, and the belief itself where the other signal has no mass
+    assert list(map(float.hex, wrong)) == list(map(float.hex, belief if other is None else other))
 
 
 def test_custom_posterior_missing_signal_raises():

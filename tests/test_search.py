@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from offswitch_lab.core import (
     TableRisk,
 )
 from offswitch_lab.distributions import Discrete
-from offswitch_lab.jsonio import witness_from_jsonable, witness_to_jsonable
+from offswitch_lab.jsonio import Witness, witness_from_jsonable, witness_to_jsonable
 from offswitch_lab.offswitch import theorem1_check
 from offswitch_lab.search import (
     BLOCK_TRIALS,
@@ -35,11 +36,10 @@ from offswitch_lab.search import (
     find_information_aversion,
     random_discrete_prior,
     random_instance,
-    reproduces,
     verify_good,
     verify_theorem1,
 )
-from offswitch_lab.voi import replay_witness, value_of_learning_eu
+from offswitch_lab.voi import replay_witness, value_of_learning_eu, witness_fault
 from oracles import (
     block_draws,
     block_search,
@@ -185,10 +185,24 @@ def test_gamma_search_finds_verified_witnesses():
         assert gamma_voi(w.problem, w.channel, w.rule.credal) < 0
 
 
-def test_reproduces_within_the_tolerance_and_never_for_nan():
-    assert reproduces(-1.0 + 0.5 * REVERIFY_TOL, -1.0)
-    assert not reproduces(-1.0 + 2.0 * REVERIFY_TOL, -1.0)
-    assert not reproduces(float("nan"), -1.0)
+def test_witness_fault_needs_a_replay_within_the_tolerance_and_below_0():
+    problem, channel = random_instance(SearchConfig(seed=1, trials=1), 0)
+
+    def fault(stored, replayed):
+        return witness_fault(Witness(problem, channel, ExpectedUtilityRule(), stored, 7), replayed)
+
+    for replayed in (-1.0, -1.0 + 0.5 * REVERIFY_TOL, -1.0 - 0.5 * REVERIFY_TOL):
+        assert fault(-1.0, replayed) is None
+    # at the edge: a replay exactly REVERIFY_TOL away reproduces, one ulp further does not
+    assert fault(-2.0 * REVERIFY_TOL, -REVERIFY_TOL) is None
+    beyond = math.nextafter(-REVERIFY_TOL, 0.0)
+    assert fault(-2.0 * REVERIFY_TOL, beyond) == f"stored voi {-2.0 * REVERIFY_TOL!r} but re-evaluation gives {beyond!r}"
+    for replayed in (-1.0 + 2.0 * REVERIFY_TOL, -1.0 - 2.0 * REVERIFY_TOL, float("nan"), 1.0):
+        assert fault(-1.0, replayed) == f"stored voi -1.0 but re-evaluation gives {replayed!r}"
+    # a replay that reproduces a stored voi of 0 or more is no rejection of information
+    for stored, replayed in ((0.0, 0.0), (-0.5 * REVERIFY_TOL, 0.0), (-0.5 * REVERIFY_TOL, -0.0), (1.0, 1.0)):
+        assert fault(stored, replayed) == f"voi {replayed!r} is not below 0, so it is not a witness"
+    assert fault(0.0, -0.5 * REVERIFY_TOL) is None
 
 
 def drop_rule(witness):
@@ -198,26 +212,28 @@ def drop_rule(witness):
     return obj
 
 
-NOT_REPRODUCED = "witness at trial {first} did not reproduce its voi on re-evaluation"
+def not_reproduced(witness, replayed):
+    """The search's message for a first witness whose replay gave ``replayed``."""
+    return f"witness at trial {witness.trial_index}: stored voi {witness.voi!r} but re-evaluation gives {replayed!r}"
 
 
 @pytest.mark.parametrize(
     "attr,fake,error,message",
     [
-        ("replay_witness", lambda witness: witness.voi + 1.0, AssertionError, NOT_REPRODUCED),
-        ("replay_witness", lambda witness: float("nan"), AssertionError, NOT_REPRODUCED),
-        ("witness_to_jsonable", drop_rule, AssertionError, "witness is missing fields: ['rule']"),
+        ("replay_witness", lambda w: w.voi + 1.0, AssertionError, lambda w: not_reproduced(w, w.voi + 1.0)),
+        ("replay_witness", lambda w: float("nan"), AssertionError, lambda w: not_reproduced(w, float("nan"))),
+        ("witness_to_jsonable", drop_rule, AssertionError, lambda w: "witness is missing fields: ['rule']"),
     ],
     ids=["replay-off-by-one", "replay-nan", "encoder-drops-the-rule"],
 )
 def test_a_witness_that_fails_re_verification_stops_the_search(monkeypatch, attr, fake, error, message):
     config = SearchConfig(seed=17, trials=300, rule=FaultySearch(0.5, "complement-conditionalization"))
-    first = min(w.trial_index for w in find_information_aversion(config))
+    first = min(find_information_aversion(config), key=lambda w: w.trial_index)
     monkeypatch.setattr(search, attr, fake)
     with pytest.raises(error) as info:
         find_information_aversion(config)
     # the first witness of the first block that holds one
-    assert str(info.value) == message.format(first=first)
+    assert str(info.value) == message(first)
 
 
 def test_faulty_search_finds_verified_witnesses():
@@ -303,7 +319,7 @@ def fail_evaluation(*args):
     "attr,fake,error",
     [
         (None, None, None),
-        ("reproduces", lambda fresh, stored: False, AssertionError),
+        ("witness_fault", lambda witness, replayed: "a faked fault", AssertionError),
         ("evaluate_rule", fail_evaluation, ValueError),
     ],
     ids=["returns", "re-verification-fails", "candidate-raises"],
@@ -665,6 +681,22 @@ def test_screen_keeps_a_trial_whose_complement_marginal_is_zero():
         assert not any(isinstance(outcome, tuple) for outcome in found.values())
         kept = set(search._possible_witnesses(config, screen, block).tolist())
         assert (kept >= set(range(0, 64, 4))) == (name == "faulty:complement:0.5")
+
+
+def test_the_complement_screen_finds_no_mass_where_the_other_signals_have_none():
+    # signal 0's column is 1 - 2**-53 beside two columns of 0 in every fourth
+    # trial: 1 minus that column would leave a complement of rounding residue.
+    # The screen, like the scalar path, adds the other columns, finds no mass,
+    # divides by 0 and keeps the trial
+    config = SearchConfig(seed=43, trials=64, signal_count=3, rule=EQUIVALENCE_RULES["faulty:complement:0.5"])
+    screen, rule_rows = search._screen_for(config)
+    block = search._draw_block(config, [(0, 64)], rule_rows)
+    block.likelihood[:, :, ::4] = 0.0
+    block.likelihood[:, 0, ::4] = 1.0 - 2**-53
+    found = block_search(config, block)
+    assert screened_search(config, block) == found
+    assert not any(isinstance(outcome, tuple) for outcome in found.values())
+    assert set(search._possible_witnesses(config, screen, block).tolist()) >= set(range(0, 64, 4))
 
 
 SCREEN_VALUE_RULES = {
@@ -1231,7 +1263,7 @@ def test_a_re_verification_failure_stops_the_search_before_the_next_block(name, 
     witnesses = sorted(find_information_aversion(config), key=lambda w: w.trial_index)
     failing = next(w for w in witnesses if w.trial_index // BLOCK_TRIALS > witnesses[0].trial_index // BLOCK_TRIALS)
     trial_of, evaluated = {}, []
-    draw_instance, evaluate_rule, reproduces_ = search._draw_instance, search.evaluate_rule, search.reproduces
+    draw_instance, evaluate_rule = search._draw_instance, search.evaluate_rule
 
     def recorded_instances(config, block, rows):
         pairs = draw_instance(config, block, rows)
@@ -1244,8 +1276,10 @@ def test_a_re_verification_failure_stops_the_search_before_the_next_block(name, 
 
     monkeypatch.setattr(search, "_draw_instance", recorded_instances)
     monkeypatch.setattr(search, "evaluate_rule", recorded_evaluation)
-    monkeypatch.setattr(search, "reproduces", lambda value, voi: voi != failing.voi and reproduces_(value, voi))
-    with pytest.raises(AssertionError, match=f"^witness at trial {failing.trial_index} did not reproduce"):
+    monkeypatch.setattr(
+        search, "witness_fault", lambda w, replayed: "a faked fault" if w.voi == failing.voi else witness_fault(w, replayed)
+    )
+    with pytest.raises(AssertionError, match=f"^witness at trial {failing.trial_index}: a faked fault$"):
         find_information_aversion(config)
     assert evaluated == sorted(evaluated)
     assert max(evaluated) // BLOCK_TRIALS == failing.trial_index // BLOCK_TRIALS

@@ -21,6 +21,7 @@ from offswitch_lab.core import (
     SignalChannel,
     StayAtPrior,
     TableRisk,
+    bayes_step,
 )
 from offswitch_lab.distributions import Uniform, mean
 from offswitch_lab.offswitch import reduce_to_two_state
@@ -304,6 +305,40 @@ def test_faulty_ties_go_to_the_lowest_index_at_the_posterior_and_the_misupdated_
     # belief picks act 0 (not act 1), worth -1.0 at the posterior
     assert report.per_signal == (SignalOutcome("x", 0.5, 0, 1.0), SignalOutcome("y", 0.5, 1, 0.0))
     assert (report.value_now, report.value_learning, report.voi) == (1.0, 0.5, -0.5)
+
+
+@st.composite
+def problems_with_channels(draw):
+    """A problem of 2-4 states and 2-4 acts and a channel of 2-3 signals, every
+    probability vector a list of weights divided by their sum."""
+    states, acts, signals = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(2, 3))
+
+    def simplex(size):
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size).filter(lambda r: sum(r) > 0.1))
+        return tuple(x / sum(raw) for x in raw)
+
+    utilities = st.lists(st.floats(-10.0, 10.0), min_size=states, max_size=states)
+    problem = DecisionProblem(
+        tuple(f"s{i}" for i in range(states)), simplex(states),
+        tuple(Act(f"a{k}", tuple(draw(utilities))) for k in range(acts)),
+    )
+    channel = SignalChannel(tuple(f"e{j}" for j in range(signals)), tuple(simplex(signals) for _ in range(states)))
+    return problem, channel
+
+
+@settings(max_examples=200, deadline=None)
+@given(problems_with_channels(), st.floats(0.0, 1.0))
+def test_a_misfire_to_the_posterior_best_act_leaves_the_expected_utility_voi_bit_for_bit(case, q):
+    # a custom table of the true posteriors misfires to the act the posterior
+    # picks on every signal, so the agent always acts as the Bayesian does
+    problem, channel = case
+    posteriors = [bayes_step(problem.prior, channel, j)[1] for j in range(len(channel.signals))]
+    table = {signal: post or problem.prior for signal, post in zip(channel.signals, posteriors)}
+    faulty = evaluate_rule(problem, channel, Faulty(q, CustomPosterior(table)))
+    eu = value_of_learning_eu(problem, problem.prior, channel)
+    assert (faulty.value_now, faulty.value_learning, faulty.voi, faulty.per_signal) == (
+        eu.value_now, eu.value_learning, eu.voi, eu.per_signal
+    )
 
 
 def test_faulty_requires_faulty_updater():
